@@ -13,9 +13,6 @@ from .field import (
     DimensionMismatch,
     InversionOfZero,
     PrimeModulus,
-    SingularMatrix,
-    mat_inv,
-    mat_mul,
     mat_vec_mul,
     rank,
     sample_invertible_matrix,
@@ -24,33 +21,31 @@ from .field import (
     vec_sub,
 )
 from .protocol import (
-    Answer,
     InvalidPermutation,
     KTooLarge,
     MarginalQueryList,
     Permutation,
     Query,
     RunConfig,
-    TaskRef,
     compose_reference,
     enumerate_permutations,
-    inverse_permutation,
     random_permutation,
 )
 from .rand import Rng
 from .scheduler import (
     BlockPlan,
+    DependencyViolation,
     InvalidRegime,
     MaskLedger,
+    MissingValue,
     PlannedQuery,
     QueryPlan,
     build_blocks,
     build_plan,
-    check_feasibility,
-    expr_to_doc,
-    plan_to_json,
     plan_vectors,
     query_count,
+    rate_bounds,
+    run_plan,
     schedule_chain,
     schedule_fallback,
 )
@@ -67,14 +62,10 @@ from .runtime import (
     encode_message,
     generate_functions,
     generate_inputs,
-    make_servers,
     marginal_fingerprint,
 )
 from .client import (
-    DependencyViolation,
-    MissingValue,
     RunReport,
-    ValueStore,
     outputs_to_bytes,
     run_protocol,
     unmask,
@@ -84,7 +75,6 @@ from .audit import (
     ConverseResult,
     FingerprintResult,
     GuardExceeded,
-    PrivacyVerdict,
     RankDecayResult,
     RateVerdict,
     UniformityResult,

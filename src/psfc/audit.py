@@ -54,7 +54,7 @@ from .protocol import (
 )
 from .rand import Rng
 from .runtime import Server, SimTransport, generate_functions, generate_inputs, marginal_fingerprint
-from .scheduler import QueryPlan, build_plan
+from .scheduler import QueryPlan, build_plan, rate_bounds, run_plan
 
 __all__ = [
     "GuardExceeded",
@@ -72,7 +72,6 @@ __all__ = [
     "converse_counts",
     "RankDecayResult",
     "rank_decay_experiment",
-    "PrivacyVerdict",
 ]
 
 MAX_EXHAUSTIVE_K = 6
@@ -201,83 +200,23 @@ def _sample_invertible_batch(k: int, l: int, p: int, t: int, nprng) -> np.ndarra
 
 
 def _batch_eval(
-    plan: QueryPlan,
-    f_batch,
-    w_batch,
-    mask_source,
-    ph_source,
-    p: int,
-    per_trial_f: bool,
+    plan: QueryPlan, f_batch, w_batch, draw, p: int, per_trial_f: bool
 ) -> list[list[np.ndarray]]:
-    """Vectorized mirror of the client/server loop over a stack of trials.
+    """The plan interpreter over a stack of trials, as numpy arrays.
 
-    Returns, per server, the list of input arrays (trials x L) in
-    arrival order.  A dedicated test pins this evaluator to the real
-    runtime by replaying one trial's draws through both paths.
+    Values are (trials x L) int64 arrays; `draw(mid)` returns a fresh
+    one.  Returns, per server, the list of input arrays in arrival order.
     """
-    outs: dict = {}
-    prev: dict = {}
-    masks: dict = {}
-    images: dict = {}
-    pending: dict = {}
     per_server: list[list[np.ndarray]] = [[] for _ in range(plan.n)]
 
-    for server, function, expr, effect, _block in plan.queries:
-        tag = expr[0]
-        if tag == "w":
-            w = w_batch[expr[1]]
-        elif tag == "out":
-            w = outs[(expr[1], expr[2], expr[3])]
-        elif tag == "prev":
-            w = prev[expr[1]]
-        elif tag == "xor":
-            base = expr[1]
-            if base[0] == "out":
-                inner = outs[(base[1], base[2], base[3])]
-            elif base[0] == "w":
-                inner = w_batch[base[1]]
-            else:
-                inner = ph_source(base[1])
-            mid = expr[2]
-            z = masks.get(mid)
-            if z is None:
-                z = mask_source(mid)
-                masks[mid] = z
-            w = (inner + z) % p
-        elif tag == "mask":
-            mid = expr[1]
-            z = masks.get(mid)
-            if z is None:
-                z = mask_source(mid)
-                masks[mid] = z
-            w = z
-        else:
-            w = ph_source(expr[1])
-
+    def query(server, function, w):
         per_server[server - 1].append(w)
         fk = f_batch[function - 1]
         if per_trial_f:
-            ans = np.einsum("tij,tj->ti", fk, w) % p
-        else:
-            ans = (w @ fk.T) % p
+            return np.einsum("tij,tj->ti", fk, w) % p
+        return (w @ fk.T) % p
 
-        eff = effect[0]
-        if eff == "out":
-            outs[(effect[1], effect[2], effect[3])] = ans
-        elif eff == "prev":
-            prev[effect[1]] = ans
-        elif eff == "masked":
-            key = (effect[1], effect[2], effect[3])
-            img = images.get(effect[4])
-            if img is None:
-                pending.setdefault(effect[4], []).append((key, ans))
-            else:
-                outs[key] = (ans - img) % p
-        elif eff == "img":
-            images[effect[1]] = ans
-            for key, masked in pending.pop(effect[1], ()):
-                outs[key] = (masked - ans) % p
-        # "final" / "drop": nothing the view statistics need
+    run_plan(plan, w_batch, draw, lambda x, z: (x + z) % p, lambda a, b: (a - b) % p, query)
     return per_server
 
 
@@ -358,7 +297,7 @@ def uniformity_test(
                 f_batch = fixed_f
             w_batch = nprng.integers(0, p, size=(max(m, 1), t, l), dtype=np.int64)
             draw = lambda _mid: nprng.integers(0, p, size=(t, l), dtype=np.int64)
-            per_server = _batch_eval(plan, f_batch, w_batch, draw, draw, p, resample_f)
+            per_server = _batch_eval(plan, f_batch, w_batch, draw, p, resample_f)
             for srv in range(n):
                 slot_values = [vals @ powers for vals in per_server[srv]]
                 joint = np.zeros(t, dtype=np.int64)
@@ -413,47 +352,62 @@ def uniformity_test(
 # -- adversarial check: reverse-computation attacker ---------------------------
 
 
+def _hidden_run(
+    functions: list[FieldMatrix], start: FieldVector, target: FieldVector,
+    ends: tuple[int, int], p: int,
+) -> tuple[int, ...] | None:
+    """The fewest distinct hidden steps taking `start` to `target`, or None.
+
+    Breadth-first over runs of functions outside `ends`, so with K
+    functions it tries 0..K-2 hidden steps and each prefix's image is
+    computed once.
+    """
+    frontier = [((), start)]
+    while frontier:
+        for hidden, value in frontier:
+            if value == target:
+                return hidden
+        frontier = [
+            (hidden + (h,), mat_vec_mul(functions[h - 1], value, p))
+            for hidden, value in frontier
+            for h in range(1, len(functions) + 1)
+            if h not in ends and h not in hidden
+        ]
+    return None
+
+
 def sigma_attack(
     marginal: MarginalQueryList, functions: list[FieldMatrix], p: int, rng: Rng
 ) -> Permutation:
     """One curious server's best guess at the composition order.
 
-    Builds a consistency graph: for queries a < b in its own view, if
-    input_b equals the output of a (consecutive steps) or F_k applied
-    to the output of a (one hidden step between), the attacker learns
-    that those function indices are adjacent in the order.  It then
-    guesses uniformly among the orders consistent with every observed
-    constraint; with no usable constraints that is a uniform guess.
+    Builds a consistency graph: for queries a < b of different functions
+    in its own view, if input_b equals the output of a carried through
+    0..K-2 hidden functions, the attacker learns that f_a, the hidden
+    functions and f_b are consecutive steps of the order, in that
+    sequence.  It then guesses uniformly among the orders consistent
+    with every observed run; with no usable runs that is a uniform guess.
     """
-    k = len(functions)
     entries = marginal.entries
     outputs = [mat_vec_mul(functions[f - 1], w, p) for f, w in entries]
-    pairs: set[tuple[int, int]] = set()
-    triples: set[tuple[int, int, int]] = set()
+    runs: set[tuple[int, ...]] = set()
     for a in range(len(entries)):
         f_a = entries[a][0]
-        out_a = outputs[a]
         for b in range(a + 1, len(entries)):
             f_b, w_b = entries[b]
-            if f_a != f_b and w_b == out_a:
-                pairs.add((f_a, f_b))
+            if f_a == f_b:
                 continue
-            for mid in range(1, k + 1):
-                if mid in (f_a, f_b):
-                    continue
-                if w_b == mat_vec_mul(functions[mid - 1], out_a, p):
-                    triples.add((f_a, mid, f_b))
-                    break
+            hidden = _hidden_run(functions, outputs[a], w_b, (f_a, f_b), p)
+            if hidden is not None:
+                runs.add((f_a, *hidden, f_b))
 
     candidates = []
-    for perm in enumerate_permutations(k):
+    for perm in enumerate_permutations(len(functions)):
         pos = {v: i for i, v in enumerate(perm.mapping)}
-        if all(pos[y] == pos[x] + 1 for x, y in pairs) and all(
-            pos[y] == pos[x] + 1 and pos[z] == pos[x] + 2 for x, y, z in triples
-        ):
+        if all(pos[f] == pos[run[0]] + i for run in runs for i, f in enumerate(run)):
             candidates.append(perm)
     if not candidates:
-        candidates = enumerate_permutations(k)
+        candidates = enumerate_permutations(len(functions))
     if len(candidates) == 1:
         return candidates[0]
     return rng.choice(candidates)
@@ -564,17 +518,7 @@ def rate_report(report: RunReport) -> RateVerdict:
     """
     k, n = report.k, report.n
     measured = Fraction(report.rate[0], report.rate[1])
-    biggest = max(k, n)
-    if biggest == 1:
-        lower = Fraction(1)  # K = N = 1: a single chain query achieves rate 1
-    else:
-        lower = Fraction(1 - Fraction(1, n), 1 - Fraction(1, biggest))
-    if k <= n:
-        limit = Fraction(1)
-    elif n == 1:
-        limit = Fraction(1, factorial(k))  # all-chains fallback
-    else:
-        limit = Fraction(k * (n - 1), n * (k - 1))
+    lower, limit = rate_bounds(k, n)
     upper = Fraction(1)
     ok = measured <= upper and measured <= limit and lower <= upper
     return RateVerdict(
@@ -636,31 +580,3 @@ def rank_decay_experiment(
         bound=bound, stderr=stderr, certain=False,
         ok=empirical <= bound + 3.0 * stderr,
     )
-
-
-# -- aggregate verdict -----------------------------------------------------------
-
-
-@dataclass
-class PrivacyVerdict:
-    """Combined view of the three privacy layers for one configuration."""
-
-    fingerprint: FingerprintResult
-    uniformity: UniformityResult
-    attack_real: AttackCampaignResult
-    attack_naive: AttackCampaignResult | None
-    tv_threshold: float
-    alpha: float
-
-    @property
-    def all_pass(self) -> bool:
-        checks = [
-            self.fingerprint.ok,
-            self.uniformity.max_tv_cross <= self.tv_threshold,
-            self.uniformity.max_tv_self <= self.tv_threshold * math.sqrt(2.0),
-            self.uniformity.chi2_all_pass(self.alpha),
-            self.attack_real.within_uniform_band(),
-        ]
-        if self.attack_naive is not None:
-            checks.append(self.attack_naive.best_rate > 0.9)
-        return all(checks)

@@ -38,7 +38,7 @@ from .runtime import (
     generate_inputs,
     marginal_to_json,
 )
-from .scheduler import build_plan, query_count
+from .scheduler import build_plan, query_count, rate_bounds, run_plan
 
 __all__ = ["main"]
 
@@ -241,8 +241,10 @@ def cmd_audit(args) -> int:
         real.within_uniform_band())
 
     if args.negative_control:
+        # L = 2: 1x1 matrices commute, so at L = 1 a run of several
+        # hidden steps would not reveal their order.
         naive = attack_campaign(config.k, config.n, trials=args.attack_trials,
-                                p=DEFAULT_MODULUS, l=1, seed=seed, scheme="naive")
+                                p=DEFAULT_MODULUS, l=2, seed=seed, scheme="naive")
         row("attacker vs broken control", round(naive.best_rate, 4), "> 0.9",
             naive.best_rate > 0.9)
 
@@ -300,16 +302,9 @@ def cmd_rate_table(args) -> int:
             for m in m_values:
                 d = query_count(k, n, m)
                 r = k * m / d
-                biggest = max(k, n)
-                lower = 1.0 if biggest == 1 else (1 - 1 / n) / (1 - 1 / biggest)
-                if k <= n:
-                    limit = 1.0
-                elif n == 1:
-                    limit = 1.0 / math.factorial(k)
-                else:
-                    limit = k * (n - 1) / (n * (k - 1))
-                writer.writerow([k, n, m, d, f"{r:.9f}", f"{lower:.9f}",
-                                 f"{1 - r:.9f}", f"{limit:.9f}"])
+                lower, limit = rate_bounds(k, n)
+                writer.writerow([k, n, m, d, f"{r:.9f}", f"{float(lower):.9f}",
+                                 f"{1 - r:.9f}", f"{float(limit):.9f}"])
     text = buffer.getvalue()
     if args.output:
         with open(args.output, "w") as fh:
@@ -322,40 +317,29 @@ def cmd_rate_table(args) -> int:
 # -- demo ----------------------------------------------------------------------------
 
 
-def _symbolic_rows(plan, n: int):
-    """Mirror the client symbolically: rows of (block, server, function, text)."""
-    souts: dict = {}
-    sprev: dict = {}
+def _symbolic_rows(plan):
+    """Run the plan on symbolic values: rows of (block, server, function, text).
+
+    A value is a tuple of terms; a server maps F over the terms, and a
+    pad image cancels its own terms, which is exactly linearity.
+    """
+    n = plan.n
     mask_names = {mid: f"Z[{m},{i}]" for (m, i), mid in plan.ledger.mask_ids.items()}
-    batched = plan.n_blocks > 0 and n >= 2
+    if plan.n_blocks > 0 and n >= 2:
+        inputs = [(f"W[{i // (n - 1) + 1},{i % (n - 1) + 1}]",) for i in range(plan.m)]
+    else:
+        inputs = [(f"W[{i + 1}]",) for i in range(plan.m)]
+    texts = []
 
-    def sym(expr) -> str:
-        tag = expr[0]
-        if tag == "w":
-            flat = expr[1]
-            return f"W[{flat // (n - 1) + 1},{flat % (n - 1) + 1}]" if batched else f"W[{flat + 1}]"
-        if tag == "out":
-            return souts[(expr[1], expr[2], expr[3])]
-        if tag == "mask":
-            return mask_names[expr[1]]
-        if tag == "ph":
-            return "Z*"
-        if tag == "xor":
-            return f"{sym(expr[1])} + {mask_names[expr[2]]}"
-        return sprev[expr[1]]  # "prev"
+    def query(_server, function, value):
+        texts.append(" + ".join(value))
+        return tuple(f"F{function}({term})" for term in value)
 
-    rows = []
-    for q in plan.queries:
-        text = sym(q.expr)
-        rows.append((q.block, q.server, q.function, text))
-        eff = q.effect[0]
-        if eff == "out":
-            souts[(q.effect[1], q.effect[2], q.effect[3])] = f"F{q.function}({text})"
-        elif eff == "masked":
-            souts[(q.effect[1], q.effect[2], q.effect[3])] = f"F{q.function}({sym(q.expr[1])})"
-        elif eff == "prev":
-            sprev[q.effect[1]] = f"F{q.function}({text})"
-    return rows
+    run_plan(
+        plan, inputs, lambda mid: ("Z*",) if mid is None else (mask_names[mid],),
+        lambda x, z: x + z, lambda a, b: tuple(t for t in a if t not in b), query,
+    )
+    return [(q.block, q.server, q.function, text) for q, text in zip(plan.queries, texts)]
 
 
 def _demo_run(k: int, n: int, m: int, l: int, p: int, seed: int, sigma: Permutation) -> bool:
@@ -369,7 +353,7 @@ def _demo_run(k: int, n: int, m: int, l: int, p: int, seed: int, sigma: Permutat
     plan = build_plan(k, n, m, sigma)
 
     print(f"\ncomposition order {sigma}")
-    rows = _symbolic_rows(plan, n)
+    rows = _symbolic_rows(plan)
     blocks = sorted({b for b, _, _, _ in rows})
     for block in blocks:
         label = f"block {block}" if block else "chain"

@@ -1,9 +1,10 @@
-"""Client orchestration: execute a plan, cancel pads, decode outputs.
+"""Client orchestration: the field-vector backend of the plan interpreter.
 
 The client is deliberately blind: it never holds the function matrices
-and never multiplies by them.  Everything it does with answers is
-storage, coordinatewise addition (padding) and subtraction (pad
-cancellation).  This module must not import any matrix operation; a
+and never multiplies by them.  It hands `scheduler.run_plan` four field
+operations (draw a pad, add it, cancel a pad image, ask a server) and
+records what it sent; storage, pad bookkeeping and output decoding are
+the interpreter's.  This module must not import any matrix operation; a
 test enforces that structurally.
 
 Execution is a single logical thread with blocking per-query RPC: every
@@ -17,32 +18,20 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import FieldVector, vec_add, vec_sub
 from .protocol import Permutation, Query, RunConfig
 from .rand import Rng
-from .scheduler import build_plan
+from .scheduler import build_plan, run_plan
 
 __all__ = [
-    "DependencyViolation",
-    "MissingValue",
-    "ValueStore",
     "RunReport",
     "unmask",
     "run_protocol",
-    "decode_outputs",
     "outputs_to_bytes",
 ]
-
-
-class DependencyViolation(RuntimeError):
-    """The plan referenced a value the client has not resolved (a bug)."""
-
-
-class MissingValue(RuntimeError):
-    """Decoding found an unresolved output (a bug)."""
 
 
 def unmask(masked_answer: FieldVector, mask_image: FieldVector, p: int) -> FieldVector:
@@ -51,20 +40,6 @@ def unmask(masked_answer: FieldVector, mask_image: FieldVector, p: int) -> Field
     For a linear F this recovers F(x) from F(x + z) and F(z).
     """
     return vec_sub(masked_answer, mask_image, p)
-
-
-@dataclass
-class ValueStore:
-    """Resolved values accumulated during a run.
-
-    `outs[(batch, step, component)]` is written exactly once, during the
-    block that performs that task; `masks` holds the raw pads the client
-    drew, `images` the returned pad images used for cancellation.
-    """
-
-    outs: dict[tuple[int, int, int], FieldVector] = field(default_factory=dict)
-    masks: dict[int, FieldVector] = field(default_factory=dict)
-    images: dict[int, FieldVector] = field(default_factory=dict)
 
 
 @dataclass
@@ -147,112 +122,33 @@ def run_protocol(
     plan = build_plan(k, n, m, sigma)
     randrange = Rng(config.seed).child("client").randrange
     l_range = range(l)
-
-    store = ValueStore()
-    masks = store.masks
-    images = store.images
-    outs = store.outs
-    pending: dict[int, list] = {}
-    chain_prev: dict = {}
-    outputs: list = [None] * m
     transcript: list[tuple[int, int, int]] = []
     inputs_sent: list[FieldVector] = []
     d_k = [0] * k
-    sigma_map = sigma.mapping
-    query = transport.query
+    transport_query = transport.query
 
-    for seq, (server, function, expr, effect, _block) in enumerate(plan.queries):
-        tag = expr[0]
-        if tag == "w":
-            w = w_vectors[expr[1]]
-        elif tag == "out":
-            w = outs.get((expr[1], expr[2], expr[3]))
-            if w is None:
-                raise DependencyViolation(f"unresolved task output {expr[1:]}")
-        elif tag == "prev":
-            w = chain_prev.get(expr[1])
-            if w is None:
-                raise DependencyViolation(f"chain {expr[1]} has no previous answer")
-        elif tag == "xor":
-            base = expr[1]
-            if base[0] == "out":
-                inner = outs.get((base[1], base[2], base[3]))
-                if inner is None:
-                    raise DependencyViolation(f"unresolved task output {base[1:]}")
-            elif base[0] == "w":
-                inner = w_vectors[base[1]]
-            else:  # placeholder
-                inner = tuple(randrange(p) for _ in l_range)
-            mid = expr[2]
-            z = masks.get(mid)
-            if z is None:
-                z = tuple(randrange(p) for _ in l_range)
-                masks[mid] = z
-            w = vec_add(inner, z, p)
-        elif tag == "mask":
-            mid = expr[1]
-            w = masks.get(mid)
-            if w is None:
-                w = tuple(randrange(p) for _ in l_range)
-                masks[mid] = w
-        else:  # "ph": fresh placeholder, never referenced again
-            w = tuple(randrange(p) for _ in l_range)
+    def draw(_mid):
+        return tuple(randrange(p) for _ in l_range)
 
-        ans = query(server, function, w)
-
-        eff = effect[0]
-        if eff == "out":
-            outs[(effect[1], effect[2], effect[3])] = ans
-        elif eff == "prev":
-            chain_prev[effect[1]] = ans
-        elif eff == "masked":
-            key = (effect[1], effect[2], effect[3])
-            img = images.get(effect[4])
-            if img is None:
-                pending.setdefault(effect[4], []).append((key, ans))
-            else:
-                outs[key] = unmask(ans, img, p)
-        elif eff == "img":
-            mid = effect[1]
-            images[mid] = ans
-            for key, masked in pending.pop(mid, ()):
-                outs[key] = unmask(masked, ans, p)
-        elif eff == "final":
-            tau = effect[2]
-            if tau is None or tau == sigma_map:
-                outputs[effect[1]] = ans
-        # "drop": camouflage answer, nothing to do
-
-        transcript.append((seq, server, function))
+    def query(server, function, w):
+        transcript.append((len(transcript), server, function))
         inputs_sent.append(w)
         d_k[function - 1] += 1
+        return transport_query(server, function, w)
 
-    decode_outputs(store, outputs, plan.m_prime, k, n)
-    if any(v is None for v in outputs):
-        raise MissingValue("some outputs were never resolved")
+    outputs = run_plan(
+        plan, w_vectors, draw,
+        lambda x, z: vec_add(x, z, p), lambda a, b: unmask(a, b, p), query,
+    )
 
     d = len(transcript)
     ratio = Fraction(k * m, d)
     report = RunReport(
-        k=k, n=n, m=m, l=l, p=p, seed=config.seed, sigma=sigma_map,
+        k=k, n=n, m=m, l=l, p=p, seed=config.seed, sigma=sigma.mapping,
         d=d, d_k=d_k, rate=(ratio.numerator, ratio.denominator),
         outputs=outputs, transcript=transcript, inputs_sent=inputs_sent,
     )
     return outputs, report
-
-
-def decode_outputs(store: ValueStore, outputs, m_prime: int, k: int, n: int) -> None:
-    """Map final task outputs to the original input order.
-
-    Batch m component j lands at flat position (m-1)(N-1) + j - 1.
-    Chain and fallback outputs were already placed by their effects.
-    """
-    for batch in range(1, m_prime + 1):
-        for comp in range(1, n):
-            value = store.outs.get((batch, k, comp))
-            if value is None:
-                raise MissingValue(f"final output of batch {batch}, component {comp} missing")
-            outputs[(batch - 1) * (n - 1) + comp - 1] = value
 
 
 def outputs_to_bytes(outputs: list[FieldVector]) -> bytes:

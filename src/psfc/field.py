@@ -24,23 +24,14 @@ __all__ = [
     "PrimeModulus",
     "InversionOfZero",
     "DimensionMismatch",
-    "SingularMatrix",
     "SamplingExhausted",
     "is_prime",
-    "ff_add",
-    "ff_sub",
-    "ff_mul",
-    "ff_neg",
     "ff_inv",
     "vec_add",
     "vec_sub",
     "mat_vec_mul",
-    "mat_mul",
-    "identity_matrix",
     "rank",
-    "mat_inv",
     "sample_uniform_vector",
-    "sample_uniform_matrix",
     "sample_invertible_matrix",
 ]
 
@@ -63,10 +54,6 @@ class InversionOfZero(ZeroDivisionError):
 
 class DimensionMismatch(ValueError):
     """Operands do not have compatible dimensions."""
-
-
-class SingularMatrix(ValueError):
-    """Matrix inversion requested for a rank-deficient matrix."""
 
 
 class SamplingExhausted(RuntimeError):
@@ -122,22 +109,6 @@ class PrimeModulus:
 # -- scalar operations -------------------------------------------------------
 
 
-def ff_add(a: int, b: int, p: int) -> int:
-    return (a + b) % p
-
-
-def ff_sub(a: int, b: int, p: int) -> int:
-    return (a - b) % p
-
-
-def ff_mul(a: int, b: int, p: int) -> int:
-    return a * b % p
-
-
-def ff_neg(a: int, p: int) -> int:
-    return -a % p
-
-
 def ff_inv(a: int, p: int) -> int:
     """Multiplicative inverse via Fermat: a^(p-2) mod p, p prime."""
     if a % p == 0:
@@ -165,19 +136,6 @@ def mat_vec_mul(a: FieldMatrix, w: FieldVector, p: int) -> FieldVector:
     if len(a[0]) != len(w):
         raise DimensionMismatch(f"matrix is {len(a)}x{len(a[0])}, vector has length {len(w)}")
     return tuple(sum(x * y for x, y in zip(row, w)) % p for row in a)
-
-
-def mat_mul(a: FieldMatrix, b: FieldMatrix, p: int) -> FieldMatrix:
-    if len(a[0]) != len(b):
-        raise DimensionMismatch(f"inner dimensions differ: {len(a[0])} vs {len(b)}")
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) % p for col in cols) for row in a
-    )
-
-
-def identity_matrix(l: int) -> FieldMatrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(l)) for i in range(l))
 
 
 def rank(vectors: Sequence[FieldVector], p: int) -> int:
@@ -211,31 +169,6 @@ def rank(vectors: Sequence[FieldVector], p: int) -> int:
     return r
 
 
-def mat_inv(a: FieldMatrix, p: int) -> FieldMatrix:
-    """Inverse of a square matrix over GF(p) via Gauss-Jordan elimination."""
-    l = len(a)
-    if any(len(row) != l for row in a):
-        raise DimensionMismatch("matrix is not square")
-    # Augment with the identity and reduce in place.
-    aug = [list(row) + [1 if i == j else 0 for j in range(l)] for i, row in enumerate(a)]
-    for col in range(l):
-        pivot = None
-        for i in range(col, l):
-            if aug[i][col] % p:
-                pivot = i
-                break
-        if pivot is None:
-            raise SingularMatrix("matrix is singular over GF(p)")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = ff_inv(aug[col][col] % p, p)
-        aug[col] = [x * inv % p for x in aug[col]]
-        for i in range(l):
-            if i != col and aug[i][col] % p:
-                f = aug[i][col]
-                aug[i] = [(x - f * y) % p for x, y in zip(aug[i], aug[col])]
-    return tuple(tuple(row[l:]) for row in aug)
-
-
 # -- sampling ----------------------------------------------------------------
 
 
@@ -243,11 +176,6 @@ def sample_uniform_vector(l: int, p: int, rng: Rng) -> FieldVector:
     """An i.i.d. uniform vector in GF(p)^l; deterministic given the rng state."""
     randrange = rng.randrange
     return tuple(randrange(p) for _ in range(l))
-
-
-def sample_uniform_matrix(l: int, p: int, rng: Rng) -> FieldMatrix:
-    randrange = rng.randrange
-    return tuple(tuple(randrange(p) for _ in range(l)) for _ in range(l))
 
 
 def sample_invertible_matrix(
@@ -260,7 +188,7 @@ def sample_invertible_matrix(
     ~71% even at p=2), so hitting it is an internal error.
     """
     for _ in range(max_redraws):
-        m = sample_uniform_matrix(l, p, rng)
+        m = tuple(tuple(rng.randrange(p) for _ in range(l)) for _ in range(l))
         if rank(m, p) == l:
             return m
     raise SamplingExhausted(

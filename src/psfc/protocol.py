@@ -22,13 +22,10 @@ __all__ = [
     "KTooLarge",
     "MAX_ENUMERABLE_K",
     "Permutation",
-    "inverse_permutation",
     "enumerate_permutations",
     "random_permutation",
     "compose_reference",
-    "TaskRef",
     "Query",
-    "Answer",
     "MarginalQueryList",
     "RunConfig",
 ]
@@ -91,10 +88,6 @@ class Permutation:
         return "(" + " ".join(str(v) for v in self.to_paper_order()) + ")"
 
 
-def inverse_permutation(sigma: Permutation) -> Permutation:
-    return sigma.inverse()
-
-
 def enumerate_permutations(k: int) -> list[Permutation]:
     """All K! orders, lexicographic in the internal map sequence.
 
@@ -129,13 +122,6 @@ def compose_reference(
 # -- protocol records ---------------------------------------------------------
 
 
-class TaskRef(NamedTuple):
-    """Step `step` of the composition applied to input batch `batch`."""
-
-    batch: int
-    step: int
-
-
 class Query(NamedTuple):
     """The full triple a server sees for one request, plus the issue index."""
 
@@ -143,11 +129,6 @@ class Query(NamedTuple):
     input: FieldVector
     function: int
     seq: int
-
-
-class Answer(NamedTuple):
-    seq: int
-    vector: FieldVector
 
 
 @dataclass

@@ -31,7 +31,7 @@ from .field import (
     sample_invertible_matrix,
     sample_uniform_vector,
 )
-from .protocol import MarginalQueryList, RunConfig
+from .protocol import MarginalQueryList
 from .rand import Rng
 
 __all__ = [
@@ -43,7 +43,6 @@ __all__ = [
     "marginal_to_json",
     "generate_functions",
     "generate_inputs",
-    "make_servers",
     "SimTransport",
     "WireMessage",
     "encode_message",
@@ -115,20 +114,6 @@ def generate_functions(k: int, l: int, p: int, rng: Rng) -> list[FieldMatrix]:
 def generate_inputs(m: int, l: int, p: int, rng: Rng) -> list[FieldVector]:
     """M independent uniform input vectors, in request order."""
     return [sample_uniform_vector(l, p, rng) for _ in range(m)]
-
-
-def make_servers(config: RunConfig, functions: Optional[list[FieldMatrix]] = None) -> list[Server]:
-    """Fresh servers sharing the instance's function list.
-
-    When `functions` is omitted they are generated from the config
-    seed's "functions" child stream, so every component of a run is
-    reproducible from (config, seed).
-    """
-    if functions is None:
-        functions = generate_functions(
-            config.k, config.l, config.p, Rng(config.seed).child("functions")
-        )
-    return [Server(n, functions, config.p) for n in range(1, config.n + 1)]
 
 
 # -- simulated transport -------------------------------------------------------

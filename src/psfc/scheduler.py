@@ -29,24 +29,30 @@ assignment* and an order-dependent *vector assignment*:
   is decoded; the rest are camouflage.
 
 A plan is symbolic: inputs are expressions over raw inputs, stored task
-outputs, masks, placeholders, and previous chain answers.  The client
-materializes them at run time; nothing order-dependent ever reaches a
+outputs, masks, placeholders, and previous chain answers.  `run_plan` is
+the one interpreter of that language.  It is written against a value
+backend (how to draw a pad, add it, cancel its image, and ask a server),
+so the client (field vectors), the audit (numpy trial stacks), the demo
+(symbolic terms) and the feasibility test (block numbers) all execute
+the same plan the same way.  Nothing order-dependent ever reaches a
 server except the input values themselves, which are distributed
 identically for every order.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from functools import lru_cache
+from fractions import Fraction
+from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
-from .protocol import Permutation, TaskRef, enumerate_permutations
+from .protocol import MAX_ENUMERABLE_K, KTooLarge, Permutation
 
 __all__ = [
     "InvalidRegime",
+    "DependencyViolation",
+    "MissingValue",
     "BlockPlan",
     "MaskLedger",
     "PlannedQuery",
@@ -57,15 +63,21 @@ __all__ = [
     "schedule_fallback",
     "build_plan",
     "query_count",
-    "check_feasibility",
-    "render_expr",
-    "expr_to_doc",
-    "plan_to_json",
+    "rate_bounds",
+    "run_plan",
 ]
 
 
 class InvalidRegime(ValueError):
     """Scheduler called outside its (K, N) regime."""
+
+
+class DependencyViolation(RuntimeError):
+    """The plan referenced a value that is not resolved yet (a bug)."""
+
+
+class MissingValue(RuntimeError):
+    """Decoding found an unresolved output (a bug)."""
 
 
 # Input expressions (what the client sends):
@@ -81,7 +93,7 @@ class InvalidRegime(ValueError):
 #   ("masked", m, k, i, mid)     padded image; store after cancelling Z[mid]
 #   ("img", mid)                 answer is the pad image of Z[mid]
 #   ("prev", cid)                remember as chain cid's latest answer
-#   ("final", out, tau)          chain result; keep iff tau is None or tau == order
+#   ("final", out)               result of request `out` (flat index)
 #   ("drop",)                    camouflage answer, discarded
 
 
@@ -228,80 +240,70 @@ def schedule_chain(sigma: Permutation, k: int, n: int, request: int = 1) -> list
     queries = []
     for j, func in enumerate(sigma.mapping, start=1):
         expr = ("w", w) if j == 1 else ("prev", cid)
-        effect = ("final", w, None) if j == k else ("prev", cid)
+        effect = ("final", w) if j == k else ("prev", cid)
         queries.append(PlannedQuery(func, func, expr, effect, 0))
     return queries
 
 
-def schedule_fallback(r: int, k: int, first_request: int = 1) -> list[PlannedQuery]:
+def schedule_fallback(sigma: Permutation, r: int, first_request: int = 1) -> list[PlannedQuery]:
     """All K! chains per leftover request, every query to server 1.
 
     The chain enumeration is lexicographic and fixed, so the server's
-    view is independent of which chain the client actually wants.  The
-    effect tag carries each chain's order; the client keeps only the
-    final answer of the chain matching its secret order.
+    view is independent of which chain the client actually wants.  Only
+    the last query of the chain equal to sigma is marked final; the
+    other chains end in a dropped answer.
+
+    The chains run one after another, so they all link through one
+    ("prev", 0): every row but a chain's first and the final row is one
+    of 2K rows built once.
     """
     if r < 0:
         raise InvalidRegime(f"leftover request count must be >= 0, got {r}")
     if r == 0:
         return []
-    taus = enumerate_permutations(k)  # applies the K <= 8 factorial guard
-    queries = []
-    for t in range(r):
-        w = first_request - 1 + t
-        for ti, tau in enumerate(taus):
-            cid = (w, ti)
-            for j, func in enumerate(tau.mapping, start=1):
-                expr = ("w", w) if j == 1 else ("prev", cid)
-                effect = ("final", w, tau.mapping) if j == k else ("prev", cid)
-                queries.append(PlannedQuery(1, func, expr, effect, 0))
+    k = sigma.size
+    if k > MAX_ENUMERABLE_K:
+        raise KTooLarge(f"the fallback enumerates K! chains; K <= {MAX_ENUMERABLE_K}, got {k}")
+    if k < 2:
+        raise InvalidRegime("K = 1 always runs as a chain")
+    functions = range(1, k + 1)
+    link = ("prev", 0)
+    step = {f: PlannedQuery(1, f, link, link, 0) for f in functions}
+    drop = {f: PlannedQuery(1, f, link, ("drop",), 0) for f in functions}
+    chains = [
+        (tau[0], [step[f] for f in tau[1:-1]], tau[-1], tau == sigma.mapping)
+        for tau in permutations(functions)  # lexicographic
+    ]
+    queries: list[PlannedQuery] = []
+    for w in range(first_request - 1, first_request - 1 + r):
+        head = ("w", w)
+        start = {f: PlannedQuery(1, f, head, link, 0) for f in functions}
+        for first, middle, last, mine in chains:
+            queries.append(start[first])
+            queries += middle
+            queries.append(PlannedQuery(1, last, link, ("final", w), 0) if mine else drop[last])
     return queries
-
-
-@lru_cache(maxsize=32)
-def _fallback_section(r: int, k: int, first_request: int) -> list[PlannedQuery]:
-    return schedule_fallback(r, k, first_request)
-
-
-@lru_cache(maxsize=128)
-def _build_plan_cached(k: int, n: int, m: int, mapping: tuple[int, ...]) -> QueryPlan:
-    sigma = Permutation(mapping)
-    if k <= n:
-        queries = []
-        for request in range(1, m + 1):
-            queries.extend(schedule_chain(sigma, k, n, request))
-        return QueryPlan(
-            k=k, n=n, m=m, m_prime=0, r=0, n_blocks=0, queries=queries,
-            ledger=MaskLedger(mask_ids={}, placeholder_count=0),
-        )
-    if n == 1:
-        queries = _fallback_section(m, k, 1)
-        return QueryPlan(
-            k=k, n=n, m=m, m_prime=0, r=m, n_blocks=0, queries=queries,
-            ledger=MaskLedger(mask_ids={}, placeholder_count=0),
-        )
-    m_prime, r = divmod(m, n - 1)
-    if m_prime == 0:
-        # Too few requests to fill a batch: everything goes through the
-        # fallback rather than running blocks of pure placeholders.
-        queries = _fallback_section(r, k, 1)
-        return QueryPlan(
-            k=k, n=n, m=m, m_prime=0, r=r, n_blocks=0, queries=queries,
-            ledger=MaskLedger(mask_ids={}, placeholder_count=0),
-        )
-    block_plan = plan_vectors(sigma, k, n, m_prime, build_blocks(k, n, m_prime))
-    queries = block_plan.queries
-    if r:
-        queries = queries + _fallback_section(r, k, m_prime * (n - 1) + 1)
-    return QueryPlan(
-        k=k, n=n, m=m, m_prime=m_prime, r=r, n_blocks=block_plan.n_blocks,
-        queries=queries, ledger=block_plan.ledger,
-    )
 
 
 def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     """Full ordered plan for M requests under composition order sigma."""
-    return _build_plan_cached(k, n, m, sigma.mapping)
+    no_masks = MaskLedger(mask_ids={}, placeholder_count=0)
+    if k <= n:
+        queries = [q for request in range(1, m + 1) for q in schedule_chain(sigma, k, n, request)]
+        return QueryPlan(k=k, n=n, m=m, m_prime=0, r=0, n_blocks=0, queries=queries,
+                         ledger=no_masks)
+    m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
+    if m_prime == 0:
+        # N = 1, or too few requests to fill a batch: everything goes
+        # through the fallback rather than blocks of pure placeholders.
+        return QueryPlan(k=k, n=n, m=m, m_prime=0, r=r, n_blocks=0,
+                         queries=schedule_fallback(sigma, r), ledger=no_masks)
+    block_plan = plan_vectors(sigma, k, n, m_prime, build_blocks(k, n, m_prime))
+    queries = block_plan.queries + schedule_fallback(sigma, r, m_prime * (n - 1) + 1)
+    return QueryPlan(
+        k=k, n=n, m=m, m_prime=m_prime, r=r, n_blocks=block_plan.n_blocks,
+        queries=queries, ledger=block_plan.ledger,
+    )
 
 
 def query_count(k: int, n: int, m: int) -> int:
@@ -320,101 +322,106 @@ def query_count(k: int, n: int, m: int) -> int:
     return block_queries + r * k * factorial(k)
 
 
-# -- mechanical feasibility check ---------------------------------------------
+def rate_bounds(k: int, n: int) -> tuple[Fraction, Fraction]:
+    """(capacity lower bound, the scheme's asymptotic rate) for (K, N).
 
-
-def check_feasibility(plan: QueryPlan) -> None:
-    """Verify every input is computable from strictly earlier answers.
-
-    Walks the plan block by block, maintaining the set of resolved task
-    outputs, and demands that each block's expressions reference only
-    raw inputs, masks, placeholders, chain predecessors, or outputs
-    resolved by previous blocks.  Raises AssertionError on violation.
+    The capacity window is (1 - 1/N)/(1 - 1/max(K, N)) <= C <= 1; the
+    scheme approaches 1 (chains), 1/K! (N = 1, all-chains fallback) or
+    K(N-1)/(N(K-1)) (blocks) as M grows.
     """
-    resolved: set[tuple[int, int, int]] = set()
-    pending_block: list[tuple[int, int, int]] = []
-    current_block = None
-    chain_len: dict = {}
-    for idx, q in enumerate(plan.queries):
-        if q.block != current_block:
-            resolved.update(pending_block)
-            pending_block = []
-            current_block = q.block
-        tag = q.expr[0]
-        if tag == "out":
-            key = (q.expr[1], q.expr[2], q.expr[3])
-            assert key in resolved, f"query {idx} needs unresolved task output {key}"
-        elif tag == "xor" and q.expr[1][0] == "out":
-            key = (q.expr[1][1], q.expr[1][2], q.expr[1][3])
-            assert key in resolved, f"query {idx} needs unresolved task output {key}"
-        elif tag == "prev":
-            assert chain_len.get(q.expr[1], 0) > 0, f"query {idx} has no chain predecessor"
+    biggest = max(k, n)
+    if biggest == 1:
+        lower = Fraction(1)  # K = N = 1: a single chain query achieves rate 1
+    else:
+        lower = (1 - Fraction(1, n)) / (1 - Fraction(1, biggest))
+    if k <= n:
+        limit = Fraction(1)
+    elif n == 1:
+        limit = Fraction(1, factorial(k))
+    else:
+        limit = Fraction(k * (n - 1), n * (k - 1))
+    return lower, limit
+
+
+# -- the plan interpreter ------------------------------------------------------
+
+
+def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
+    """Execute `plan` over a value backend and return outputs in input order.
+
+    The backend is five callables over its own value type:
+      inputs[i]         raw input vector i (flat request index);
+      draw(mid)         a fresh uniform value: mask `mid`, or a
+                        placeholder when mid is None;
+      add(x, z)         x padded with mask z;
+      sub(a, b)         a with the pad image b cancelled;
+      query(s, f, x)    server s's answer F_f(x).
+    Masks and placeholders are drawn at first use, in plan order, a
+    padded placeholder before its mask, so a seeded backend sees one
+    fixed sequence of draws.  The interpreter owns all plan state: task
+    outputs, chain predecessors, masks, pad images, pending unmasks.
+    """
+    outs: dict = {}
+    prev: dict = {}
+    masks: dict = {}
+    images: dict = {}
+    pending: dict = {}
+    outputs: list = [None] * plan.m
+
+    def mask(mid):
+        z = masks.get(mid)
+        if z is None:
+            z = masks[mid] = draw(mid)
+        return z
+
+    for server, function, expr, effect, _block in plan.queries:
+        base = expr[1] if expr[0] == "xor" else expr
+        tag = base[0]
+        if tag == "prev":
+            x = prev.get(base[1])
         elif tag == "w":
-            assert 0 <= q.expr[1] < plan.m, f"query {idx} references input {q.expr[1]}"
-        eff = q.effect[0]
+            x = inputs[base[1]]
+        elif tag == "out":
+            x = outs.get(base[1:])
+        elif tag == "ph":
+            x = draw(None)
+        else:  # "mask"
+            x = mask(base[1])
+        if x is None:
+            raise DependencyViolation(f"{base} is referenced before it is resolved")
+        if base is not expr:
+            x = add(x, mask(expr[2]))
+
+        ans = query(server, function, x)
+
+        eff = effect[0]
         if eff == "out":
-            pending_block.append((q.effect[1], q.effect[2], q.effect[3]))
-        elif eff == "masked":
-            pending_block.append((q.effect[1], q.effect[2], q.effect[3]))
+            outs[effect[1:]] = ans
         elif eff == "prev":
-            chain_len[q.effect[1]] = chain_len.get(q.effect[1], 0) + 1
+            prev[effect[1]] = ans
+        elif eff == "masked":
+            key, mid = effect[1:4], effect[4]
+            image = images.get(mid)
+            if image is None:
+                pending.setdefault(mid, []).append((key, ans))
+            else:
+                outs[key] = sub(ans, image)
+        elif eff == "img":
+            mid = effect[1]
+            images[mid] = ans
+            for key, masked in pending.pop(mid, ()):
+                outs[key] = sub(masked, ans)
+        elif eff == "final":
+            outputs[effect[1]] = ans
+        # "drop": camouflage answer, nothing to do
 
-
-# -- symbolic export -----------------------------------------------------------
-
-
-def render_expr(expr: tuple, n: int, flat_inputs: bool = False) -> str:
-    """Human-readable form of an input expression, for JSON export."""
-    tag = expr[0]
-    if tag == "w":
-        flat = expr[1]
-        if n >= 2 and not flat_inputs:
-            return f"W[{flat // (n - 1) + 1},{flat % (n - 1) + 1}]"
-        return f"W[{flat + 1}]"
-    if tag == "out":
-        return f"out{expr[3]}(R[{expr[1]},{expr[2]}])"
-    if tag == "mask":
-        return f"Z[{expr[1]}]"
-    if tag == "ph":
-        return f"Z*[{expr[1]}]"
-    if tag == "xor":
-        return f"{render_expr(expr[1], n, flat_inputs)} (+) Z[{expr[2]}]"
-    if tag == "prev":
-        return f"prev[{expr[1]}]"
-    raise ValueError(f"unknown expression tag {tag!r}")
-
-
-def expr_to_doc(expr: tuple) -> dict:
-    """Structured (replayable) form of an input expression."""
-    tag = expr[0]
-    if tag == "w":
-        return {"kind": "raw_input", "index": expr[1]}
-    if tag == "out":
-        # The stored value out_i(task); it feeds the next step's input.
-        task = TaskRef(batch=expr[1], step=expr[2])
-        return {"kind": "task_output", "task": task._asdict(), "component": expr[3]}
-    if tag == "mask":
-        return {"kind": "raw_mask", "mask": expr[1]}
-    if tag == "ph":
-        return {"kind": "placeholder", "id": expr[1]}
-    if tag == "xor":
-        return {"kind": "masked", "base": expr_to_doc(expr[1]), "mask": expr[2]}
-    if tag == "prev":
-        return {"kind": "chain_previous", "chain": list(expr[1]) if isinstance(expr[1], tuple) else expr[1]}
-    raise ValueError(f"unknown expression tag {tag!r}")
-
-
-def plan_to_json(plan: QueryPlan) -> str:
-    """Symbolic plan dump for debugging and replay."""
-    flat = plan.n_blocks == 0
-    doc = [
-        {
-            "seq": seq,
-            "server": q.server,
-            "function": q.function,
-            "input_expr": render_expr(q.expr, plan.n, flat),
-            "expr": expr_to_doc(q.expr),
-        }
-        for seq, q in enumerate(plan.queries)
-    ]
-    return json.dumps(doc, separators=(",", ":"))
+    # Batch m component j is the last step's output; it lands at flat
+    # position (m-1)(N-1) + j - 1.
+    n = plan.n
+    for batch in range(1, plan.m_prime + 1):
+        for comp in range(1, n):
+            outputs[(batch - 1) * (n - 1) + comp - 1] = outs.get((batch, plan.k, comp))
+    missing = [i for i, value in enumerate(outputs) if value is None]
+    if missing:
+        raise MissingValue(f"outputs {missing} were never resolved")
+    return outputs

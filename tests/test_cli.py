@@ -156,6 +156,22 @@ def test_demo_example3(capsys):
     assert "MISMATCH" not in out
 
 
+def test_demo_example3_worked_table_rows(capsys):
+    # Rows of the paper's worked table for order (1 3 4 2): blocks 2 and
+    # 3 carry batch 1 through F2, F4, F3; the pads on F4 cancel.
+    assert run_cli("demo", "example3") == 0
+    out = capsys.readouterr().out
+    table = out.split("composition order (1 3 4 2)")[1].split("composition order")[0]
+    block2 = table.split("  block 2:\n")[1].split("  block 3:")[0]
+    block3 = table.split("  block 3:\n")[1].split("  block 4:")[0]
+    block4 = table.split("  block 4:\n")[1]
+    assert "    server 1:  F1 Z*  |  F1 Z*  |  F4 F2(W[1,1]) + Z[2,1]\n" in block2
+    assert "    server 3:  F3 Z*  |  F3 Z*  |  F4 Z[2,1]\n" in block2
+    assert "    server 3:  F3 F4(F2(W[1,1]))  |  F3 F4(F2(W[1,2]))  |  F4 Z[3,1]\n" in block3
+    assert ("    server 1:  F1 F3(F4(F2(W[1,1])))  |  F1 F3(F4(F2(W[1,2])))"
+            "  |  F4 Z* + Z[4,1]\n") in block4
+
+
 def test_demo_unknown_name(capsys):
     assert run_cli("demo", "nope") == 2
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from psfc.field import identity_matrix, mat_vec_mul, sample_invertible_matrix, sample_uniform_vector, vec_add
+from psfc.field import mat_vec_mul, sample_invertible_matrix, sample_uniform_vector, vec_add
 from psfc.protocol import (
     InvalidPermutation,
     KTooLarge,
@@ -10,7 +10,6 @@ from psfc.protocol import (
     RunConfig,
     compose_reference,
     enumerate_permutations,
-    inverse_permutation,
     random_permutation,
 )
 from psfc.rand import Rng
@@ -27,17 +26,17 @@ def test_permutation_validation():
 
 
 def test_inverse_examples():
-    assert inverse_permutation(Permutation.identity(4)) == Permutation.identity(4)
+    assert Permutation.identity(4).inverse() == Permutation.identity(4)
     # step->function map 1->2, 2->3, 3->1 inverts to 1->3, 2->1, 3->2
-    assert inverse_permutation(Permutation((2, 3, 1))) == Permutation((3, 1, 2))
+    assert Permutation((2, 3, 1)).inverse() == Permutation((3, 1, 2))
     # transpositions are involutions
-    assert inverse_permutation(Permutation((2, 1, 3))) == Permutation((2, 1, 3))
+    assert Permutation((2, 1, 3)).inverse() == Permutation((2, 1, 3))
 
 
 def test_inverse_is_involution_exhaustive():
     for k in range(1, 7):
         for sigma in enumerate_permutations(k):
-            assert inverse_permutation(inverse_permutation(sigma)) == sigma
+            assert sigma.inverse().inverse() == sigma
 
 
 def test_inverse_composes_to_identity():
@@ -107,7 +106,7 @@ def test_compose_hand_example():
 
 def test_compose_all_identity_returns_input():
     for k in range(1, 6):
-        f = [identity_matrix(2) for _ in range(k)]
+        f = [((1, 0), (0, 1)) for _ in range(k)]
         for sigma in enumerate_permutations(k):
             assert compose_reference(f, sigma, (3, 1), 5) == (3, 1)
 

@@ -4,7 +4,7 @@ import socket
 
 import pytest
 
-from psfc.field import DimensionMismatch, identity_matrix
+from psfc.field import DimensionMismatch
 from psfc.protocol import Permutation, RunConfig
 from psfc.rand import Rng
 from psfc.runtime import (
@@ -20,7 +20,6 @@ from psfc.runtime import (
     encode_message,
     generate_functions,
     generate_inputs,
-    make_servers,
     marginal_fingerprint,
     marginal_to_json,
 )
@@ -36,7 +35,7 @@ def _servers(k=3, n=2, l=1, p=5, seed=0):
 
 
 def test_serve_identity_function():
-    server = Server(1, [identity_matrix(2)], 5)
+    server = Server(1, [((1, 0), (0, 1))], 5)
     assert server.serve(1, (3, 4)) == (3, 4)
 
 
@@ -46,7 +45,7 @@ def test_serve_scalar_example():
 
 
 def test_serve_appends_one_marginal_entry():
-    server = Server(1, [identity_matrix(1)], 5)
+    server = Server(1, [((1,),)], 5)
     assert len(server.marginal) == 0
     server.serve(1, (2,))
     assert len(server.marginal) == 1
@@ -54,7 +53,7 @@ def test_serve_appends_one_marginal_entry():
 
 
 def test_serve_unknown_function():
-    server = Server(1, [identity_matrix(1)], 5)
+    server = Server(1, [((1,),)], 5)
     with pytest.raises(UnknownFunction):
         server.serve(2, (1,))
     with pytest.raises(UnknownFunction):
@@ -62,23 +61,16 @@ def test_serve_unknown_function():
 
 
 def test_serve_dimension_check():
-    server = Server(1, [identity_matrix(2)], 5)
+    server = Server(1, [((1, 0), (0, 1))], 5)
     with pytest.raises(DimensionMismatch):
         server.serve(1, (1,))
-
-
-def test_make_servers_share_functions():
-    config = RunConfig(k=2, n=3, m=1, l=2, p=7, seed=4)
-    servers = make_servers(config)
-    assert len(servers) == 3
-    assert servers[0].functions is servers[1].functions
 
 
 # -- fingerprints ------------------------------------------------------------------
 
 
 def test_fingerprint_projection():
-    server = Server(1, [identity_matrix(1), identity_matrix(1)], 5)
+    server = Server(1, [((1,),), ((1,),)], 5)
     assert marginal_fingerprint(server) == ()
     server.serve(2, (1,))
     server.serve(1, (0,))
@@ -107,7 +99,7 @@ def test_fingerprint_k4_n3_pattern():
 
 
 def test_marginal_to_json():
-    server = Server(2, [identity_matrix(1)], 5)
+    server = Server(2, [((1,),)], 5)
     server.serve(1, (3,))
     assert marginal_to_json(server) == '{"entries":[{"function":1,"input":[3]}],"server":2}'
 

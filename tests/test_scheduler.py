@@ -5,20 +5,24 @@ orders (1 3 4 2) and (4 3 2 1); the K=3/N=2 expectations mirror the
 per-server function-column summary of that scheme.
 """
 
-import json
+import dataclasses
+import gc
+import weakref
 from math import factorial
 
 import pytest
 
 from psfc.protocol import Permutation, enumerate_permutations
 from psfc.scheduler import (
+    DependencyViolation,
     InvalidRegime,
+    PlannedQuery,
+    QueryPlan,
     build_blocks,
     build_plan,
-    check_feasibility,
-    plan_to_json,
     plan_vectors,
     query_count,
+    run_plan,
     schedule_chain,
     schedule_fallback,
 )
@@ -154,22 +158,29 @@ def test_chain_regime_guard():
 
 
 def test_fallback_counts():
-    assert len(schedule_fallback(1, 2)) == 4
-    assert len(schedule_fallback(1, 3)) == 18
-    assert schedule_fallback(0, 3) == []
+    assert len(schedule_fallback(Permutation.identity(2), 1)) == 4
+    assert len(schedule_fallback(Permutation.identity(3), 1)) == 18
+    assert schedule_fallback(Permutation.identity(3), 0) == []
 
 
 def test_fallback_all_to_server_one_lex_order():
-    queries = schedule_fallback(1, 2)
+    queries = schedule_fallback(Permutation.identity(2), 1)
     assert all(q.server == 1 for q in queries)
     # lexicographic chains: (1,2) then (2,1)
     assert [q.function for q in queries] == [1, 2, 2, 1]
 
 
 def test_fallback_final_effects_carry_chain_order():
-    queries = schedule_fallback(1, 3)
-    finals = [q for q in queries if q.effect[0] == "final"]
-    assert [q.effect[2] for q in finals] == [s.mapping for s in enumerate_permutations(3)]
+    # Only the chain evaluating the secret order ends in a final effect;
+    # every other chain's last answer is dropped.
+    for sigma in enumerate_permutations(3):
+        queries = schedule_fallback(sigma, 2, first_request=4)
+        finals = [i for i, q in enumerate(queries) if q.effect[0] == "final"]
+        assert [queries[i].effect for i in finals] == [("final", 3), ("final", 4)]
+        for i in finals:
+            assert tuple(q.function for q in queries[i - 2:i + 1]) == sigma.mapping
+        last_steps = [q for j, q in enumerate(queries) if j % 3 == 2]
+        assert sum(q.effect == ("drop",) for q in last_steps) == 2 * 5
 
 
 # -- query_count -------------------------------------------------------------------
@@ -213,12 +224,48 @@ def test_per_server_function_sequence_independent_of_order():
                         assert per_server == baseline, (k, n, m, sigma)
 
 
+def check_feasibility(plan: QueryPlan) -> None:
+    """Run the plan on block numbers: a value is the block that produced it.
+
+    Raw inputs, masks and placeholders are 0; padding and cancelling keep
+    the later block.  A block query must read only values from earlier
+    blocks, and run_plan itself rejects an unresolved reference or an
+    undecoded output.
+    """
+    blocks = iter(q.block for q in plan.queries)
+
+    def query(_server, _function, value):
+        block = next(blocks)
+        if block:
+            assert value < block, f"block {block} reads a value of block {value}"
+        return block
+
+    run_plan(plan, dict.fromkeys(range(plan.m), 0), lambda _mid: 0, max, max, query)
+
+
 def test_feasibility_mechanical_check():
     for k in range(1, 6):
         for n in range(1, 6):
             for m in (1, 2, 5):
                 for sigma in enumerate_permutations(k):
                     check_feasibility(build_plan(k, n, m, sigma))
+
+
+def test_feasibility_check_rejects_same_block_reads():
+    # A phase-1 output consumed in its own block must fail the check.
+    plan = build_plan(4, 3, 2, Permutation.identity(4))
+    rows = list(plan.queries)
+    i = next(i for i, q in enumerate(rows) if q.effect[0] == "out")
+    rows[i + 1] = rows[i + 1]._replace(expr=("out",) + rows[i].effect[1:])
+    with pytest.raises(AssertionError):
+        check_feasibility(dataclasses.replace(plan, queries=rows))
+
+
+def test_run_plan_rejects_unresolved_reference():
+    plan = build_plan(2, 2, 1, Permutation.identity(2))
+    broken = [PlannedQuery(1, 1, ("prev", 7), ("drop",), 0)]
+    with pytest.raises(DependencyViolation):
+        check_feasibility(dataclasses.replace(plan, queries=broken))
 
 
 def test_mask_usage_exactly_n_queries_per_block():
@@ -273,29 +320,24 @@ def test_blocks_strictly_sequential():
 
 def test_fallback_section_shared_and_sigma_free():
     # With N=1 the entire plan is order-independent camouflage except
-    # for client-private effect tags, so plans may share query lists.
+    # for client-private effect tags: what the servers are sent is equal.
     plans = [build_plan(3, 1, 2, s) for s in enumerate_permutations(3)]
-    first = plans[0].queries
-    assert all(p.queries is first for p in plans)
+    sent = [[(q.server, q.function, q.expr, q.block) for q in p.queries] for p in plans]
+    assert all(s == sent[0] for s in sent)
 
 
-def test_plan_to_json_roundtrips_and_is_symbolic():
-    plan = build_plan(4, 3, 2, Permutation.from_paper_order((1, 3, 4, 2)))
-    doc = json.loads(plan_to_json(plan))
-    assert len(doc) == len(plan)
-    assert doc[0]["seq"] == 0
-    assert {row["server"] for row in doc} == {1, 2, 3}
-    assert any("(+)" in row["input_expr"] for row in doc)
-    assert any(row["input_expr"].startswith("W[") for row in doc)
-    kinds = {row["expr"]["kind"] for row in doc}
-    assert {"raw_input", "task_output", "masked", "raw_mask", "placeholder"} <= kinds
-    task_rows = [row for row in doc if row["expr"]["kind"] == "task_output"]
-    assert all({"batch", "step"} == set(row["expr"]["task"]) for row in task_rows)
+def test_plan_freed_after_del():
+    # Plans are built fresh per call and nothing retains them.
+    plan = build_plan(4, 3, 5, Permutation.identity(4))
+    ref = weakref.ref(plan)
+    del plan
+    gc.collect()
+    assert ref() is None
 
 
 def test_task_outputs_written_exactly_once():
-    # ValueStore write-once contract, checked at the plan level: each
-    # (batch, step, component) appears in exactly one effect.
+    # Task outputs are written once: each (batch, step, component)
+    # appears in exactly one effect.
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 6, sigma)
         written = []
