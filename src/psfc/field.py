@@ -3,18 +3,32 @@
 Values are plain Python ints kept in canonical form (reduced into
 [0, p) at every operation boundary), vectors are tuples of ints, and
 matrices are tuples of row tuples.  Python's arbitrary-precision ints
-make everything overflow-free for any supported modulus, including the
-default 2^31 - 1.
+make that path overflow-free for any supported modulus.  Tuples are
+immutable, so they are safe to share across threads.
 
-The representation is deliberately allocation-light and immutable: the
-protocol engine and the audit sweeps call these functions millions of
-times, and tuples are safe to share across threads.
+A server multiplies by the same few matrices many times, so it converts
+each one once with `prepare_matrix`.  When p < 2^31 and L is at least
+KERNEL_MIN_DIM, the prepared matrix is an int64 array, and
+`mat_vec_mul` then runs an exact int64 kernel: it splits the vector into
+16-bit limbs and reduces mod p once per limb, after whole-row sums
+(delayed reduction, after Dumas, Giorgi and Pernet, "Dense linear
+algebra over word-size prime fields: the FFLAS and FFPACK packages",
+ACM TOMS 35(3), 2008).  A matrix entry is below 2^31 and a limb below
+2^16, so a row of fewer than 2^16 products sums below 2^63, also with
+the reduced high-limb result times 2^16 added.  `rank` row-reduces an
+int64 array under the same conditions; there every product of two
+residues is below 2^62.  Below KERNEL_MIN_DIM numpy's per-call cost
+outweighs the gain, and from 2^31 on the int64 bound fails, so those
+cases keep tuples.  Both paths return tuples of Python ints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
+
+import numpy as np
 
 from .rand import Rng
 
@@ -29,6 +43,7 @@ __all__ = [
     "ff_inv",
     "vec_add",
     "vec_sub",
+    "prepare_matrix",
     "mat_vec_mul",
     "rank",
     "sample_uniform_vector",
@@ -37,6 +52,7 @@ __all__ = [
 
 FieldVector = tuple[int, ...]
 FieldMatrix = tuple[tuple[int, ...], ...]
+PreparedMatrix = FieldMatrix | np.ndarray
 
 DEFAULT_MODULUS = 2**31 - 1
 MAX_MODULUS = 2**61  # exclusive upper bound for a supported modulus
@@ -46,6 +62,16 @@ MAX_MODULUS = 2**61  # exclusive upper bound for a supported modulus
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 INVERTIBLE_REDRAW_CAP = 10_000
+
+# The int64 kernels run for p < KERNEL_MAX_MODULUS and
+# KERNEL_MIN_DIM <= L < KERNEL_MAX_DIM.  The modulus and dimension bounds
+# keep every partial sum below 2^63; KERNEL_MIN_DIM is the measured L
+# from which numpy's per-call overhead is repaid.
+KERNEL_MAX_MODULUS = 2**31
+KERNEL_MAX_DIM = 2**16
+KERNEL_MIN_DIM = 9
+_LIMB_BITS = 16
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class InversionOfZero(ZeroDivisionError):
@@ -131,11 +157,34 @@ def vec_sub(u: FieldVector, v: FieldVector, p: int) -> FieldVector:
     return tuple((a - b) % p for a, b in zip(u, v))
 
 
-def mat_vec_mul(a: FieldMatrix, w: FieldVector, p: int) -> FieldVector:
-    """Matrix-vector product over GF(p)."""
+def _kernel_applies(l: int, p: int) -> bool:
+    return p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= l < KERNEL_MAX_DIM
+
+
+def prepare_matrix(a: FieldMatrix, p: int) -> PreparedMatrix:
+    """`a` in the form `mat_vec_mul` multiplies fastest by.
+
+    An int64 array where the exact kernel applies, else `a` unchanged.
+    """
+    if _kernel_applies(len(a), p):
+        return np.array(a, dtype=np.int64)
+    return a
+
+
+def mat_vec_mul(a: PreparedMatrix, w: FieldVector, p: int) -> FieldVector:
+    """Matrix-vector product over GF(p), of a tuple or prepared matrix.
+
+    On a prepared int64 array, `w` must be canonical: the limb bound
+    holds for elements below 2^32, not for arbitrary ints.
+    """
     if len(a[0]) != len(w):
         raise DimensionMismatch(f"matrix is {len(a)}x{len(a[0])}, vector has length {len(w)}")
-    return tuple(sum(x * y for x, y in zip(row, w)) % p for row in a)
+    if isinstance(a, np.ndarray):
+        x = np.array(w, dtype=np.int64)
+        r = (a @ (x >> _LIMB_BITS)) % p
+        r = (r * (1 << _LIMB_BITS) + a @ (x & _LIMB_MASK)) % p
+        return tuple(r.tolist())
+    return tuple([sum(map(mul, row, w)) % p for row in a])
 
 
 def rank(vectors: Sequence[FieldVector], p: int) -> int:
@@ -146,9 +195,15 @@ def rank(vectors: Sequence[FieldVector], p: int) -> int:
     for v in vectors:
         if len(v) != dim:
             raise DimensionMismatch("vectors have mixed dimensions")
+    if _kernel_applies(dim, p):
+        return _rank_int64(np.array(vectors, dtype=np.int64), p)
+    return _rank_python(vectors, p)
+
+
+def _rank_python(vectors: Sequence[FieldVector], p: int) -> int:
     rows = [list(v) for v in vectors]
     r = 0
-    for col in range(dim):
+    for col in range(len(rows[0])):
         pivot = None
         for i in range(r, len(rows)):
             if rows[i][col] % p:
@@ -165,6 +220,28 @@ def rank(vectors: Sequence[FieldVector], p: int) -> int:
                 rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
         r += 1
         if r == len(rows):
+            break
+    return r
+
+
+def _rank_int64(a: np.ndarray, p: int) -> int:
+    """Forward elimination on rows reduced mod p; products stay below 2^62."""
+    a = a % p
+    n, dim = a.shape
+    r = 0
+    for col in range(dim):
+        nonzero = np.flatnonzero(a[r:, col])
+        if not nonzero.size:
+            continue
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        a[r, col:] = a[r, col:] * ff_inv(int(a[r, col]), p) % p
+        below = a[r + 1 :, col:]
+        below -= below[:, :1] * a[r, col:]
+        below %= p
+        r += 1
+        if r == n:
             break
     return r
 

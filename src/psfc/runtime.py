@@ -28,6 +28,7 @@ from .field import (
     FieldMatrix,
     FieldVector,
     mat_vec_mul,
+    prepare_matrix,
     sample_invertible_matrix,
     sample_uniform_vector,
 )
@@ -67,11 +68,12 @@ class MalformedFrame(ValueError):
 class Server:
     """One honest-but-curious server: computes F_k w and records its view."""
 
-    __slots__ = ("id", "functions", "p", "l", "marginal")
+    __slots__ = ("id", "functions", "p", "l", "marginal", "_prepared")
 
     def __init__(self, server_id: int, functions: list[FieldMatrix], p: int):
         self.id = server_id
         self.functions = functions
+        self._prepared = [prepare_matrix(a, p) for a in functions]
         self.p = p
         self.l = len(functions[0])
         self.marginal = MarginalQueryList(server=server_id)
@@ -83,7 +85,7 @@ class Server:
         if len(w) != self.l:
             raise DimensionMismatch(f"input has length {len(w)}, expected {self.l}")
         self.marginal.entries.append((function, w))
-        return mat_vec_mul(self.functions[function - 1], w, self.p)
+        return mat_vec_mul(self._prepared[function - 1], w, self.p)
 
 
 def marginal_fingerprint(server: Server) -> tuple[int, ...]:

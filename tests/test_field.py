@@ -2,21 +2,30 @@
 
 Derived expectations are computed by independent oracles kept inside
 this file: a minor-expansion rank, an exhaustive GL(1, p) enumeration,
-and direct axiom checks over random samples.
+and direct axiom checks over random samples.  The int64 kernels are
+checked against the pure-Python path, which is their reference.
 """
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psfc.field import (
     DEFAULT_MODULUS,
+    KERNEL_MAX_DIM,
+    KERNEL_MIN_DIM,
     DimensionMismatch,
     InversionOfZero,
     PrimeModulus,
+    _rank_int64,
+    _rank_python,
     ff_inv,
     is_prime,
     mat_vec_mul,
+    prepare_matrix,
     rank,
     sample_invertible_matrix,
     sample_uniform_vector,
@@ -26,6 +35,9 @@ from psfc.field import (
 from psfc.rand import Rng
 
 PRIMES = [2, 3, 5, 7, DEFAULT_MODULUS]
+# Fixed seed and bounded example counts keep these tests deterministic and fast.
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+KERNEL_PRIMES = (2, 3, 2**31 - 1)
 
 
 # -- primality and modulus validation -----------------------------------------
@@ -92,6 +104,8 @@ def test_mat_vec_mul_examples():
 def test_mat_vec_mul_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         mat_vec_mul(((1, 2), (3, 4)), (1, 2, 3), 5)
+    with pytest.raises(DimensionMismatch):
+        mat_vec_mul(np.ones((16, 16), dtype=np.int64), (1,) * 15, 5)
 
 
 def test_mat_vec_linearity():
@@ -155,7 +169,9 @@ def test_rank_examples():
 def test_rank_agrees_with_minor_oracle_exhaustive_l2_p2():
     for entries in itertools.product(range(2), repeat=4):
         vectors = (entries[:2], entries[2:])
-        assert rank(vectors, 2) == _rank_by_minors(vectors, 2)
+        expected = _rank_by_minors(vectors, 2)
+        assert rank(vectors, 2) == expected
+        assert _rank_int64(np.array(vectors, dtype=np.int64), 2) == expected
 
 
 def test_rank_agrees_with_minor_oracle_sampled():
@@ -164,12 +180,80 @@ def test_rank_agrees_with_minor_oracle_sampled():
         for l in (2, 3):
             for _ in range(40):
                 vectors = [sample_uniform_vector(l, p, rng) for _ in range(l)]
-                assert rank(vectors, p) == _rank_by_minors(vectors, p)
+                expected = _rank_by_minors(vectors, p)
+                assert rank(vectors, p) == expected
+                assert _rank_int64(np.array(vectors, dtype=np.int64), p) == expected
 
 
 def test_rank_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         rank(((1, 2), (1, 2, 3)), 5)
+
+
+# -- int64 kernels against the pure-Python path ----------------------------------------
+
+
+def _matrix(rows, cols, p, seed, fill):
+    """A seeded uniform matrix, or one with every entry equal to `fill`."""
+    if fill is not None:
+        return tuple((fill,) * cols for _ in range(rows))
+    rng = Rng(seed)
+    return tuple(tuple(rng.randrange(p) for _ in range(cols)) for _ in range(rows))
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from(KERNEL_PRIMES),
+    l=st.integers(1, 64),
+    seed=st.integers(0, 2**32),
+    worst=st.booleans(),
+)
+def test_kernel_mat_vec_matches_python_path(p, l, seed, worst):
+    a = _matrix(l, l, p, seed, p - 1 if worst else None)
+    w = _matrix(1, l, p, seed + 1, p - 1 if worst else None)[0]
+    prepared = prepare_matrix(a, p)
+    assert isinstance(prepared, np.ndarray) == (l >= KERNEL_MIN_DIM)
+    got = mat_vec_mul(prepared, w, p)
+    assert got == mat_vec_mul(a, w, p)
+    assert all(type(x) is int for x in got)
+
+
+def test_kernel_row_sum_bound_at_largest_dimension():
+    # One row of the widest supported matrix, every entry p - 1: the
+    # largest partial sums the limb split can produce.
+    p = 2**31 - 1
+    l = KERNEL_MAX_DIM - 1
+    a = np.full((1, l), p - 1, dtype=np.int64)
+    assert mat_vec_mul(a, (p - 1,) * l, p) == ((p - 1) * (p - 1) * l % p,)
+
+
+@pytest.mark.parametrize("p", [2**32 - 5, 2**61 - 1])
+@pytest.mark.parametrize("l", [1, KERNEL_MIN_DIM, 64])
+def test_prepare_matrix_keeps_tuples_above_int64_bound(p, l):
+    a = _matrix(l, l, p, 9, None)
+    assert prepare_matrix(a, p) is a
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from(KERNEL_PRIMES),
+    rows=st.integers(1, 64),
+    dim=st.integers(1, 64),
+    deficit=st.integers(0, 8),
+    seed=st.integers(0, 2**32),
+    worst=st.booleans(),
+)
+def test_rank_int64_matches_python_path(p, rows, dim, deficit, seed, worst):
+    # Rows past `rows - deficit` are combinations of earlier ones, so
+    # singular inputs are common, not only at p = 2.
+    vectors = [list(v) for v in _matrix(rows, dim, p, seed, p - 1 if worst else None)]
+    rng = Rng(seed + 1)
+    for i in range(max(1, rows - deficit), rows):
+        c = [rng.randrange(p) for _ in range(i)]
+        vectors[i] = [sum(c[j] * vectors[j][col] for j in range(i)) % p for col in range(dim)]
+    expected = _rank_python(vectors, p)
+    assert _rank_int64(np.array(vectors, dtype=np.int64), p) == expected
+    assert rank(vectors, p) == expected
 
 
 # -- sampling ---------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from psfc import field
 from psfc.field import mat_vec_mul, sample_invertible_matrix, sample_uniform_vector, vec_add
 from psfc.protocol import (
     InvalidPermutation,
@@ -135,6 +136,25 @@ def test_compose_matches_direct_matrix_chain():
         for func in sigma.mapping:
             expected = mat_vec_mul(f[func - 1], expected, p)
         assert compose_reference(f, sigma, w, p) == expected
+
+
+def test_compose_reference_stays_pure_python(monkeypatch):
+    # The oracle must not share the servers' int64 kernel: at a size where
+    # servers use it, compose_reference runs with numpy unreachable.
+    class NoNumpy:
+        ndarray = type("NotAnArray", (), {})
+
+        def __getattr__(self, name):
+            raise AssertionError(f"compose_reference reached numpy.{name}")
+
+    p, l = 2**31 - 1, 16
+    rng = Rng(12)
+    functions = [sample_invertible_matrix(l, p, rng) for _ in range(3)]
+    w = sample_uniform_vector(l, p, rng)
+    sigma = Permutation((2, 3, 1))
+    expected = compose_reference(functions, sigma, w, p)
+    monkeypatch.setattr(field, "np", NoNumpy())
+    assert compose_reference(functions, sigma, w, p) == expected
 
 
 # -- RunConfig ---------------------------------------------------------------------

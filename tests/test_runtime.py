@@ -4,8 +4,8 @@ import socket
 
 import pytest
 
-from psfc.field import DimensionMismatch
-from psfc.protocol import Permutation, RunConfig
+from psfc.field import DEFAULT_MODULUS, KERNEL_MIN_DIM, DimensionMismatch
+from psfc.protocol import Permutation, RunConfig, compose_reference
 from psfc.rand import Rng
 from psfc.runtime import (
     ChannelClosed,
@@ -233,3 +233,43 @@ def test_tcp_host_rejects_garbage_frame():
     finally:
         raw.close()
         host.close()
+
+
+# -- the int64 kernel behind both transports ---------------------------------------------
+
+
+class _Recording:
+    """Passes queries through and keeps every answer the client receives."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.answers = []
+
+    def query(self, server, function, w):
+        answer = self.inner.query(server, function, w)
+        self.answers.append(answer)
+        return answer
+
+
+def test_int64_kernel_path_on_both_transports():
+    # At L >= KERNEL_MIN_DIM and p < 2^31 the servers, including the TCP
+    # host's threads, answer through the int64 kernel.
+    k, n, m, l, p = 4, 3, 4, 16, DEFAULT_MODULUS
+    assert l >= KERNEL_MIN_DIM
+    config = RunConfig(k=k, n=n, m=m, l=l, p=p, seed=33)
+    functions = generate_functions(k, l, p, Rng(33).child("functions"))
+    w = generate_inputs(m, l, p, Rng(33).child("inputs"))
+    sigma = Permutation((3, 1, 4, 2))
+    sim = _Recording(SimTransport([Server(i + 1, functions, p) for i in range(n)]))
+    sim_outputs, sim_report = run_protocol(config, sigma, w, sim)
+    host = TcpServerHost([Server(i + 1, functions, p) for i in range(n)])
+    tcp = _Recording(TcpTransport(host.addresses))
+    try:
+        tcp_outputs, tcp_report = run_protocol(config, sigma, w, tcp)
+    finally:
+        tcp.inner.close()
+        host.close()
+    assert tcp_report.to_json() == sim_report.to_json()
+    assert sim_outputs == tcp_outputs == [compose_reference(functions, sigma, v, p) for v in w]
+    for values in (*sim.answers, *tcp.answers, *sim_outputs):
+        assert all(type(x) is int for x in values)
