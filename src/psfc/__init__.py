@@ -52,6 +52,7 @@ from .scheduler import (
 from .runtime import (
     ChannelClosed,
     MalformedFrame,
+    NonCanonicalElement,
     Server,
     SimTransport,
     TcpServerHost,

@@ -4,8 +4,9 @@ The privacy guarantee is an exact distributional identity, which a
 simulator can only probe.  The audit therefore layers three kinds of
 evidence, all computed from the servers' marginal views only:
 
-1. structural: per-server function-order fingerprints must be identical
-   across every composition order (exact check, exhaustive);
+1. structural: per-server function-order fingerprints, and the number
+   of queries in each of a server's exchanges, must be identical across
+   every composition order (exact check, exhaustive);
 2. statistical: on tiny fields, the order-conditioned distribution of a
    server's full input tuple is compared across orders by total
    variation distance, and every individual input slot is chi-square
@@ -30,6 +31,7 @@ for determinism and lean on vectorization instead.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import factorial
@@ -95,13 +97,32 @@ class FingerprintResult:
     exhaustive: bool
     n_sigmas: int
     fingerprints: dict[int, tuple[int, ...]]  # server -> common fingerprint
+    exchanges: dict[int, tuple[int, ...]]  # server -> queries per exchange, in order
     mismatches: list[str] = field(default_factory=list)
+
+
+class _ExchangeLog:
+    """A transport wrapper: per server, the queries in each exchange.
+
+    A server sees how its queries arrive in exchanges, so these sizes are
+    part of its view and must not depend on the order.
+    """
+
+    def __init__(self, inner, n: int):
+        self.inner = inner
+        self.sizes: dict[int, list[int]] = {server: [] for server in range(1, n + 1)}
+
+    def query(self, rows):
+        for server, count in Counter(server for server, _, _ in rows).items():
+            self.sizes[server].append(count)
+        return self.inner.query(rows)
 
 
 def fingerprint_invariance(
     k: int, n: int, m: int, p: int = 3, l: int = 1, seed: int = 0
 ) -> FingerprintResult:
-    """Run the protocol for every order and compare per-server fingerprints.
+    """Run the protocol for every order and compare per-server fingerprints
+    and exchange sizes.
 
     Exhausts all K! orders up to K = 6; beyond that a seeded sample of
     orders is used and the result is flagged as non-exhaustive.
@@ -119,18 +140,25 @@ def fingerprint_invariance(
     w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
 
     baseline: dict[int, tuple[int, ...]] | None = None
+    baseline_exchanges: dict[int, tuple[int, ...]] | None = None
     mismatches: list[str] = []
     for sigma in sigmas:
         servers = [Server(i + 1, functions, p) for i in range(n)]
-        run_protocol(config, sigma, w, SimTransport(servers))
+        log = _ExchangeLog(SimTransport(servers), n)
+        run_protocol(config, sigma, w, log)
         fps = {s.id: marginal_fingerprint(s) for s in servers}
+        exchanges = {server: tuple(sizes) for server, sizes in log.sizes.items()}
         if baseline is None:
-            baseline = fps
-        elif fps != baseline:
-            mismatches.append(f"order {sigma} changes a server fingerprint")
+            baseline, baseline_exchanges = fps, exchanges
+        else:
+            if fps != baseline:
+                mismatches.append(f"order {sigma} changes a server fingerprint")
+            if exchanges != baseline_exchanges:
+                mismatches.append(f"order {sigma} changes a server's exchange sizes")
     return FingerprintResult(
         k=k, n=n, m=m, ok=not mismatches, exhaustive=exhaustive,
-        n_sigmas=len(sigmas), fingerprints=baseline or {}, mismatches=mismatches,
+        n_sigmas=len(sigmas), fingerprints=baseline or {},
+        exchanges=baseline_exchanges or {}, mismatches=mismatches,
     )
 
 
@@ -209,12 +237,16 @@ def _batch_eval(
     """
     per_server: list[list[np.ndarray]] = [[] for _ in range(plan.n)]
 
-    def query(server, function, w):
-        per_server[server - 1].append(w)
-        fk = f_batch[function - 1]
-        if per_trial_f:
-            return np.einsum("tij,tj->ti", fk, w) % p
-        return (w @ fk.T) % p
+    def query(rows):
+        # A generator, so that each answer is used before the next one is
+        # computed and a block's answers are never all held at once.
+        for server, function, w in rows:
+            per_server[server - 1].append(w)
+            fk = f_batch[function - 1]
+            if per_trial_f:
+                yield np.einsum("tij,tj->ti", fk, w) % p
+            else:
+                yield (w @ fk.T) % p
 
     run_plan(plan, w_batch, draw, lambda x, z: (x + z) % p, lambda a, b: (a - b) % p, query)
     return per_server

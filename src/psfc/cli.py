@@ -331,9 +331,9 @@ def _symbolic_rows(plan):
         inputs = [(f"W[{i + 1}]",) for i in range(plan.m)]
     texts = []
 
-    def query(_server, function, value):
-        texts.append(" + ".join(value))
-        return tuple(f"F{function}({term})" for term in value)
+    def query(rows):
+        texts.extend(" + ".join(value) for _, _, value in rows)
+        return [tuple(f"F{function}({term})" for term in value) for _, function, value in rows]
 
     run_plan(
         plan, inputs, lambda mid: ("Z*",) if mid is None else (mask_names[mid],),

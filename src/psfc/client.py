@@ -7,17 +7,19 @@ records what it sent; storage, pad bookkeeping and output decoding are
 the interpreter's.  This module must not import any matrix operation; a
 test enforces that structurally.
 
-Execution is a single logical thread with blocking per-query RPC: every
-answer a block needs is joined before the next block's inputs are
-materialized, which is exactly the ordering the scheduler's feasibility
-argument requires.  Queries to distinct servers could be issued
-concurrently within a block without changing any server's view.
+Execution is a single logical thread that sends a block at a time: a
+block's queries go to the transport in one call, and every answer it
+returns is used before the next block's inputs are materialized, which
+is exactly the ordering the scheduler's feasibility argument requires.
+A chain or fallback query goes alone, because it reads the previous
+answer.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -122,25 +124,25 @@ def run_protocol(
     plan = build_plan(k, n, m, sigma)
     randrange = Rng(config.seed).child("client").randrange
     l_range = range(l)
-    transcript: list[tuple[int, int, int]] = []
-    inputs_sent: list[FieldVector] = []
-    d_k = [0] * k
+    sent: list[tuple[int, int, FieldVector]] = []  # (server, function, input), in send order
     transport_query = transport.query
 
     def draw(_mid):
         return tuple(randrange(p) for _ in l_range)
 
-    def query(server, function, w):
-        transcript.append((len(transcript), server, function))
-        inputs_sent.append(w)
-        d_k[function - 1] += 1
-        return transport_query(server, function, w)
+    def query(rows):
+        sent.extend(rows)
+        return transport_query(rows)
 
     outputs = run_plan(
         plan, w_vectors, draw,
         lambda x, z: vec_add(x, z, p), lambda a, b: unmask(a, b, p), query,
     )
 
+    transcript = [(seq, server, function) for seq, (server, function, _) in enumerate(sent)]
+    inputs_sent = [w for _, _, w in sent]
+    per_function = Counter(function for _, function, _ in sent)
+    d_k = [per_function[function] for function in range(1, k + 1)]
     d = len(transcript)
     ratio = Fraction(k * m, d)
     report = RunReport(

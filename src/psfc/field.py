@@ -8,14 +8,15 @@ immutable, so they are safe to share across threads.
 
 A server multiplies by the same few matrices many times, so it converts
 each one once with `prepare_matrix`.  When p < 2^31 and L is at least
-KERNEL_MIN_DIM, the prepared matrix is an int64 array, and
-`mat_vec_mul` then runs an exact int64 kernel: it splits the vector into
-16-bit limbs and reduces mod p once per limb, after whole-row sums
-(delayed reduction, after Dumas, Giorgi and Pernet, "Dense linear
-algebra over word-size prime fields: the FFLAS and FFPACK packages",
-ACM TOMS 35(3), 2008).  A matrix entry is below 2^31 and a limb below
-2^16, so a row of fewer than 2^16 products sums below 2^63, also with
-the reduced high-limb result times 2^16 added.  `rank` row-reduces an
+KERNEL_MIN_DIM, the prepared matrix is an int64 array that stacks the
+matrix's high 16-bit limbs over its low ones, and `mat_vec_mul` then
+runs an exact int64 kernel: one product by the stacked limbs, then a
+reduction mod p once per limb, after whole-row sums (delayed reduction,
+after Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
+prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  A
+canonical vector element is below 2^31 and a limb below 2^16, so a row
+of fewer than 2^16 products sums below 2^63, also with the reduced
+high-limb result times 2^16 added.  `rank` row-reduces an
 int64 array under the same conditions; there every product of two
 residues is below 2^62.  Below KERNEL_MIN_DIM numpy's per-call cost
 outweighs the gain, and from 2^31 on the int64 bound fails, so those
@@ -164,10 +165,12 @@ def _kernel_applies(l: int, p: int) -> bool:
 def prepare_matrix(a: FieldMatrix, p: int) -> PreparedMatrix:
     """`a` in the form `mat_vec_mul` multiplies fastest by.
 
-    An int64 array where the exact kernel applies, else `a` unchanged.
+    Where the exact kernel applies, a (2L x L) int64 array: the entries'
+    high 16-bit limbs above their low ones.  Else `a` unchanged.
     """
     if _kernel_applies(len(a), p):
-        return np.array(a, dtype=np.int64)
+        full = np.array(a, dtype=np.int64)
+        return np.concatenate((full >> _LIMB_BITS, full & _LIMB_MASK))
     return a
 
 
@@ -175,14 +178,14 @@ def mat_vec_mul(a: PreparedMatrix, w: FieldVector, p: int) -> FieldVector:
     """Matrix-vector product over GF(p), of a tuple or prepared matrix.
 
     On a prepared int64 array, `w` must be canonical: the limb bound
-    holds for elements below 2^32, not for arbitrary ints.
+    holds for elements below 2^31, not for arbitrary ints.
     """
     if len(a[0]) != len(w):
         raise DimensionMismatch(f"matrix is {len(a)}x{len(a[0])}, vector has length {len(w)}")
     if isinstance(a, np.ndarray):
-        x = np.array(w, dtype=np.int64)
-        r = (a @ (x >> _LIMB_BITS)) % p
-        r = (r * (1 << _LIMB_BITS) + a @ (x & _LIMB_MASK)) % p
+        r = a @ np.array(w, dtype=np.int64)
+        rows = len(r) // 2
+        r = ((r[:rows] % p) * (1 << _LIMB_BITS) + r[rows:]) % p
         return tuple(r.tolist())
     return tuple([sum(map(mul, row, w)) % p for row in a])
 

@@ -11,8 +11,12 @@ Two interchangeable transports execute a run:
 * SimTransport: in-process, synchronous.  The default for tests and
   audits.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
-  per server, request/response frames.  Byte-for-byte the same
-  RunReport as the simulated path for the same (config, order, seed).
+  per server.  A transport call carries a group of queries (a block, or
+  one chain query): the client writes each server's frames in one
+  pipelined send and reads the answers back in per-connection sequence
+  order, so a block costs one exchange per connection.  Byte-for-byte
+  the same RunReport as the simulated path for the same (config, order,
+  seed).
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import json
 import socket
 import struct
 import threading
+from collections import deque
 from typing import NamedTuple, Optional
 
 from .field import (
@@ -37,6 +42,7 @@ from .rand import Rng
 
 __all__ = [
     "UnknownFunction",
+    "NonCanonicalElement",
     "ChannelClosed",
     "MalformedFrame",
     "Server",
@@ -55,6 +61,10 @@ __all__ = [
 
 class UnknownFunction(ValueError):
     """Query asked for a function index outside [1..K]."""
+
+
+class NonCanonicalElement(ValueError):
+    """Query input holds an element outside [0, p)."""
 
 
 class ChannelClosed(ConnectionError):
@@ -78,14 +88,26 @@ class Server:
         self.l = len(functions[0])
         self.marginal = MarginalQueryList(server=server_id)
 
-    def serve(self, function: int, w: FieldVector) -> FieldVector:
-        """Answer one query: append to the marginal list, return F_k w."""
+    def admit(self, function: int, dim: int) -> None:
+        """Refuse a query for an unknown function or of the wrong length."""
         if not 1 <= function <= len(self.functions):
             raise UnknownFunction(f"function {function} not in [1..{len(self.functions)}]")
-        if len(w) != self.l:
-            raise DimensionMismatch(f"input has length {len(w)}, expected {self.l}")
+        if dim != self.l:
+            raise DimensionMismatch(f"input has length {dim}, expected {self.l}")
+
+    def serve(self, function: int, w: FieldVector) -> FieldVector:
+        """Answer one query: append to the marginal list, return F_k w.
+
+        Every element must be canonical: the int64 kernel is exact only
+        for elements below p.
+        """
+        self.admit(function, len(w))
+        p = self.p
+        for x in w:
+            if not 0 <= x < p:
+                raise NonCanonicalElement(f"input element {x} outside [0, {p})")
         self.marginal.entries.append((function, w))
-        return mat_vec_mul(self._prepared[function - 1], w, self.p)
+        return mat_vec_mul(self._prepared[function - 1], w, p)
 
 
 def marginal_fingerprint(server: Server) -> tuple[int, ...]:
@@ -128,10 +150,12 @@ class SimTransport:
         self.servers = servers
         self._closed = False
 
-    def query(self, server: int, function: int, w: FieldVector) -> FieldVector:
+    def query(self, rows) -> list[FieldVector]:
+        """Answers to rows [(server, function, w), ...], in row order."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        return self.servers[server - 1].serve(function, w)
+        servers = self.servers
+        return [servers[server - 1].serve(function, w) for server, function, w in rows]
 
     def close(self) -> None:
         self._closed = True
@@ -194,39 +218,80 @@ def decode_message(data: bytes) -> WireMessage:
 # -- TCP transport --------------------------------------------------------------
 
 
-def _recv_exact(conn: socket.socket, count: int) -> bytes:
-    chunks = []
-    while count:
-        chunk = conn.recv(count)
+_RECV_CHUNK = 1 << 16
+# Unanswered query bytes per connection.  Past it the client reads
+# answers before it sends more, so a block of large frames cannot fill
+# both socket buffers and leave client and host waiting on each other.
+_WINDOW_BYTES = 1 << 16
+
+
+class _FrameReader:
+    """Frames off one connection, read in chunks of up to _RECV_CHUNK bytes."""
+
+    __slots__ = ("_conn", "_buf")
+
+    def __init__(self, conn: socket.socket):
+        self._conn = conn
+        self._buf = bytearray()
+
+    def fill(self) -> None:
+        """Block for the next chunk; ChannelClosed when the peer is gone."""
+        chunk = self._conn.recv(_RECV_CHUNK)
         if not chunk:
-            raise ChannelClosed("connection closed mid-frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
+            raise ChannelClosed("connection closed")
+        self._buf += chunk
 
+    def pop(self, check=None) -> Optional[WireMessage]:
+        """The next buffered frame, or None while it is incomplete.
 
-def _recv_frame(conn: socket.socket) -> WireMessage:
-    magic = _recv_exact(conn, 4)
-    if magic == QUERY_MAGIC:
-        head = _recv_exact(conn, _QUERY_HEAD.size)
-        _, _, dim = _QUERY_HEAD.unpack(head)
-    elif magic == ANSWER_MAGIC:
-        head = _recv_exact(conn, _ANSWER_HEAD.size)
-        _, dim = _ANSWER_HEAD.unpack(head)
-    else:
-        raise MalformedFrame(f"bad magic {magic!r}")
-    body = _recv_exact(conn, 8 * dim)
-    return decode_message(magic + head + body)
+        `check(magic, head)` sees the unpacked header as soon as it is
+        buffered, before any of the body is awaited, and raises to refuse
+        the frame.
+        """
+        buf = self._buf
+        have = len(buf)
+        if have < 4:
+            return None
+        if buf.startswith(QUERY_MAGIC):
+            magic, head = QUERY_MAGIC, _QUERY_HEAD
+        elif buf.startswith(ANSWER_MAGIC):
+            magic, head = ANSWER_MAGIC, _ANSWER_HEAD
+        else:
+            raise MalformedFrame(f"bad magic {bytes(buf[:4])!r}")
+        head_end = 4 + head.size
+        if have < head_end:
+            return None
+        fields = head.unpack_from(buf, 4)
+        if check is not None:
+            check(magic, fields)
+        end = head_end + 8 * fields[-1]
+        if have < end:
+            return None
+        frame = bytes(buf[:end])
+        del buf[:end]
+        return decode_message(frame)
+
+    def next(self) -> WireMessage:
+        """Block until a whole frame is buffered and return it."""
+        msg = self.pop()
+        while msg is None:
+            self.fill()
+            msg = self.pop()
+        return msg
 
 
 class TcpServerHost:
     """Listens on one ephemeral localhost port per server.
 
-    Each server thread accepts a single client connection, answers
-    query frames in arrival order (the per-server FIFO contract), and
-    validates element canonicality at ingress.  The per-connection
-    sequence number restarts at zero for every server, so absolute
-    global positions never appear on the wire.
+    Each server thread accepts a single client connection and answers
+    query frames in arrival order (the per-server FIFO contract).  It
+    checks each header (a query, the next sequence number, a known
+    function, dimension L) before it buffers the body, and the server
+    rejects non-canonical elements; any refused frame closes the
+    connection.  It answers every whole frame it has buffered, then
+    sends those answers in one write.  The per-connection sequence
+    number restarts at zero for every server, so absolute global
+    positions never appear on the wire.
     """
 
     def __init__(self, servers: list[Server], host: str = "127.0.0.1"):
@@ -252,26 +317,38 @@ class TcpServerHost:
             conn, _ = listener.accept()
         except OSError:
             return  # closed before any client connected
-        expected_seq = 0
+        next_seq = 0
+
+        def check(magic: bytes, head: tuple) -> None:
+            if magic != QUERY_MAGIC:
+                raise MalformedFrame("expected a query frame")
+            seq, function, dim = head
+            if seq != next_seq:
+                raise MalformedFrame(f"query seq {seq}, expected {next_seq}")
+            server.admit(function, dim)
+
+        reader = _FrameReader(conn)
         with conn:
-            while True:
-                try:
-                    msg = _recv_frame(conn)
-                except (ChannelClosed, OSError):
-                    return
-                except MalformedFrame:
-                    return  # drop the connection on garbage
-                if msg.kind != "query" or msg.seq != expected_seq:
-                    return
-                if any(x >= server.p for x in msg.payload):
-                    return  # non-canonical element: reject at ingress
-                answer = server.serve(msg.function, msg.payload)
-                frame = encode_message(WireMessage("answer", msg.seq, None, answer))
-                try:
-                    conn.sendall(frame)
-                except OSError:
-                    return
-                expected_seq += 1
+            try:
+                # A block that arrives in more than one read is answered in
+                # more than one write; without TCP_NODELAY, Nagle's algorithm
+                # could hold the later write until the client's delayed ACK.
+                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                while True:
+                    reader.fill()
+                    answers = []
+                    while (msg := reader.pop(check)) is not None:
+                        answer = server.serve(msg.function, msg.payload)
+                        answers.append(encode_message(WireMessage("answer", msg.seq, None, answer)))
+                        next_seq += 1
+                    if answers:
+                        conn.sendall(b"".join(answers))
+            except (OSError, MalformedFrame, UnknownFunction, DimensionMismatch,
+                    NonCanonicalElement):
+                # The peer went away, or a frame was refused: a bad header,
+                # an unknown function, a wrong dimension, a non-canonical
+                # element.  Either way the connection closes.
+                return
 
     def close(self) -> None:
         for listener in self._listeners:
@@ -284,37 +361,82 @@ class TcpServerHost:
 
 
 class TcpTransport:
-    """Client side: one persistent connection per server, blocking RPC."""
+    """Client side: one persistent connection per server, pipelined sends."""
 
     def __init__(self, addresses: list[tuple[str, int]]):
         self._conns = []
+        self._readers = []
         self._seqs = []
         try:
             for host, port in addresses:
                 conn = socket.create_connection((host, port), timeout=10.0)
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 self._conns.append(conn)
+                self._readers.append(_FrameReader(conn))
                 self._seqs.append(0)
         except OSError as exc:
             self.close()
             raise ChannelClosed(f"cannot connect: {exc}") from exc
         self._closed = False
 
-    def query(self, server: int, function: int, w: FieldVector) -> FieldVector:
+    def query(self, rows) -> list[FieldVector]:
+        """Answers to rows [(server, function, w), ...], in row order.
+
+        Each server's frames go out in one write, then the answers are
+        read back in each connection's seq order.
+        """
         if self._closed:
             raise ChannelClosed("transport is closed")
-        conn = self._conns[server - 1]
-        seq = self._seqs[server - 1]
-        frame = encode_message(WireMessage("query", seq, function, w))
+        by_server: dict[int, list] = {}
+        for index, (server, function, w) in enumerate(rows):
+            by_server.setdefault(server, []).append((index, function, w))
+        answers: list = [None] * len(rows)
+        server = 0
         try:
-            conn.sendall(frame)
-            msg = _recv_frame(conn)
+            unanswered = [(server, self._send(server, items, answers))
+                          for server, items in by_server.items()]
+            for server, queue in unanswered:
+                while queue:
+                    self._receive(server, queue, answers)
         except OSError as exc:
             raise ChannelClosed(f"server {server} connection failed: {exc}") from exc
+        return answers
+
+    def _send(self, server: int, items: list, answers: list) -> deque:
+        """Send server's queries; the (row index, seq, frame size) of those unanswered.
+
+        Frames are batched into one write while at most _WINDOW_BYTES of
+        queries are unanswered; past that, answers are read first.
+        """
+        conn = self._conns[server - 1]
+        seq = self._seqs[server - 1]
+        unanswered: deque = deque()
+        in_flight = 0
+        batch = []
+        for index, function, w in items:
+            frame = encode_message(WireMessage("query", seq, function, w))
+            if in_flight and in_flight + len(frame) > _WINDOW_BYTES:
+                if batch:
+                    conn.sendall(b"".join(batch))
+                    batch = []
+                while unanswered and in_flight + len(frame) > _WINDOW_BYTES:
+                    in_flight -= self._receive(server, unanswered, answers)
+            batch.append(frame)
+            unanswered.append((index, seq, len(frame)))
+            in_flight += len(frame)
+            seq += 1
+        conn.sendall(b"".join(batch))
+        self._seqs[server - 1] = seq
+        return unanswered
+
+    def _receive(self, server: int, unanswered: deque, answers: list) -> int:
+        """Read server's oldest unanswered answer into `answers`; its query's frame size."""
+        index, seq, size = unanswered.popleft()
+        msg = self._readers[server - 1].next()
         if msg.kind != "answer" or msg.seq != seq:
             raise MalformedFrame(f"unexpected reply to query {seq} at server {server}")
-        self._seqs[server - 1] = seq + 1
-        return msg.payload
+        answers[index] = msg.payload
+        return size
 
     def close(self) -> None:
         self._closed = True

@@ -168,54 +168,58 @@ def plan_vectors(
     if sigma.size != k:
         raise InvalidRegime(f"order has size {sigma.size}, expected K={k}")
     pi = sigma.inverse().mapping
+    # tuple.__new__ builds a PlannedQuery without the Python-level
+    # NamedTuple constructor, which was a third of the build time.
+    row = tuple.__new__
     queries: list[PlannedQuery] = []
+    append = queries.append
     mask_ids: dict[tuple[int, int], int] = {}
     ph = 0
+    width = n - 1
+    comps = range(1, n)
+    # Phase 1: server n advances step pi_n of batch m - pi_n + 1.
+    phase1 = [(srv, pi[srv - 1]) for srv in range(1, n + 1)]
+    # Phase 2: function N+i advances step pi_{N+i}.
+    phase2 = [(i, n + i, pi[n + i - 1]) for i in range(1, k - n + 1)]
+    drop = ("drop",)
 
-    def in_expr(batch: int, step: int, comp: int) -> tuple:
-        # Input of task (batch, step), component comp: the raw input for
-        # step 1, otherwise the stored output of the previous step.
-        if step == 1:
-            return ("w", (batch - 1) * (n - 1) + (comp - 1))
-        return ("out", batch, step - 1, comp)
-
+    # A task's input, component comp, is the raw input for step 1 and
+    # otherwise the stored output of the previous step.
     for block in blocks:
         m = block.index
-        # Phase 1: server n advances step pi_n of batch m - pi_n + 1.
-        for srv in range(1, n + 1):
-            step = pi[srv - 1]
+        for srv, step in phase1:
             batch = m - step + 1
-            live = 1 <= batch <= m_prime
-            for comp in range(1, n):
-                if live:
-                    expr = in_expr(batch, step, comp)
-                    effect = ("out", batch, step, comp)
-                else:
-                    expr = ("ph", ph)
+            if not 1 <= batch <= m_prime:
+                for _ in comps:
+                    append(row(PlannedQuery, (srv, srv, ("ph", ph), drop, m)))
                     ph += 1
-                    effect = ("drop",)
-                queries.append(PlannedQuery(srv, srv, expr, effect, m))
+            elif step == 1:
+                first = (batch - 1) * width - 1
+                for comp in comps:
+                    append(row(PlannedQuery, (srv, srv, ("w", first + comp),
+                                              ("out", batch, 1, comp), m)))
+            else:
+                for comp in comps:
+                    append(row(PlannedQuery, (srv, srv, ("out", batch, step - 1, comp),
+                                              ("out", batch, step, comp), m)))
         # Phase 2: function N+i everywhere; servers below N get padded
         # inputs, server N gets the bare mask.
-        for srv in range(1, n + 1):
-            for i in range(1, k - n + 1):
-                func = n + i
-                mid = mask_ids.setdefault((m, i), len(mask_ids))
-                if srv < n:
-                    step = pi[func - 1]
-                    batch = m - step + 1
-                    if 1 <= batch <= m_prime:
-                        base = in_expr(batch, step, srv)
-                        effect = ("masked", batch, step, srv, mid)
-                    else:
-                        base = ("ph", ph)
-                        ph += 1
-                        effect = ("drop",)
-                    expr = ("xor", base, mid)
+        slots = [(func, step, mask_ids.setdefault((m, i), len(mask_ids)))
+                 for i, func, step in phase2]
+        for srv in comps:
+            for func, step, mid in slots:
+                batch = m - step + 1
+                if not 1 <= batch <= m_prime:
+                    base = ("ph", ph)
+                    ph += 1
+                    effect = drop
                 else:
-                    expr = ("mask", mid)
-                    effect = ("img", mid)
-                queries.append(PlannedQuery(srv, func, expr, effect, m))
+                    base = (("w", (batch - 1) * width + srv - 1) if step == 1
+                            else ("out", batch, step - 1, srv))
+                    effect = ("masked", batch, step, srv, mid)
+                append(row(PlannedQuery, (srv, func, ("xor", base, mid), effect, m)))
+        for func, _step, mid in slots:
+            append(row(PlannedQuery, (n, func, ("mask", mid), ("img", mid), m)))
 
     return QueryPlan(
         k=k,
@@ -355,13 +359,19 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
                         placeholder when mid is None;
       add(x, z)         x padded with mask z;
       sub(a, b)         a with the pad image b cancelled;
-      query(s, f, x)    server s's answer F_f(x).
-    Masks and placeholders are drawn at first use, in plan order, a
-    padded placeholder before its mask, so a seeded backend sees one
-    fixed sequence of draws.  The interpreter owns all plan state: task
-    outputs, chain predecessors, masks, pad images, pending unmasks.
+      query(rows)       the answers F_f(x) to rows [(s, f, x), ...], an
+                        iterable in row order.
+    The plan runs one group at a time: each block's N(K-1) rows go in one
+    `query` call, because no block reads its own answers; each chain and
+    fallback row goes alone, because it reads the previous answer.  All
+    inputs of a group are built before any of its answers is used, so a
+    same-block read raises DependencyViolation.  Masks and placeholders
+    are drawn at first use, in plan order, a padded placeholder before
+    its mask, so a seeded backend sees one fixed sequence of draws.  The
+    interpreter owns all plan state: task outputs, chain predecessors,
+    masks, pad images, pending unmasks.
     """
-    outs: dict = {}
+    outs: dict = {}  # keyed by the expression ("out", m, k, i) that reads it
     prev: dict = {}
     masks: dict = {}
     images: dict = {}
@@ -374,53 +384,64 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
             z = masks[mid] = draw(mid)
         return z
 
-    for server, function, expr, effect, _block in plan.queries:
-        base = expr[1] if expr[0] == "xor" else expr
-        tag = base[0]
-        if tag == "prev":
-            x = prev.get(base[1])
-        elif tag == "w":
-            x = inputs[base[1]]
-        elif tag == "out":
-            x = outs.get(base[1:])
-        elif tag == "ph":
-            x = draw(None)
-        else:  # "mask"
-            x = mask(base[1])
-        if x is None:
-            raise DependencyViolation(f"{base} is referenced before it is resolved")
-        if base is not expr:
-            x = add(x, mask(expr[2]))
+    queries = plan.queries
+    total = len(queries)
+    # Groups: n_blocks blocks of N(K-1) rows, then single rows.
+    width = plan.n * (plan.k - 1)
+    blocks_end = plan.n_blocks * width
+    start = 0
+    while start < total:
+        stop = start + width if start < blocks_end else start + 1
+        group = queries[start:stop]
+        start = stop
+        rows = []
+        for server, function, expr, _effect, _block in group:
+            base = expr[1] if expr[0] == "xor" else expr
+            tag = base[0]
+            if tag == "prev":
+                x = prev.get(base[1])
+            elif tag == "w":
+                x = inputs[base[1]]
+            elif tag == "out":
+                x = outs.get(base)
+            elif tag == "ph":
+                x = draw(None)
+            else:  # "mask"
+                x = mask(base[1])
+            if x is None:
+                raise DependencyViolation(f"{base} is referenced before it is resolved")
+            if base is not expr:
+                x = add(x, mask(expr[2]))
+            rows.append((server, function, x))
 
-        ans = query(server, function, x)
-
-        eff = effect[0]
-        if eff == "out":
-            outs[effect[1:]] = ans
-        elif eff == "prev":
-            prev[effect[1]] = ans
-        elif eff == "masked":
-            key, mid = effect[1:4], effect[4]
-            image = images.get(mid)
-            if image is None:
-                pending.setdefault(mid, []).append((key, ans))
-            else:
-                outs[key] = sub(ans, image)
-        elif eff == "img":
-            mid = effect[1]
-            images[mid] = ans
-            for key, masked in pending.pop(mid, ()):
-                outs[key] = sub(masked, ans)
-        elif eff == "final":
-            outputs[effect[1]] = ans
-        # "drop": camouflage answer, nothing to do
+        for (_, _, _, effect, _), ans in zip(group, query(rows), strict=True):
+            eff = effect[0]
+            if eff == "out":
+                outs[effect] = ans
+            elif eff == "prev":
+                prev[effect[1]] = ans
+            elif eff == "masked":
+                key, mid = ("out",) + effect[1:4], effect[4]
+                image = images.get(mid)
+                if image is None:
+                    pending.setdefault(mid, []).append((key, ans))
+                else:
+                    outs[key] = sub(ans, image)
+            elif eff == "img":
+                mid = effect[1]
+                images[mid] = ans
+                for key, masked in pending.pop(mid, ()):
+                    outs[key] = sub(masked, ans)
+            elif eff == "final":
+                outputs[effect[1]] = ans
+            # "drop": camouflage answer, nothing to do
 
     # Batch m component j is the last step's output; it lands at flat
     # position (m-1)(N-1) + j - 1.
     n = plan.n
     for batch in range(1, plan.m_prime + 1):
         for comp in range(1, n):
-            outputs[(batch - 1) * (n - 1) + comp - 1] = outs.get((batch, plan.k, comp))
+            outputs[(batch - 1) * (n - 1) + comp - 1] = outs.get(("out", batch, plan.k, comp))
     missing = [i for i, value in enumerate(outputs) if value is None]
     if missing:
         raise MissingValue(f"outputs {missing} were never resolved")

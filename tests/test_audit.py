@@ -47,6 +47,43 @@ def test_fingerprint_invariance_k4_n3():
     blocks = 1 + 4 - 1
     for server in (1, 2, 3):
         assert res.fingerprints[server] == (server, server, 4) * blocks
+    # One exchange per block, K-1 queries of it at each server.
+    assert res.exchanges == {server: (3,) * blocks for server in (1, 2, 3)}
+
+
+def test_exchange_sizes_invariant_across_orders():
+    # A server sees how its queries arrive in exchanges, so the sizes, in
+    # arrival order, must be the same for every order.
+    for k in range(1, 5):
+        for n in range(1, 4):
+            for m in (1, 2, 3):
+                res = fingerprint_invariance(k, n, m, seed=k * n * m)
+                assert res.ok, (k, n, m, res.mismatches)
+                plan = build_plan(k, n, m, Permutation.identity(k))
+                assert sum(map(sum, res.exchanges.values())) == len(plan)
+
+
+def test_exchange_size_check_fires_on_order_dependent_exchanges(monkeypatch):
+    import psfc.audit as audit
+
+    class Split:
+        """Sends every query alone, except under the identity order."""
+
+        def __init__(self, inner):
+            self.inner = inner
+
+        def query(self, rows):
+            return [a for row in rows for a in self.inner.query([row])]
+
+    def leaky_run(config, sigma, w, transport):
+        if sigma != Permutation.identity(config.k):
+            transport = Split(transport)
+        return run_protocol(config, sigma, w, transport)
+
+    monkeypatch.setattr(audit, "run_protocol", leaky_run)
+    res = fingerprint_invariance(3, 2, 2, seed=1)
+    assert not res.ok
+    assert all("exchange sizes" in line for line in res.mismatches)
 
 
 def test_fingerprint_invariance_chain():

@@ -219,12 +219,14 @@ def test_kernel_mat_vec_matches_python_path(p, l, seed, worst):
 
 
 def test_kernel_row_sum_bound_at_largest_dimension():
-    # One row of the widest supported matrix, every entry p - 1: the
-    # largest partial sums the limb split can produce.
-    p = 2**31 - 1
+    # One row of the widest supported matrix in prepared form, its high
+    # limbs over its low ones, every limb at its largest (0x7FFF and
+    # 0xFFFF), times the largest canonical vector: the largest partial
+    # sums the limb split can produce.
+    p = 2**31 - 19
     l = KERNEL_MAX_DIM - 1
-    a = np.full((1, l), p - 1, dtype=np.int64)
-    assert mat_vec_mul(a, (p - 1,) * l, p) == ((p - 1) * (p - 1) * l % p,)
+    a = np.array([[0x7FFF] * l, [0xFFFF] * l], dtype=np.int64)
+    assert mat_vec_mul(a, (p - 1,) * l, p) == ((2**31 - 1) * (p - 1) * l % p,)
 
 
 @pytest.mark.parametrize("p", [2**32 - 5, 2**61 - 1])

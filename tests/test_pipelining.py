@@ -1,0 +1,161 @@
+"""Pipelined exchanges: a block is one transport call on sim and TCP alike.
+
+Over TCP a block is one exchange per connection.  Every shape of plan
+must give the same report and the same server views as the simulated
+path, with the exchange count the plan predicts.
+"""
+
+import socket
+import threading
+import time
+
+import pytest
+
+from psfc import runtime
+from psfc.client import run_protocol
+from psfc.field import DEFAULT_MODULUS
+from psfc.protocol import Permutation, RunConfig, compose_reference
+from psfc.rand import Rng
+from psfc.runtime import (
+    ChannelClosed,
+    Server,
+    SimTransport,
+    TcpServerHost,
+    TcpTransport,
+    WireMessage,
+    decode_message,
+    encode_message,
+    generate_functions,
+    generate_inputs,
+    marginal_to_json,
+)
+from psfc.scheduler import build_plan
+
+
+class _Counting:
+    """Passes exchanges through and counts them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def query(self, rows):
+        self.calls += 1
+        return self.inner.query(rows)
+
+
+def _sim_and_tcp(k, n, m, l, sigma, seed=11):
+    p = DEFAULT_MODULUS
+    config = RunConfig(k=k, n=n, m=m, l=l, p=p, seed=seed)
+    functions = generate_functions(k, l, p, Rng(seed).child("functions"))
+    w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
+    sim_servers = [Server(i + 1, functions, p) for i in range(n)]
+    sim_outputs, sim_report = run_protocol(config, sigma, w, SimTransport(sim_servers))
+    tcp_servers = [Server(i + 1, functions, p) for i in range(n)]
+    host = TcpServerHost(tcp_servers)
+    tcp = _Counting(TcpTransport(host.addresses))
+    try:
+        tcp_outputs, tcp_report = run_protocol(config, sigma, w, tcp)
+    finally:
+        tcp.inner.close()
+        host.close()
+    assert sim_outputs == tcp_outputs == [compose_reference(functions, sigma, v, p) for v in w]
+    assert tcp_report.to_json() == sim_report.to_json()
+    assert [marginal_to_json(s) for s in tcp_servers] == [marginal_to_json(s) for s in sim_servers]
+    return tcp.calls
+
+
+@pytest.mark.parametrize(
+    "k, n, m, sigma",
+    [
+        pytest.param(3, 3, 2, (2, 3, 1), id="chains"),
+        pytest.param(4, 3, 4, (3, 1, 4, 2), id="blocks"),
+        pytest.param(4, 3, 5, (4, 3, 2, 1), id="blocks-and-fallback"),
+        pytest.param(3, 1, 2, (3, 1, 2), id="n1"),
+    ],
+)
+def test_tcp_exchanges_match_sim(k, n, m, sigma):
+    sigma = Permutation(sigma)
+    calls = _sim_and_tcp(k, n, m, 2, sigma)
+    plan = build_plan(k, n, m, sigma)
+    block_rows = plan.n_blocks * n * (k - 1)
+    assert calls == plan.n_blocks + len(plan) - block_rows
+
+
+def test_tiny_window_reads_before_sending(monkeypatch):
+    # A window of a few bytes makes the client read an answer before each
+    # further frame of a block; the run must still complete unchanged.
+    monkeypatch.setattr(runtime, "_WINDOW_BYTES", 8)
+    sigma = Permutation((2, 5, 1, 4, 3))
+    calls = _sim_and_tcp(5, 2, 3, 16, sigma)
+    assert calls == build_plan(5, 2, 3, sigma).n_blocks
+
+
+def test_host_dropping_mid_block_raises_channel_closed():
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def answer_once_then_drop():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(encode_message(WireMessage("answer", 0, None, (1,))))
+
+    thread = threading.Thread(target=answer_once_then_drop, daemon=True)
+    thread.start()
+    transport = TcpTransport([listener.getsockname()])
+    start = time.monotonic()
+    try:
+        with pytest.raises(ChannelClosed):
+            transport.query([(1, 1, (0,)), (1, 2, (1,)), (1, 3, (2,))])
+    finally:
+        transport.close()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+    assert time.monotonic() - start < 5  # the peer's close, not the socket timeout
+
+
+def _echo_host(listener):
+    """Answer each query frame with its own input, one frame at a time."""
+    conn, _ = listener.accept()
+    with conn:
+        buffered = b""
+        while True:
+            while len(buffered) < 14 or len(buffered) < 14 + 8 * int.from_bytes(buffered[10:14], "little"):
+                chunk = conn.recv(4096)
+                if not chunk:
+                    return
+                buffered += chunk
+            end = 14 + 8 * int.from_bytes(buffered[10:14], "little")
+            msg, buffered = decode_message(buffered[:end]), buffered[end:]
+            conn.sendall(encode_message(WireMessage("answer", msg.seq, None, msg.payload)))
+
+
+def test_window_keeps_a_large_block_from_deadlocking(monkeypatch):
+    # Socket buffers of a few KB on both ends and a block of 512 KB of
+    # frames.  If the client wrote the whole block before reading, the
+    # host would block writing answers, stop reading, and both ends would
+    # wait; a window below the buffers' capacity prevents that.
+    monkeypatch.setattr(runtime, "_WINDOW_BYTES", 4096)
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    thread = threading.Thread(target=_echo_host, args=(listener,), daemon=True)
+    thread.start()
+    transport = TcpTransport([listener.getsockname()])
+    transport._conns[0].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    transport._conns[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    rows = [(1, 1, tuple(range(i, i + 256))) for i in range(256)]
+    start = time.monotonic()
+    try:
+        assert transport.query(rows) == [w for _, _, w in rows]
+    finally:
+        transport.close()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+    assert time.monotonic() - start < 5

@@ -1,15 +1,17 @@
 """Server behavior, wire codec byte layout, and both transports."""
 
 import socket
+import struct
 
 import pytest
 
-from psfc.field import DEFAULT_MODULUS, KERNEL_MIN_DIM, DimensionMismatch
+from psfc.field import DEFAULT_MODULUS, KERNEL_MIN_DIM, DimensionMismatch, mat_vec_mul
 from psfc.protocol import Permutation, RunConfig, compose_reference
 from psfc.rand import Rng
 from psfc.runtime import (
     ChannelClosed,
     MalformedFrame,
+    NonCanonicalElement,
     Server,
     SimTransport,
     TcpServerHost,
@@ -66,6 +68,18 @@ def test_serve_dimension_check():
         server.serve(1, (1,))
 
 
+@pytest.mark.parametrize("l", [2, 16])  # the tuple path and the int64 kernel
+def test_serve_rejects_noncanonical_elements(l):
+    p = DEFAULT_MODULUS
+    server = Server(1, generate_functions(1, l, p, Rng(1)), p)
+    for bad in ((2**62,) * l, (p,) + (0,) * (l - 1), (0,) * (l - 1) + (-1,)):
+        with pytest.raises(NonCanonicalElement):
+            server.serve(1, bad)
+        with pytest.raises(NonCanonicalElement):
+            SimTransport([server]).query([(1, 1, bad)])
+    assert len(server.marginal) == 0
+
+
 # -- fingerprints ------------------------------------------------------------------
 
 
@@ -108,11 +122,11 @@ def test_marginal_to_json():
 
 
 def test_sim_transport_fifo_per_server():
-    servers, _ = _servers(k=2, n=2, l=1, p=5)
+    servers, functions = _servers(k=2, n=2, l=1, p=5)
     transport = SimTransport(servers)
-    transport.query(1, 1, (1,))
-    transport.query(2, 2, (2,))
-    transport.query(1, 2, (3,))
+    answers = transport.query([(1, 1, (1,)), (2, 2, (2,)), (1, 2, (3,))])
+    assert answers == [mat_vec_mul(functions[0], (1,), 5), mat_vec_mul(functions[1], (2,), 5),
+                       mat_vec_mul(functions[1], (3,), 5)]
     assert [f for f, _ in servers[0].marginal.entries] == [1, 2]
     assert [w for _, w in servers[0].marginal.entries] == [(1,), (3,)]
     assert [f for f, _ in servers[1].marginal.entries] == [2]
@@ -123,7 +137,7 @@ def test_sim_transport_closed():
     transport = SimTransport(servers)
     transport.close()
     with pytest.raises(ChannelClosed):
-        transport.query(1, 1, (0,))
+        transport.query([(1, 1, (0,))])
 
 
 # -- wire codec -------------------------------------------------------------------------
@@ -185,14 +199,19 @@ def test_tcp_transport_round_trip():
     host = TcpServerHost(servers)
     transport = TcpTransport(host.addresses)
     try:
-        answer = transport.query(1, 1, (1, 0))
-        assert answer == tuple(col[0] for col in functions[0])
-        answer2 = transport.query(1, 2, (0, 1))
-        assert answer2 == tuple(col[1] for col in functions[1])
+        answers = transport.query([(1, 1, (1, 0)), (2, 1, (0, 1)), (1, 2, (0, 1))])
+        assert answers == [
+            tuple(row[0] for row in functions[0]),
+            tuple(row[1] for row in functions[0]),
+            tuple(row[1] for row in functions[1]),
+        ]
+        # The next exchange continues each connection's seq numbering.
+        assert transport.query([(1, 1, (0, 1))]) == [tuple(row[1] for row in functions[0])]
     finally:
         transport.close()
         host.close()
-    assert [f for f, _ in servers[0].marginal.entries] == [1, 2]
+    assert [f for f, _ in servers[0].marginal.entries] == [1, 2, 1]
+    assert servers[1].marginal.entries == [(1, (0, 1))]
 
 
 def test_tcp_transport_closed_raises():
@@ -201,7 +220,7 @@ def test_tcp_transport_closed_raises():
     transport = TcpTransport(host.addresses)
     transport.close()
     with pytest.raises(ChannelClosed):
-        transport.query(1, 1, (0,))
+        transport.query([(1, 1, (0,))])
     host.close()
 
 
@@ -212,6 +231,40 @@ def test_tcp_ingress_rejects_noncanonical():
     try:
         raw.sendall(encode_message(WireMessage("query", 0, 1, (7,))))  # 7 >= p
         assert raw.recv(64) == b""  # server drops the connection
+    finally:
+        raw.close()
+        host.close()
+    assert len(servers[0].marginal) == 0
+
+
+def test_tcp_rejects_noncanonical_kernel_input():
+    p = DEFAULT_MODULUS
+    server = Server(1, generate_functions(1, 16, p, Rng(1)), p)
+    host = TcpServerHost([server])
+    transport = TcpTransport(host.addresses)
+    try:
+        with pytest.raises(ChannelClosed):
+            transport.query([(1, 1, (2**62,) * 16)])
+    finally:
+        transport.close()
+        host.close()
+    assert len(server.marginal) == 0
+
+
+@pytest.mark.parametrize(
+    "seq, function, dim",
+    [(0, 9, 1), (0, 1, 2**20), (3, 1, 1)],
+    ids=["unknown-function", "wrong-dimension", "out-of-order-seq"],
+)
+def test_tcp_host_refuses_a_header_before_its_body(seq, function, dim):
+    # Only the header is sent: the host must close on it alone, without
+    # waiting for (or buffering) a body.
+    servers, _ = _servers(k=1, n=1, l=1, p=5)
+    host = TcpServerHost(servers)
+    raw = socket.create_connection(host.addresses[0], timeout=5)
+    try:
+        raw.sendall(b"PSFQ" + struct.pack("<IHI", seq, function, dim))
+        assert raw.recv(64) == b""
     finally:
         raw.close()
         host.close()
@@ -245,10 +298,10 @@ class _Recording:
         self.inner = inner
         self.answers = []
 
-    def query(self, server, function, w):
-        answer = self.inner.query(server, function, w)
-        self.answers.append(answer)
-        return answer
+    def query(self, rows):
+        answers = self.inner.query(rows)
+        self.answers.extend(answers)
+        return answers
 
 
 def test_int64_kernel_path_on_both_transports():

@@ -16,6 +16,7 @@ from psfc.protocol import Permutation, enumerate_permutations
 from psfc.scheduler import (
     DependencyViolation,
     InvalidRegime,
+    MaskLedger,
     PlannedQuery,
     QueryPlan,
     build_blocks,
@@ -126,6 +127,58 @@ def test_plan_vectors_block1_placeholders():
                 assert q.expr[0] == "ph"
 
 
+def _reference_block_plan(sigma, k, n, m_prime):
+    """The block plan written row by row, as the scheme states it."""
+    pi = sigma.inverse().mapping
+    rows, mask_ids, ph = [], {}, 0
+
+    def in_expr(batch, step, comp):
+        return ("w", (batch - 1) * (n - 1) + comp - 1) if step == 1 else ("out", batch, step - 1, comp)
+
+    for m in range(1, m_prime + k):
+        for srv in range(1, n + 1):
+            step = pi[srv - 1]
+            batch = m - step + 1
+            for comp in range(1, n):
+                if 1 <= batch <= m_prime:
+                    rows.append(PlannedQuery(srv, srv, in_expr(batch, step, comp),
+                                             ("out", batch, step, comp), m))
+                else:
+                    rows.append(PlannedQuery(srv, srv, ("ph", ph), ("drop",), m))
+                    ph += 1
+        for srv in range(1, n + 1):
+            for i in range(1, k - n + 1):
+                func = n + i
+                mid = mask_ids.setdefault((m, i), len(mask_ids))
+                if srv == n:
+                    rows.append(PlannedQuery(srv, func, ("mask", mid), ("img", mid), m))
+                    continue
+                step = pi[func - 1]
+                batch = m - step + 1
+                if 1 <= batch <= m_prime:
+                    base, effect = in_expr(batch, step, srv), ("masked", batch, step, srv, mid)
+                else:
+                    base, effect = ("ph", ph), ("drop",)
+                    ph += 1
+                rows.append(PlannedQuery(srv, func, ("xor", base, mid), effect, m))
+    return rows, mask_ids, ph
+
+
+def test_plan_vectors_matches_reference_plan():
+    for k in range(3, 6):
+        for n in range(2, min(k, 5)):
+            for m in (1, 2, 5, 8001):
+                m_prime = m // (n - 1)
+                if not m_prime:
+                    continue  # no batch: build_plan takes the fallback
+                orders = enumerate_permutations(k)
+                for sigma in orders[:: len(orders) // (1 if m == 8001 else 3)]:
+                    plan = plan_vectors(sigma, k, n, m_prime, build_blocks(k, n, m_prime))
+                    rows, mask_ids, ph = _reference_block_plan(sigma, k, n, m_prime)
+                    assert plan.queries == rows, (k, n, m, sigma)
+                    assert plan.ledger == MaskLedger(mask_ids=mask_ids, placeholder_count=ph)
+
+
 # -- chain scheme ---------------------------------------------------------------
 
 
@@ -229,16 +282,19 @@ def check_feasibility(plan: QueryPlan) -> None:
 
     Raw inputs, masks and placeholders are 0; padding and cancelling keep
     the later block.  A block query must read only values from earlier
-    blocks, and run_plan itself rejects an unresolved reference or an
-    undecoded output.
+    blocks, and run_plan itself rejects an unresolved reference, a read
+    of its own block's answers, or an undecoded output.
     """
     blocks = iter(q.block for q in plan.queries)
 
-    def query(_server, _function, value):
-        block = next(blocks)
-        if block:
-            assert value < block, f"block {block} reads a value of block {value}"
-        return block
+    def query(rows):
+        answers = []
+        for _, _, value in rows:
+            block = next(blocks)
+            if block:
+                assert value < block, f"block {block} reads a value of block {value}"
+            answers.append(block)
+        return answers
 
     run_plan(plan, dict.fromkeys(range(plan.m), 0), lambda _mid: 0, max, max, query)
 
@@ -257,8 +313,24 @@ def test_feasibility_check_rejects_same_block_reads():
     rows = list(plan.queries)
     i = next(i for i, q in enumerate(rows) if q.effect[0] == "out")
     rows[i + 1] = rows[i + 1]._replace(expr=("out",) + rows[i].effect[1:])
-    with pytest.raises(AssertionError):
+    # run_plan builds the whole block's inputs before it uses any answer.
+    with pytest.raises(DependencyViolation):
         check_feasibility(dataclasses.replace(plan, queries=rows))
+
+
+def test_run_plan_sends_a_block_per_call():
+    # Blocks go whole, N(K-1) rows a call; chain and fallback rows alone.
+    for k, n, m in ((3, 3, 2), (4, 3, 4), (4, 3, 5), (3, 1, 2)):
+        plan = build_plan(k, n, m, Permutation.identity(k))
+        sizes = []
+
+        def query(rows):
+            sizes.append(len(rows))
+            return [0] * len(rows)
+
+        run_plan(plan, [0] * plan.m, lambda _mid: 0, max, max, query)
+        singles = len(plan) - plan.n_blocks * n * (k - 1)
+        assert sizes == [n * (k - 1)] * plan.n_blocks + [1] * singles
 
 
 def test_run_plan_rejects_unresolved_reference():
