@@ -33,21 +33,16 @@ from .protocol import (
 )
 from .rand import Rng
 from .scheduler import (
-    BlockPlan,
     DependencyViolation,
     InvalidRegime,
     MaskLedger,
     MissingValue,
     PlannedQuery,
     QueryPlan,
-    build_blocks,
     build_plan,
-    plan_vectors,
     query_count,
     rate_bounds,
     run_plan,
-    schedule_chain,
-    schedule_fallback,
 )
 from .runtime import (
     ChannelClosed,

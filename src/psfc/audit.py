@@ -294,9 +294,7 @@ def uniformity_test(
         sigmas = list(seen.values())
         sampled = True
     plan0 = build_plan(k, n, m, sigmas[0])
-    slots_per_server = [0] * n
-    for q in plan0.queries:
-        slots_per_server[q.server - 1] += 1
+    slots_per_server = [plan0.server.count(server) for server in range(1, n + 1)]
     joint_cells = [slot_cells**s for s in slots_per_server]
     if max(joint_cells) > JOINT_CELL_CAP:
         raise GuardExceeded(
@@ -458,7 +456,7 @@ def naive_chain_run(
     prev = w
     n = len(servers)
     for j, func in enumerate(sigma.mapping, start=1):
-        prev = servers[(j - 1) % n].serve(func, prev)
+        (prev,) = servers[(j - 1) % n].serve([(func, prev)])
     return prev
 
 

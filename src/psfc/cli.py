@@ -324,7 +324,6 @@ def _symbolic_rows(plan):
     pad image cancels its own terms, which is exactly linearity.
     """
     n = plan.n
-    mask_names = {mid: f"Z[{m},{i}]" for (m, i), mid in plan.ledger.mask_ids.items()}
     if plan.n_blocks > 0 and n >= 2:
         inputs = [(f"W[{i // (n - 1) + 1},{i % (n - 1) + 1}]",) for i in range(plan.m)]
     else:
@@ -336,10 +335,11 @@ def _symbolic_rows(plan):
         return [tuple(f"F{function}({term})" for term in value) for _, function, value in rows]
 
     run_plan(
-        plan, inputs, lambda mid: ("Z*",) if mid is None else (mask_names[mid],),
+        plan, inputs,
+        lambda mid: ("Z*",) if mid is None else ("Z[{},{}]".format(*plan.ledger.block_slot(mid)),),
         lambda x, z: x + z, lambda a, b: tuple(t for t in a if t not in b), query,
     )
-    return [(q.block, q.server, q.function, text) for q, text in zip(plan.queries, texts)]
+    return [(q.block, q.server, q.function, text) for q, text in zip(plan.rows(), texts)]
 
 
 def _demo_run(k: int, n: int, m: int, l: int, p: int, seed: int, sigma: Permutation) -> bool:

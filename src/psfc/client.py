@@ -22,6 +22,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .field import FieldVector, vec_add, vec_sub
 from .protocol import Permutation, Query, RunConfig
@@ -128,16 +129,13 @@ def run_protocol(
     transport_query = transport.query
 
     def draw(_mid):
-        return tuple(randrange(p) for _ in l_range)
+        return tuple([randrange(p) for _ in l_range])
 
     def query(rows):
         sent.extend(rows)
         return transport_query(rows)
 
-    outputs = run_plan(
-        plan, w_vectors, draw,
-        lambda x, z: vec_add(x, z, p), lambda a, b: unmask(a, b, p), query,
-    )
+    outputs = run_plan(plan, w_vectors, draw, partial(vec_add, p=p), partial(unmask, p=p), query)
 
     transcript = [(seq, server, function) for seq, (server, function, _) in enumerate(sent)]
     inputs_sent = [w for _, _, w in sent]

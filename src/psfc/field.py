@@ -149,13 +149,13 @@ def ff_inv(a: int, p: int) -> int:
 def vec_add(u: FieldVector, v: FieldVector, p: int) -> FieldVector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple((a + b) % p for a, b in zip(u, v))
+    return tuple([(a + b) % p for a, b in zip(u, v)])
 
 
 def vec_sub(u: FieldVector, v: FieldVector, p: int) -> FieldVector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple((a - b) % p for a, b in zip(u, v))
+    return tuple([(a - b) % p for a, b in zip(u, v)])
 
 
 def _kernel_applies(l: int, p: int) -> bool:
@@ -187,7 +187,12 @@ def mat_vec_mul(a: PreparedMatrix, w: FieldVector, p: int) -> FieldVector:
         rows = len(r) // 2
         r = ((r[:rows] % p) * (1 << _LIMB_BITS) + r[rows:]) % p
         return tuple(r.tolist())
-    return tuple([sum(map(mul, row, w)) % p for row in a])
+    # A loop, not a comprehension: on CPython 3.11 a comprehension builds a
+    # function and a frame per call, which costs more than L <= 3 products.
+    out = []
+    for row in a:
+        out.append(sum(map(mul, row, w)) % p)
+    return tuple(out)
 
 
 def rank(vectors: Sequence[FieldVector], p: int) -> int:

@@ -9,12 +9,14 @@ number, function index, input vector).
 Two interchangeable transports execute a run:
 
 * SimTransport: in-process, synchronous.  The default for tests and
-  audits.
+  audits.  Each run of consecutive rows for one server is one `serve`
+  call.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
   per server.  A transport call carries a group of queries (a block, or
   one chain query): the client writes each server's frames in one
   pipelined send and reads the answers back in per-connection sequence
-  order, so a block costs one exchange per connection.  Byte-for-byte
+  order, so a block costs one exchange per connection; the host serves
+  the frames it has buffered in one `serve` call.  Byte-for-byte
   the same RunReport as the simulated path for the same (config, order,
   seed).
 """
@@ -95,19 +97,24 @@ class Server:
         if dim != self.l:
             raise DimensionMismatch(f"input has length {dim}, expected {self.l}")
 
-    def serve(self, function: int, w: FieldVector) -> FieldVector:
-        """Answer one query: append to the marginal list, return F_k w.
+    def serve(self, queries: list[tuple[int, FieldVector]]) -> list[FieldVector]:
+        """Answer a batch of (function, w) queries, in order.
 
-        Every element must be canonical: the int64 kernel is exact only
-        for elements below p.
+        The whole batch is checked before any of it is recorded or
+        returned, so a refused batch leaves the marginal list unchanged.
+        Each element is checked before its row is multiplied: the int64
+        kernel is exact only for elements below p.
         """
-        self.admit(function, len(w))
-        p = self.p
-        for x in w:
-            if not 0 <= x < p:
-                raise NonCanonicalElement(f"input element {x} outside [0, {p})")
-        self.marginal.entries.append((function, w))
-        return mat_vec_mul(self._prepared[function - 1], w, p)
+        p, prepared = self.p, self._prepared
+        answers = []
+        for function, w in queries:
+            self.admit(function, len(w))
+            for x in w:
+                if not 0 <= x < p:
+                    raise NonCanonicalElement(f"input element {x} outside [0, {p})")
+            answers.append(mat_vec_mul(prepared[function - 1], w, p))
+        self.marginal.entries.extend(queries)
+        return answers
 
 
 def marginal_fingerprint(server: Server) -> tuple[int, ...]:
@@ -155,7 +162,15 @@ class SimTransport:
         if self._closed:
             raise ChannelClosed("transport is closed")
         servers = self.servers
-        return [servers[server - 1].serve(function, w) for server, function, w in rows]
+        answers: list[FieldVector] = []
+        run: list = []
+        for server, function, w in rows:
+            if run and server != current:
+                answers += servers[current - 1].serve(run)
+                run = []
+            current = server
+            run.append((function, w))
+        return answers + servers[current - 1].serve(run) if run else answers
 
     def close(self) -> None:
         self._closed = True
@@ -271,14 +286,6 @@ class _FrameReader:
         del buf[:end]
         return decode_message(frame)
 
-    def next(self) -> WireMessage:
-        """Block until a whole frame is buffered and return it."""
-        msg = self.pop()
-        while msg is None:
-            self.fill()
-            msg = self.pop()
-        return msg
-
 
 class TcpServerHost:
     """Listens on one ephemeral localhost port per server.
@@ -288,10 +295,10 @@ class TcpServerHost:
     checks each header (a query, the next sequence number, a known
     function, dimension L) before it buffers the body, and the server
     rejects non-canonical elements; any refused frame closes the
-    connection.  It answers every whole frame it has buffered, then
-    sends those answers in one write.  The per-connection sequence
-    number restarts at zero for every server, so absolute global
-    positions never appear on the wire.
+    connection.  It serves every whole frame it has buffered in one
+    `serve` call, then sends those answers in one write.  The
+    per-connection sequence number restarts at zero for every server, so
+    absolute global positions never appear on the wire.
     """
 
     def __init__(self, servers: list[Server], host: str = "127.0.0.1"):
@@ -336,13 +343,16 @@ class TcpServerHost:
                 conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 while True:
                     reader.fill()
-                    answers = []
+                    batch = []
                     while (msg := reader.pop(check)) is not None:
-                        answer = server.serve(msg.function, msg.payload)
-                        answers.append(encode_message(WireMessage("answer", msg.seq, None, answer)))
+                        batch.append((msg.function, msg.payload))
                         next_seq += 1
-                    if answers:
-                        conn.sendall(b"".join(answers))
+                    if batch:
+                        first = next_seq - len(batch)
+                        conn.sendall(b"".join(
+                            encode_message(WireMessage("answer", seq, None, answer))
+                            for seq, answer in enumerate(server.serve(batch), first)
+                        ))
             except (OSError, MalformedFrame, UnknownFunction, DimensionMismatch,
                     NonCanonicalElement):
                 # The peer went away, or a frame was refused: a bad header,
@@ -403,7 +413,7 @@ class TcpTransport:
         return answers
 
     def _send(self, server: int, items: list, answers: list) -> deque:
-        """Send server's queries; the (row index, seq, frame size) of those unanswered.
+        """Send server's queries; the (row index, seq, frame size, dim) of those unanswered.
 
         Frames are batched into one write while at most _WINDOW_BYTES of
         queries are unanswered; past that, answers are read first.
@@ -422,7 +432,7 @@ class TcpTransport:
                 while unanswered and in_flight + len(frame) > _WINDOW_BYTES:
                     in_flight -= self._receive(server, unanswered, answers)
             batch.append(frame)
-            unanswered.append((index, seq, len(frame)))
+            unanswered.append((index, seq, len(frame), len(w)))
             in_flight += len(frame)
             seq += 1
         conn.sendall(b"".join(batch))
@@ -430,11 +440,21 @@ class TcpTransport:
         return unanswered
 
     def _receive(self, server: int, unanswered: deque, answers: list) -> int:
-        """Read server's oldest unanswered answer into `answers`; its query's frame size."""
-        index, seq, size = unanswered.popleft()
-        msg = self._readers[server - 1].next()
-        if msg.kind != "answer" or msg.seq != seq:
-            raise MalformedFrame(f"unexpected reply to query {seq} at server {server}")
+        """Read server's oldest unanswered answer into `answers`; its query's frame size.
+
+        The answer's header is checked before its body is awaited: it must
+        be an answer to that query's seq, of that query's dimension.
+        """
+        index, seq, size, dim = unanswered.popleft()
+        expected = (seq, dim)
+
+        def check(magic: bytes, head: tuple) -> None:
+            if magic != ANSWER_MAGIC or head != expected:
+                raise MalformedFrame(f"unexpected reply to query {seq} at server {server}")
+
+        reader = self._readers[server - 1]
+        while (msg := reader.pop(check)) is None:
+            reader.fill()
         answers[index] = msg.payload
         return size
 

@@ -28,15 +28,17 @@ assignment* and an order-dependent *vector assignment*:
   fixed lexicographic order.  Only the chain matching the secret order
   is decoded; the rest are camouflage.
 
-A plan is symbolic: inputs are expressions over raw inputs, stored task
-outputs, masks, placeholders, and previous chain answers.  `run_plan` is
-the one interpreter of that language.  It is written against a value
-backend (how to draw a pad, add it, cancel its image, and ask a server),
-so the client (field vectors), the audit (numpy trial stacks), the demo
-(symbolic terms) and the feasibility test (block numbers) all execute
-the same plan the same way.  Nothing order-dependent ever reaches a
-server except the input values themselves, which are distributed
-identically for every order.
+A plan is a register program: seven flat integer columns, one entry per
+query, that hold no nested objects (see QueryPlan), so a plan of 10^5
+queries is a handful of lists for the garbage collector to scan.
+`QueryPlan.rows()` decodes them into readable `PlannedQuery` rows, and
+`run_plan` is the one interpreter of the columns.  It is written
+against a value backend (how to draw a pad, add it, cancel its image,
+and ask servers), so the client (field vectors), the audit (numpy trial
+stacks), the demo (symbolic terms) and the feasibility test (block
+numbers) all execute the same plan the same way.  Nothing
+order-dependent ever reaches a server except the input values
+themselves, which are distributed identically for every order.
 """
 
 from __future__ import annotations
@@ -53,14 +55,9 @@ __all__ = [
     "InvalidRegime",
     "DependencyViolation",
     "MissingValue",
-    "BlockPlan",
     "MaskLedger",
     "PlannedQuery",
     "QueryPlan",
-    "build_blocks",
-    "plan_vectors",
-    "schedule_chain",
-    "schedule_fallback",
     "build_plan",
     "query_count",
     "rate_bounds",
@@ -80,24 +77,29 @@ class MissingValue(RuntimeError):
     """Decoding found an unresolved output (a bug)."""
 
 
-# Input expressions (what the client sends):
-#   ("w", flat)            raw input vector, 0-based flat index
-#   ("out", m, k, i)       stored output i of task (batch m, step k)
-#   ("mask", mid)          the raw mask vector Z[mid]
-#   ("ph", pid)            a fresh uniform placeholder, drawn once
-#   ("xor", base, mid)     base expression padded with Z[mid]
-#   ("prev", cid)          previous answer of chain cid
-#
+# Source kinds (what the client sends):
+#   _REG     register `source`
+#   _MASK    the bare mask Z[source]
+#   _PH      placeholder `source`: a fresh uniform vector, drawn once
+# and, when pad >= 0, that value padded with the mask Z[pad].
 # Effects (what the client does with the answer):
-#   ("out", m, k, i)             store as output i of task (m, k)
-#   ("masked", m, k, i, mid)     padded image; store after cancelling Z[mid]
-#   ("img", mid)                 answer is the pad image of Z[mid]
-#   ("prev", cid)                remember as chain cid's latest answer
-#   ("final", out)               result of request `out` (flat index)
-#   ("drop",)                    camouflage answer, discarded
+#   _STORE   store it in register `dest`
+#   _MASKED  a padded image: store it in `dest` once the image of Z[pad]
+#            is cancelled from it
+#   _IMAGE   it is the pad image of mask `dest`
+#   _DROP    camouflage answer, discarded (dest = -1)
+_REG, _MASK, _PH = 0, 1, 2
+_STORE, _MASKED, _IMAGE, _DROP = 0, 1, 2, 3
 
 
 class PlannedQuery(NamedTuple):
+    """One decoded row.  A register reads as ("w", i) for raw input i,
+    ("out", batch, step, comp) for a block task output, ("prev", cid)
+    for chain cid's link or ("final", i) for output i; a row's input may
+    also be ("mask", mid), ("ph", pid) or ("xor", value, mid), and its
+    effect ("masked", batch, step, comp, mid), ("img", mid) or ("drop",).
+    """
+
     server: int
     function: int
     expr: tuple
@@ -106,208 +108,207 @@ class PlannedQuery(NamedTuple):
 
 
 @dataclass(frozen=True)
-class BlockPlan:
-    """One two-phase block; `columns[n-1]` is server n's function column."""
-
-    index: int
-    columns: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class MaskLedger:
-    """Mask ids by (block, slot) plus the number of placeholders drawn."""
+    """Block b's phase-2 slot i pads with mask (b-1)(K-N) + i-1."""
 
-    mask_ids: dict[tuple[int, int], int]
+    slots: int  # masks per block: K - N, or 0 without blocks
+    mask_count: int
     placeholder_count: int
+
+    def block_slot(self, mid: int) -> tuple[int, int]:
+        block, slot = divmod(mid, self.slots)
+        return block + 1, slot + 1
 
 
 @dataclass(frozen=True)
 class QueryPlan:
+    """One order's plan, as columns over one register list.
+
+    Registers: [0, M) are the outputs, in request order; [M, 2M) the raw
+    inputs; [2M, links) the block task outputs of steps 1..K-1, by step,
+    then batch, then component; from `links` on, the chain links, one
+    per request for chains and one shared by the fallback's chains.  A
+    block task's step-K output is its request's output register, so the
+    last step writes straight into place.  Column i of every list
+    describes query i (see the source kinds and effects above).
+    """
+
     k: int
     n: int
     m: int
     m_prime: int
     r: int
     n_blocks: int
-    queries: list[PlannedQuery]
+    links: int  # the first chain-link register
     ledger: MaskLedger
+    server: list[int]
+    function: list[int]
+    source_kind: list[int]
+    source: list[int]
+    pad: list[int]
+    effect: list[int]
+    dest: list[int]
 
     def __len__(self) -> int:
-        return len(self.queries)
+        return len(self.server)
+
+    def register_name(self, reg: int) -> tuple:
+        """Register `reg` as the value it holds is named in PlannedQuery."""
+        m, width = self.m, self.n - 1
+        blocked = self.m_prime * width  # requests the blocks serve
+        if reg >= self.links:
+            return ("prev", reg - self.links)
+        if reg >= 2 * m:
+            step, index = divmod(reg - 2 * m, blocked)
+            step += 1
+        elif reg >= m:
+            return ("w", reg - m)
+        elif reg >= blocked:
+            return ("final", reg)
+        else:
+            step, index = self.k, reg
+        batch, comp = divmod(index, width)
+        return ("out", batch + 1, step, comp + 1)
+
+    def rows(self) -> list[PlannedQuery]:
+        """The plan as readable rows, in plan order."""
+        name = self.register_name
+        width = self.n * (self.k - 1)
+        rows = []
+        columns = zip(self.server, self.function, self.source_kind, self.source,
+                      self.pad, self.effect, self.dest)
+        for i, (server, function, kind, source, pad, effect, dest) in enumerate(columns):
+            expr = name(source) if kind == _REG else ("mask" if kind == _MASK else "ph", source)
+            if pad >= 0:
+                expr = ("xor", expr, pad)
+            if effect == _STORE:
+                done = name(dest)
+            elif effect == _MASKED:
+                done = ("masked",) + name(dest)[1:] + (pad,)
+            else:
+                done = ("img", dest) if effect == _IMAGE else ("drop",)
+            block = i // width + 1 if i < self.n_blocks * width else 0
+            rows.append(PlannedQuery(server, function, expr, done, block))
+        return rows
 
 
-def _function_column(k: int, n: int, server: int) -> tuple[int, ...]:
-    return (server,) * (n - 1) + tuple(range(n + 1, k + 1))
+def _emit_chains(cols, sigma: Permutation, m: int, links: int) -> None:
+    """The K <= N chain per request: server s_j computes F_{s_j}."""
+    server, function, kind, source, pad, effect, dest = cols
+    k = sigma.size
+    for w in range(m):
+        server += sigma.mapping
+        function += sigma.mapping
+        kind += [_REG] * k
+        source += [m + w] + [links + w] * (k - 1)
+        pad += [-1] * k
+        effect += [_STORE] * k
+        dest += [links + w] * (k - 1) + [w]
 
 
-def build_blocks(k: int, n: int, m_prime: int) -> list[BlockPlan]:
-    """The M' + K - 1 identical blocks of the K > N regime.
-
-    The result depends only on (K, N, M'): the function assignment is
-    deterministic and identical for every composition order.
-    """
-    if k <= n:
-        raise InvalidRegime(f"blocks need K > N (got K={k}, N={n}); use the chain scheme")
-    if n < 2:
-        raise InvalidRegime("blocks need N >= 2; route everything through the fallback")
-    if m_prime < 1:
-        raise InvalidRegime(f"need at least one batch, got M'={m_prime}")
-    columns = tuple(_function_column(k, n, srv) for srv in range(1, n + 1))
-    return [BlockPlan(index=m, columns=columns) for m in range(1, m_prime + k)]
-
-
-def plan_vectors(
-    sigma: Permutation, k: int, n: int, m_prime: int, blocks: list[BlockPlan]
-) -> QueryPlan:
-    """Attach input expressions to the block schedule for one order.
+def _emit_blocks(cols, sigma: Permutation, n: int, m: int, m_prime: int, n_blocks: int) -> int:
+    """The n_blocks = M' + K - 1 blocks; returns the number of placeholders.
 
     Canonical in-block order: phase-1 rows server by server, then
     phase-2 rows server by server.  Each server therefore always sees
-    its fixed column (N-1 copies of F_n, then F_{N+1}..F_K) per block.
+    its fixed column (N-1 copies of F_n, then F_{N+1}..F_K) per block,
+    which depends only on (K, N): the function assignment is identical
+    for every composition order.
     """
-    if sigma.size != k:
-        raise InvalidRegime(f"order has size {sigma.size}, expected K={k}")
+    server, function, kind, source, pad, effect, dest = cols
+    k = sigma.size
+    width, slots = n - 1, k - n
+    phase1 = [srv for srv in range(1, n + 1) for _ in range(width)]
+    server += (phase1 + [srv for srv in range(1, n + 1) for _ in range(slots)]) * n_blocks
+    function += (phase1 + list(range(n + 1, k + 1)) * n) * n_blocks
     pi = sigma.inverse().mapping
-    # tuple.__new__ builds a PlannedQuery without the Python-level
-    # NamedTuple constructor, which was a third of the build time.
-    row = tuple.__new__
-    queries: list[PlannedQuery] = []
-    append = queries.append
-    mask_ids: dict[tuple[int, int], int] = {}
-    ph = 0
-    width = n - 1
-    comps = range(1, n)
-    # Phase 1: server n advances step pi_n of batch m - pi_n + 1.
-    phase1 = [(srv, pi[srv - 1]) for srv in range(1, n + 1)]
-    # Phase 2: function N+i advances step pi_{N+i}.
-    phase2 = [(i, n + i, pi[n + i - 1]) for i in range(1, k - n + 1)]
-    drop = ("drop",)
-
-    # A task's input, component comp, is the raw input for step 1 and
-    # otherwise the stored output of the previous step.
-    for block in blocks:
-        m = block.index
-        for srv, step in phase1:
-            batch = m - step + 1
-            if not 1 <= batch <= m_prime:
-                for _ in comps:
-                    append(row(PlannedQuery, (srv, srv, ("ph", ph), drop, m)))
-                    ph += 1
-            elif step == 1:
-                first = (batch - 1) * width - 1
-                for comp in comps:
-                    append(row(PlannedQuery, (srv, srv, ("w", first + comp),
-                                              ("out", batch, 1, comp), m)))
+    # A task slot is (step, comp, pad slot).  Phase 1: server n advances
+    # step pi_n of batch b - pi_n + 1.  Phase 2: function N+i advances
+    # step pi_{N+i} everywhere; servers below N get padded inputs, server
+    # N the bare mask.
+    tasks = [(step, comp, -1) for step in pi[:n] for comp in range(1, n)]
+    tasks += [(step, srv, i) for srv in range(1, n) for i, step in enumerate(pi[n:])]
+    # base[s] + (batch-1)(N-1) + comp-1 is the register of a task's
+    # step-s output: s = 0 names the raw input, s = K the output.
+    base = [m] + [2 * m + s * m_prime * width for s in range(k - 1)] + [0]
+    ph = mid = 0
+    for b in range(1, n_blocks + 1):
+        for step, comp, i in tasks:
+            batch = b - step + 1
+            pad.append(i if i < 0 else mid + i)
+            if 1 <= batch <= m_prime:
+                at = (batch - 1) * width + comp - 1
+                kind.append(_REG)
+                source.append(base[step - 1] + at)
+                effect.append(_STORE if i < 0 else _MASKED)
+                dest.append(base[step] + at)
             else:
-                for comp in comps:
-                    append(row(PlannedQuery, (srv, srv, ("out", batch, step - 1, comp),
-                                              ("out", batch, step, comp), m)))
-        # Phase 2: function N+i everywhere; servers below N get padded
-        # inputs, server N gets the bare mask.
-        slots = [(func, step, mask_ids.setdefault((m, i), len(mask_ids)))
-                 for i, func, step in phase2]
-        for srv in comps:
-            for func, step, mid in slots:
-                batch = m - step + 1
-                if not 1 <= batch <= m_prime:
-                    base = ("ph", ph)
-                    ph += 1
-                    effect = drop
-                else:
-                    base = (("w", (batch - 1) * width + srv - 1) if step == 1
-                            else ("out", batch, step - 1, srv))
-                    effect = ("masked", batch, step, srv, mid)
-                append(row(PlannedQuery, (srv, func, ("xor", base, mid), effect, m)))
-        for func, _step, mid in slots:
-            append(row(PlannedQuery, (n, func, ("mask", mid), ("img", mid), m)))
-
-    return QueryPlan(
-        k=k,
-        n=n,
-        m=m_prime * (n - 1),
-        m_prime=m_prime,
-        r=0,
-        n_blocks=len(blocks),
-        queries=queries,
-        ledger=MaskLedger(mask_ids=mask_ids, placeholder_count=ph),
-    )
+                kind.append(_PH)
+                source.append(ph)
+                ph += 1
+                effect.append(_DROP)
+                dest.append(-1)
+        kind += [_MASK] * slots
+        source += range(mid, mid + slots)
+        pad += [-1] * slots
+        effect += [_IMAGE] * slots
+        dest += range(mid, mid + slots)
+        mid += slots
+    return ph
 
 
-def schedule_chain(sigma: Permutation, k: int, n: int, request: int = 1) -> list[PlannedQuery]:
-    """The K <= N chain for one request: server s_j computes F_{s_j}."""
-    if k > n:
-        raise InvalidRegime(f"chain scheme needs K <= N (got K={k}, N={n})")
-    if sigma.size != k:
-        raise InvalidRegime(f"order has size {sigma.size}, expected K={k}")
-    w = request - 1
-    cid = w
-    queries = []
-    for j, func in enumerate(sigma.mapping, start=1):
-        expr = ("w", w) if j == 1 else ("prev", cid)
-        effect = ("final", w) if j == k else ("prev", cid)
-        queries.append(PlannedQuery(func, func, expr, effect, 0))
-    return queries
-
-
-def schedule_fallback(sigma: Permutation, r: int, first_request: int = 1) -> list[PlannedQuery]:
-    """All K! chains per leftover request, every query to server 1.
+def _emit_fallback(cols, sigma: Permutation, first: int, m: int, link: int) -> None:
+    """All K! chains for each request first..m-1, every query to server 1.
 
     The chain enumeration is lexicographic and fixed, so the server's
     view is independent of which chain the client actually wants.  Only
-    the last query of the chain equal to sigma is marked final; the
-    other chains end in a dropped answer.
-
-    The chains run one after another, so they all link through one
-    ("prev", 0): every row but a chain's first and the final row is one
-    of 2K rows built once.
+    the last query of the chain equal to sigma stores an output; the
+    other chains end in a dropped answer.  The chains run one after
+    another, so they all share one link register.
     """
-    if r < 0:
-        raise InvalidRegime(f"leftover request count must be >= 0, got {r}")
-    if r == 0:
-        return []
+    server, function, kind, source, pad, effect, dest = cols
     k = sigma.size
     if k > MAX_ENUMERABLE_K:
         raise KTooLarge(f"the fallback enumerates K! chains; K <= {MAX_ENUMERABLE_K}, got {k}")
-    if k < 2:
-        raise InvalidRegime("K = 1 always runs as a chain")
-    functions = range(1, k + 1)
-    link = ("prev", 0)
-    step = {f: PlannedQuery(1, f, link, link, 0) for f in functions}
-    drop = {f: PlannedQuery(1, f, link, ("drop",), 0) for f in functions}
-    chains = [
-        (tau[0], [step[f] for f in tau[1:-1]], tau[-1], tau == sigma.mapping)
-        for tau in permutations(functions)  # lexicographic
-    ]
-    queries: list[PlannedQuery] = []
-    for w in range(first_request - 1, first_request - 1 + r):
-        head = ("w", w)
-        start = {f: PlannedQuery(1, f, head, link, 0) for f in functions}
-        for first, middle, last, mine in chains:
-            queries.append(start[first])
-            queries += middle
-            queries.append(PlannedQuery(1, last, link, ("final", w), 0) if mine else drop[last])
-    return queries
+    chains = list(permutations(range(1, k + 1)))  # lexicographic
+    functions = [f for chain in chains for f in chain]
+    before = chains.index(sigma.mapping)
+    after = len(chains) - 1 - before
+    drop_effects, drop_dests = [_STORE] * (k - 1) + [_DROP], [link] * (k - 1) + [-1]
+    effects = drop_effects * before + [_STORE] * k + drop_effects * after
+    for w in range(first, m):
+        server += [1] * len(functions)
+        function += functions
+        kind += [_REG] * len(functions)
+        source += ([m + w] + [link] * (k - 1)) * len(chains)
+        pad += [-1] * len(functions)
+        effect += effects
+        dest += drop_dests * before + [link] * (k - 1) + [w] + drop_dests * after
 
 
 def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     """Full ordered plan for M requests under composition order sigma."""
-    no_masks = MaskLedger(mask_ids={}, placeholder_count=0)
+    if sigma.size != k:
+        raise InvalidRegime(f"order has size {sigma.size}, expected K={k}")
     if k <= n:
-        queries = [q for request in range(1, m + 1) for q in schedule_chain(sigma, k, n, request)]
-        return QueryPlan(k=k, n=n, m=m, m_prime=0, r=0, n_blocks=0, queries=queries,
-                         ledger=no_masks)
-    m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
-    if m_prime == 0:
+        m_prime, r = 0, 0  # one chain per request
+    else:
         # N = 1, or too few requests to fill a batch: everything goes
         # through the fallback rather than blocks of pure placeholders.
-        return QueryPlan(k=k, n=n, m=m, m_prime=0, r=r, n_blocks=0,
-                         queries=schedule_fallback(sigma, r), ledger=no_masks)
-    block_plan = plan_vectors(sigma, k, n, m_prime, build_blocks(k, n, m_prime))
-    queries = block_plan.queries + schedule_fallback(sigma, r, m_prime * (n - 1) + 1)
-    return QueryPlan(
-        k=k, n=n, m=m, m_prime=m_prime, r=r, n_blocks=block_plan.n_blocks,
-        queries=queries, ledger=block_plan.ledger,
-    )
+        m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
+    n_blocks = m_prime + k - 1 if m_prime else 0
+    links = 2 * m + (k - 1) * m_prime * (n - 1)
+    cols: tuple[list[int], ...] = ([], [], [], [], [], [], [])
+    ph = 0
+    if k <= n:
+        _emit_chains(cols, sigma, m, links)
+    if n_blocks:
+        ph = _emit_blocks(cols, sigma, n, m, m_prime, n_blocks)
+    if r:
+        _emit_fallback(cols, sigma, m - r, m, links)
+    slots = k - n if n_blocks else 0
+    ledger = MaskLedger(slots, slots * n_blocks, ph)
+    return QueryPlan(k, n, m, m_prime, r, n_blocks, links, ledger, *cols)
 
 
 def query_count(k: int, n: int, m: int) -> int:
@@ -364,84 +365,66 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     The plan runs one group at a time: each block's N(K-1) rows go in one
     `query` call, because no block reads its own answers; each chain and
     fallback row goes alone, because it reads the previous answer.  All
-    inputs of a group are built before any of its answers is used, so a
-    same-block read raises DependencyViolation.  Masks and placeholders
-    are drawn at first use, in plan order, a padded placeholder before
-    its mask, so a seeded backend sees one fixed sequence of draws.  The
-    interpreter owns all plan state: task outputs, chain predecessors,
-    masks, pad images, pending unmasks.
+    inputs of a group are built before any of its answers is stored, so
+    a same-block read raises DependencyViolation, as does any read of a
+    register not yet written.  Masks and placeholders are drawn at first
+    use, in plan order, a padded placeholder before its mask, so a seeded
+    backend sees one fixed sequence of draws.  A padded answer waits
+    until its block returns the mask's image, which comes last in the
+    block.  The interpreter owns all plan state: the registers, masks
+    and pending unmasks.
     """
-    outs: dict = {}  # keyed by the expression ("out", m, k, i) that reads it
-    prev: dict = {}
-    masks: dict = {}
-    images: dict = {}
-    pending: dict = {}
-    outputs: list = [None] * plan.m
+    m = plan.m
+    regs: list = [None] * (plan.links + (m if plan.k <= plan.n else 1))
+    regs[m : 2 * m] = [inputs[i] for i in range(m)]
+    masks: list = [None] * plan.ledger.mask_count
+    pending: dict = {}  # mask id -> [(register, padded answer)]
 
     def mask(mid):
-        z = masks.get(mid)
+        z = masks[mid]
         if z is None:
             z = masks[mid] = draw(mid)
         return z
 
-    queries = plan.queries
-    total = len(queries)
+    servers, functions, kinds, sources = plan.server, plan.function, plan.source_kind, plan.source
+    pads, effects, dests = plan.pad, plan.effect, plan.dest
+    total = len(servers)
     # Groups: n_blocks blocks of N(K-1) rows, then single rows.
     width = plan.n * (plan.k - 1)
     blocks_end = plan.n_blocks * width
     start = 0
     while start < total:
         stop = start + width if start < blocks_end else start + 1
-        group = queries[start:stop]
+        group = range(start, stop)
         start = stop
         rows = []
-        for server, function, expr, _effect, _block in group:
-            base = expr[1] if expr[0] == "xor" else expr
-            tag = base[0]
-            if tag == "prev":
-                x = prev.get(base[1])
-            elif tag == "w":
-                x = inputs[base[1]]
-            elif tag == "out":
-                x = outs.get(base)
-            elif tag == "ph":
+        for i in group:
+            kind = kinds[i]
+            if kind == _REG:
+                x = regs[sources[i]]
+                if x is None:
+                    name = plan.register_name(sources[i])
+                    raise DependencyViolation(f"{name} is referenced before it is resolved")
+            elif kind == _PH:
                 x = draw(None)
-            else:  # "mask"
-                x = mask(base[1])
-            if x is None:
-                raise DependencyViolation(f"{base} is referenced before it is resolved")
-            if base is not expr:
-                x = add(x, mask(expr[2]))
-            rows.append((server, function, x))
+            else:
+                x = mask(sources[i])
+            if pads[i] >= 0:
+                x = add(x, mask(pads[i]))
+            rows.append((servers[i], functions[i], x))
 
-        for (_, _, _, effect, _), ans in zip(group, query(rows), strict=True):
-            eff = effect[0]
-            if eff == "out":
-                outs[effect] = ans
-            elif eff == "prev":
-                prev[effect[1]] = ans
-            elif eff == "masked":
-                key, mid = ("out",) + effect[1:4], effect[4]
-                image = images.get(mid)
-                if image is None:
-                    pending.setdefault(mid, []).append((key, ans))
-                else:
-                    outs[key] = sub(ans, image)
-            elif eff == "img":
-                mid = effect[1]
-                images[mid] = ans
-                for key, masked in pending.pop(mid, ()):
-                    outs[key] = sub(masked, ans)
-            elif eff == "final":
-                outputs[effect[1]] = ans
-            # "drop": camouflage answer, nothing to do
+        for i, ans in zip(group, query(rows), strict=True):
+            effect = effects[i]
+            if effect == _STORE:
+                regs[dests[i]] = ans
+            elif effect == _MASKED:
+                pending.setdefault(pads[i], []).append((dests[i], ans))
+            elif effect == _IMAGE:
+                for dest, masked in pending.pop(dests[i], ()):
+                    regs[dest] = sub(masked, ans)
+            # _DROP: camouflage answer, nothing to do
 
-    # Batch m component j is the last step's output; it lands at flat
-    # position (m-1)(N-1) + j - 1.
-    n = plan.n
-    for batch in range(1, plan.m_prime + 1):
-        for comp in range(1, n):
-            outputs[(batch - 1) * (n - 1) + comp - 1] = outs.get(("out", batch, plan.k, comp))
+    outputs = regs[:m]
     missing = [i for i, value in enumerate(outputs) if value is None]
     if missing:
         raise MissingValue(f"outputs {missing} were never resolved")

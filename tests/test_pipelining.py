@@ -6,6 +6,7 @@ path, with the exchange count the plan predicts.
 """
 
 import socket
+import struct
 import threading
 import time
 
@@ -18,6 +19,7 @@ from psfc.protocol import Permutation, RunConfig, compose_reference
 from psfc.rand import Rng
 from psfc.runtime import (
     ChannelClosed,
+    MalformedFrame,
     Server,
     SimTransport,
     TcpServerHost,
@@ -115,6 +117,47 @@ def test_host_dropping_mid_block_raises_channel_closed():
         listener.close()
     assert not thread.is_alive()
     assert time.monotonic() - start < 5  # the peer's close, not the socket timeout
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"PSFQ" + struct.pack("<IHI", 0, 1, 1),
+        b"PSFA" + struct.pack("<II", 5, 1),
+        b"PSFA" + struct.pack("<II", 0, 2**32 - 1),
+    ],
+    ids=["not-an-answer", "wrong-seq", "huge-dim"],
+)
+def test_client_refuses_an_answer_header_before_its_body(header):
+    # The host sends only a bad header and holds the connection open: the
+    # client must refuse it at once, not wait for (or buffer) a body.
+    listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+    release = threading.Event()
+
+    def send_header_only():
+        conn, _ = listener.accept()
+        with conn:
+            conn.recv(4096)
+            conn.sendall(header)
+            release.wait(10)
+
+    thread = threading.Thread(target=send_header_only, daemon=True)
+    thread.start()
+    transport = TcpTransport([listener.getsockname()])
+    start = time.monotonic()
+    try:
+        with pytest.raises(MalformedFrame):
+            transport.query([(1, 1, (0,))])
+        elapsed = time.monotonic() - start
+    finally:
+        release.set()
+        transport.close()
+        thread.join(timeout=5)
+        listener.close()
+    assert not thread.is_alive()
+    assert elapsed < 5  # the header alone, not the 10 s socket timeout
 
 
 def _echo_host(listener):

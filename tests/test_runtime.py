@@ -38,18 +38,18 @@ def _servers(k=3, n=2, l=1, p=5, seed=0):
 
 def test_serve_identity_function():
     server = Server(1, [((1, 0), (0, 1))], 5)
-    assert server.serve(1, (3, 4)) == (3, 4)
+    assert server.serve([(1, (3, 4))]) == [(3, 4)]
 
 
 def test_serve_scalar_example():
     server = Server(1, [((2,),), ((3,),)], 5)
-    assert server.serve(2, (4,)) == (2,)  # 3*4 mod 5
+    assert server.serve([(2, (4,)), (1, (4,))]) == [(2,), (3,)]  # 3*4, 2*4 mod 5
 
 
 def test_serve_appends_one_marginal_entry():
     server = Server(1, [((1,),)], 5)
     assert len(server.marginal) == 0
-    server.serve(1, (2,))
+    server.serve([(1, (2,))])
     assert len(server.marginal) == 1
     assert server.marginal.entries[0] == (1, (2,))
 
@@ -57,15 +57,15 @@ def test_serve_appends_one_marginal_entry():
 def test_serve_unknown_function():
     server = Server(1, [((1,),)], 5)
     with pytest.raises(UnknownFunction):
-        server.serve(2, (1,))
+        server.serve([(2, (1,))])
     with pytest.raises(UnknownFunction):
-        server.serve(0, (1,))
+        server.serve([(0, (1,))])
 
 
 def test_serve_dimension_check():
     server = Server(1, [((1, 0), (0, 1))], 5)
     with pytest.raises(DimensionMismatch):
-        server.serve(1, (1,))
+        server.serve([(1, (1,))])
 
 
 @pytest.mark.parametrize("l", [2, 16])  # the tuple path and the int64 kernel
@@ -74,10 +74,51 @@ def test_serve_rejects_noncanonical_elements(l):
     server = Server(1, generate_functions(1, l, p, Rng(1)), p)
     for bad in ((2**62,) * l, (p,) + (0,) * (l - 1), (0,) * (l - 1) + (-1,)):
         with pytest.raises(NonCanonicalElement):
-            server.serve(1, bad)
+            server.serve([(1, bad)])
         with pytest.raises(NonCanonicalElement):
             SimTransport([server]).query([(1, 1, bad)])
     assert len(server.marginal) == 0
+
+
+@pytest.mark.parametrize(
+    "last, error",
+    [((1, (7,)), NonCanonicalElement), ((9, (1,)), UnknownFunction)],
+    ids=["noncanonical", "unknown-function"],
+)
+def test_refused_batch_records_nothing(last, error):
+    # The whole batch is checked before any of it is recorded or
+    # answered, so rows ahead of the bad last row leave no trace either.
+    servers, _ = _servers(k=2, n=1, l=1, p=5)
+    server = servers[0]
+    server.serve([(2, (4,))])
+    before = list(server.marginal.entries)
+    batch = [(1, (1,)), (2, (3,)), last]
+    with pytest.raises(error):
+        server.serve(batch)
+    with pytest.raises(error):
+        SimTransport([server]).query([(1, function, w) for function, w in batch])
+    assert server.marginal.entries == before
+
+
+class _CallLog(Server):
+    """A server that logs the size of each batch it is asked to serve."""
+
+    __slots__ = ("calls",)
+
+    def serve(self, queries):
+        self.calls.append(len(queries))
+        return super().serve(queries)
+
+
+def test_sim_transport_serves_each_run_in_one_call():
+    _, functions = _servers(k=2, n=2, l=1, p=5)
+    servers = [_CallLog(i + 1, functions, 5) for i in range(2)]
+    for server in servers:
+        server.calls = []
+    rows = [(1, 1, (1,)), (1, 2, (2,)), (2, 1, (3,)), (1, 1, (4,))]
+    answers = SimTransport(servers).query(rows)
+    assert [s.calls for s in servers] == [[2, 1], [1]]
+    assert answers == [mat_vec_mul(functions[f - 1], w, 5) for _, f, w in rows]
 
 
 # -- fingerprints ------------------------------------------------------------------
@@ -86,8 +127,7 @@ def test_serve_rejects_noncanonical_elements(l):
 def test_fingerprint_projection():
     server = Server(1, [((1,),), ((1,),)], 5)
     assert marginal_fingerprint(server) == ()
-    server.serve(2, (1,))
-    server.serve(1, (0,))
+    server.serve([(2, (1,)), (1, (0,))])
     assert marginal_fingerprint(server) == (2, 1)
 
 
@@ -114,7 +154,7 @@ def test_fingerprint_k4_n3_pattern():
 
 def test_marginal_to_json():
     server = Server(2, [((1,),)], 5)
-    server.serve(1, (3,))
+    server.serve([(1, (3,))])
     assert marginal_to_json(server) == '{"entries":[{"function":1,"input":[3]}],"server":2}'
 
 

@@ -8,71 +8,85 @@ per-server function-column summary of that scheme.
 import dataclasses
 import gc
 import weakref
+from itertools import permutations
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from psfc.protocol import Permutation, enumerate_permutations
+from psfc.client import run_protocol
+from psfc.protocol import Permutation, RunConfig, compose_reference, enumerate_permutations
+from psfc.rand import Rng
+from psfc.runtime import Server, SimTransport, generate_functions, generate_inputs
 from psfc.scheduler import (
     DependencyViolation,
     InvalidRegime,
-    MaskLedger,
     PlannedQuery,
     QueryPlan,
-    build_blocks,
     build_plan,
-    plan_vectors,
     query_count,
     run_plan,
-    schedule_chain,
-    schedule_fallback,
 )
 
 
 def _mask_id(plan, block, slot):
-    return plan.ledger.mask_ids[(block, slot)]
+    """Masks are numbered block by block, K - N to a block."""
+    mid = (block - 1) * (plan.k - plan.n) + slot - 1
+    assert plan.ledger.block_slot(mid) == (block, slot)
+    return mid
 
 
-# -- build_blocks -------------------------------------------------------------
+# -- block function columns -----------------------------------------------------
+
+
+def _columns(plan, block):
+    """Each server's function column in `block`."""
+    rows = [q for q in plan.rows() if q.block == block]
+    return tuple(tuple(q.function for q in rows if q.server == s) for s in range(1, plan.n + 1))
 
 
 def test_block_columns_k4_n3():
-    blocks = build_blocks(4, 3, 2)
-    assert len(blocks) == 5  # M' + K - 1
-    for block in blocks:
-        assert block.columns == ((1, 1, 4), (2, 2, 4), (3, 3, 4))
+    for sigma in enumerate_permutations(4):
+        plan = build_plan(4, 3, 4, sigma)
+        assert plan.n_blocks == 5  # M' + K - 1
+        for block in range(1, 6):
+            assert _columns(plan, block) == ((1, 1, 4), (2, 2, 4), (3, 3, 4))
 
 
 def test_block_columns_k3_n2():
-    blocks = build_blocks(3, 2, 4)
-    assert len(blocks) == 6
-    for block in blocks:
-        assert block.columns == ((1, 3), (2, 3))
+    plan = build_plan(3, 2, 4, Permutation.from_paper_order((2, 3, 1)))
+    assert plan.n_blocks == 6
+    for block in range(1, 7):
+        assert _columns(plan, block) == ((1, 3), (2, 3))
 
 
 def test_block_count_example():
-    assert len(build_blocks(4, 3, 5)) == 8
+    assert build_plan(4, 3, 10, Permutation.identity(4)).n_blocks == 8
 
 
 def test_build_blocks_regime_errors():
-    with pytest.raises(InvalidRegime):
-        build_blocks(2, 2, 1)  # K <= N belongs to the chain scheme
-    with pytest.raises(InvalidRegime):
-        build_blocks(3, 1, 1)  # N < 2 belongs to the fallback
-    with pytest.raises(InvalidRegime):
-        build_blocks(4, 3, 0)
+    # Blocks need K > N, N >= 2 and a full batch of N - 1 requests; any
+    # other shape runs as chains (K <= N) or wholly through the fallback.
+    for k, n, m in ((2, 2, 1), (3, 1, 1), (4, 3, 1)):
+        plan = build_plan(k, n, m, Permutation.identity(k))
+        assert plan.n_blocks == plan.m_prime == 0
+        assert plan.ledger.mask_count == plan.ledger.placeholder_count == 0
+        assert all(q.block == 0 for q in plan.rows())
+    assert all(q.server == q.function for q in build_plan(2, 2, 1, Permutation.identity(2)).rows())
+    assert all(q.server == 1 for q in build_plan(4, 3, 1, Permutation.identity(4)).rows())
 
 
-# -- plan_vectors against the worked K=4, N=3 tables --------------------------
+# -- block plans against the worked K=4, N=3 tables ---------------------------
 
 
 def _queries_at(plan, block, server):
-    return [q for q in plan.queries if q.block == block and q.server == server]
+    return [q for q in plan.rows() if q.block == block and q.server == server]
 
 
 def test_plan_vectors_order_1342_blocks():
     sigma = Permutation.from_paper_order((1, 3, 4, 2))  # steps: F2, F4, F3, F1
-    plan = plan_vectors(sigma, 4, 3, 1, build_blocks(4, 3, 1))
+    plan = build_plan(4, 3, 2, sigma)  # M' = 1
 
     # Block 1: only server 2 phase 1 touches real data (W[1,1], W[1,2]).
     s2 = _queries_at(plan, 1, 2)
@@ -106,7 +120,7 @@ def test_plan_vectors_order_1342_blocks():
 
 def test_plan_vectors_order_4321_blocks():
     sigma = Permutation.from_paper_order((4, 3, 2, 1))  # identity steps
-    plan = plan_vectors(sigma, 4, 3, 4, build_blocks(4, 3, 4))
+    plan = build_plan(4, 3, 8, sigma)  # M' = 4
     # Block 2, server 1 phase 1 reads the second batch raw.
     s1 = _queries_at(plan, 2, 1)
     assert s1[0].expr == ("w", 2)  # W[2,1]
@@ -120,7 +134,7 @@ def test_plan_vectors_order_4321_blocks():
 def test_plan_vectors_block1_placeholders():
     # In block 1 every task with batch index <= 0 becomes a placeholder.
     for sigma in enumerate_permutations(4):
-        plan = plan_vectors(sigma, 4, 3, 2, build_blocks(4, 3, 2))
+        plan = build_plan(4, 3, 4, sigma)  # M' = 2
         pi = sigma.inverse().mapping
         for q in _queries_at(plan, 1, 1):
             if q.function == 1 and pi[0] > 1:
@@ -164,6 +178,28 @@ def _reference_block_plan(sigma, k, n, m_prime):
     return rows, mask_ids, ph
 
 
+def _reference_plan(sigma, k, n, m):
+    """The whole plan written row by row: chains, or blocks then the fallback."""
+    if k <= n:
+        return [
+            PlannedQuery(func, func, ("w", w) if j == 1 else ("prev", w),
+                         ("final", w) if j == k else ("prev", w), 0)
+            for w in range(m)
+            for j, func in enumerate(sigma.mapping, start=1)
+        ]
+    m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
+    rows = _reference_block_plan(sigma, k, n, m_prime)[0] if m_prime else []
+    for w in range(m - r, m):
+        for tau in permutations(range(1, k + 1)):  # lexicographic
+            for j, func in enumerate(tau, start=1):
+                if j < k:
+                    effect = ("prev", 0)
+                else:
+                    effect = ("final", w) if tau == sigma.mapping else ("drop",)
+                rows.append(PlannedQuery(1, func, ("w", w) if j == 1 else ("prev", 0), effect, 0))
+    return rows
+
+
 def test_plan_vectors_matches_reference_plan():
     for k in range(3, 6):
         for n in range(2, min(k, 5)):
@@ -173,10 +209,12 @@ def test_plan_vectors_matches_reference_plan():
                     continue  # no batch: build_plan takes the fallback
                 orders = enumerate_permutations(k)
                 for sigma in orders[:: len(orders) // (1 if m == 8001 else 3)]:
-                    plan = plan_vectors(sigma, k, n, m_prime, build_blocks(k, n, m_prime))
+                    plan = build_plan(k, n, m_prime * (n - 1), sigma)
                     rows, mask_ids, ph = _reference_block_plan(sigma, k, n, m_prime)
-                    assert plan.queries == rows, (k, n, m, sigma)
-                    assert plan.ledger == MaskLedger(mask_ids=mask_ids, placeholder_count=ph)
+                    assert plan.rows() == rows, (k, n, m, sigma)
+                    assert {key: _mask_id(plan, *key) for key in mask_ids} == mask_ids
+                    assert plan.ledger.mask_count == len(mask_ids)
+                    assert plan.ledger.placeholder_count == ph
 
 
 # -- chain scheme ---------------------------------------------------------------
@@ -184,7 +222,7 @@ def test_plan_vectors_matches_reference_plan():
 
 def test_chain_order_21():
     sigma = Permutation.from_paper_order((2, 1))
-    queries = schedule_chain(sigma, 2, 2)
+    queries = build_plan(2, 2, 1, sigma).rows()
     assert [(q.server, q.function) for q in queries] == [(1, 1), (2, 2)]
     assert queries[0].expr == ("w", 0)
     assert queries[1].expr[0] == "prev"
@@ -192,32 +230,35 @@ def test_chain_order_21():
 
 def test_chain_order_12():
     sigma = Permutation.from_paper_order((1, 2))
-    queries = schedule_chain(sigma, 2, 2)
+    queries = build_plan(2, 2, 1, sigma).rows()
     assert [(q.server, q.function) for q in queries] == [(2, 2), (1, 1)]
 
 
 def test_chain_k1():
-    queries = schedule_chain(Permutation((1,)), 1, 1)
+    queries = build_plan(1, 1, 1, Permutation((1,))).rows()
     assert [(q.server, q.function) for q in queries] == [(1, 1)]
     assert queries[0].effect[0] == "final"
 
 
 def test_chain_regime_guard():
-    with pytest.raises(InvalidRegime):
-        schedule_chain(Permutation((1, 2, 3)), 3, 2)
+    # An order of the wrong size is refused in every regime.
+    for k, n in ((2, 3), (3, 2), (3, 1)):
+        with pytest.raises(InvalidRegime):
+            build_plan(k, n, 1, Permutation.identity(k + 1))
 
 
 # -- fallback ---------------------------------------------------------------------
 
 
 def test_fallback_counts():
-    assert len(schedule_fallback(Permutation.identity(2), 1)) == 4
-    assert len(schedule_fallback(Permutation.identity(3), 1)) == 18
-    assert schedule_fallback(Permutation.identity(3), 0) == []
+    assert len(build_plan(2, 1, 1, Permutation.identity(2))) == 4
+    assert len(build_plan(3, 1, 1, Permutation.identity(3))) == 18
+    # N - 1 = 2 divides M = 4: no leftover request, no fallback row.
+    assert all(q.block for q in build_plan(4, 3, 4, Permutation.identity(4)).rows())
 
 
 def test_fallback_all_to_server_one_lex_order():
-    queries = schedule_fallback(Permutation.identity(2), 1)
+    queries = build_plan(2, 1, 1, Permutation.identity(2)).rows()
     assert all(q.server == 1 for q in queries)
     # lexicographic chains: (1,2) then (2,1)
     assert [q.function for q in queries] == [1, 2, 2, 1]
@@ -227,7 +268,7 @@ def test_fallback_final_effects_carry_chain_order():
     # Only the chain evaluating the secret order ends in a final effect;
     # every other chain's last answer is dropped.
     for sigma in enumerate_permutations(3):
-        queries = schedule_fallback(sigma, 2, first_request=4)
+        queries = build_plan(3, 1, 5, sigma).rows()[3 * 18:]  # requests 4 and 5
         finals = [i for i, q in enumerate(queries) if q.effect[0] == "final"]
         assert [queries[i].effect for i in finals] == [("final", 3), ("final", 4)]
         for i in finals:
@@ -268,7 +309,7 @@ def test_per_server_function_sequence_independent_of_order():
                 for sigma in enumerate_permutations(k):
                     plan = build_plan(k, n, m, sigma)
                     per_server = [
-                        tuple(q.function for q in plan.queries if q.server == s)
+                        tuple(q.function for q in plan.rows() if q.server == s)
                         for s in range(1, n + 1)
                     ]
                     if baseline is None:
@@ -285,7 +326,7 @@ def check_feasibility(plan: QueryPlan) -> None:
     blocks, and run_plan itself rejects an unresolved reference, a read
     of its own block's answers, or an undecoded output.
     """
-    blocks = iter(q.block for q in plan.queries)
+    blocks = iter(q.block for q in plan.rows())
 
     def query(rows):
         answers = []
@@ -310,12 +351,15 @@ def test_feasibility_mechanical_check():
 def test_feasibility_check_rejects_same_block_reads():
     # A phase-1 output consumed in its own block must fail the check.
     plan = build_plan(4, 3, 2, Permutation.identity(4))
-    rows = list(plan.queries)
+    rows = plan.rows()
     i = next(i for i, q in enumerate(rows) if q.effect[0] == "out")
-    rows[i + 1] = rows[i + 1]._replace(expr=("out",) + rows[i].effect[1:])
+    source = list(plan.source)
+    source[i + 1] = plan.dest[i]  # row i+1 now reads row i's answer
+    broken = dataclasses.replace(plan, source=source)
+    assert broken.rows()[i + 1].expr == rows[i].effect
     # run_plan builds the whole block's inputs before it uses any answer.
     with pytest.raises(DependencyViolation):
-        check_feasibility(dataclasses.replace(plan, queries=rows))
+        check_feasibility(broken)
 
 
 def test_run_plan_sends_a_block_per_call():
@@ -335,32 +379,32 @@ def test_run_plan_sends_a_block_per_call():
 
 def test_run_plan_rejects_unresolved_reference():
     plan = build_plan(2, 2, 1, Permutation.identity(2))
-    broken = [PlannedQuery(1, 1, ("prev", 7), ("drop",), 0)]
+    # The chain's first query reads the link it is about to write.
+    broken = dataclasses.replace(plan, source=[plan.dest[0]] + plan.source[1:])
+    assert broken.rows()[0].expr == ("prev", 0)
     with pytest.raises(DependencyViolation):
-        check_feasibility(dataclasses.replace(plan, queries=broken))
+        check_feasibility(broken)
 
 
 def test_mask_usage_exactly_n_queries_per_block():
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 4, sigma)  # M'=2, blocks=5
         usage: dict[int, list] = {}
-        for q in plan.queries:
+        for q in plan.rows():
             if q.expr[0] == "xor":
                 usage.setdefault(q.expr[2], []).append(q.block)
             elif q.expr[0] == "mask":
                 usage.setdefault(q.expr[1], []).append(q.block)
-        assert len(usage) == len(plan.ledger.mask_ids)
-        for (block, _slot), mid in plan.ledger.mask_ids.items():
-            blocks = usage[mid]
-            assert len(blocks) == 3  # N queries
-            assert all(b == block for b in blocks)
+        assert len(usage) == plan.ledger.mask_count == 5 * 1  # blocks x (K - N)
+        for block in range(1, 6):
+            assert usage[_mask_id(plan, block, 1)] == [block] * 3  # N queries
 
 
 def test_placeholders_never_reused():
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 2, sigma)
         seen = set()
-        for q in plan.queries:
+        for q in plan.rows():
             for expr in (q.expr, q.expr[1] if q.expr[0] == "xor" else None):
                 if expr and expr[0] == "ph":
                     assert expr[1] not in seen
@@ -373,7 +417,7 @@ def test_task_completion_follows_block_diagonal():
     sigma = Permutation.from_paper_order((2, 4, 1, 3))
     plan = build_plan(4, 3, 6, sigma)  # M'=3
     resolved_at: dict[tuple[int, int], int] = {}
-    for q in plan.queries:
+    for q in plan.rows():
         if q.effect[0] in ("out", "masked"):
             batch, step = q.effect[1], q.effect[2]
             resolved_at.setdefault((batch, step), q.block)
@@ -386,7 +430,7 @@ def test_task_completion_follows_block_diagonal():
 
 def test_blocks_strictly_sequential():
     plan = build_plan(4, 3, 4, Permutation.identity(4))
-    blocks = [q.block for q in plan.queries]
+    blocks = [q.block for q in plan.rows()]
     assert blocks == sorted(blocks)
 
 
@@ -394,7 +438,7 @@ def test_fallback_section_shared_and_sigma_free():
     # With N=1 the entire plan is order-independent camouflage except
     # for client-private effect tags: what the servers are sent is equal.
     plans = [build_plan(3, 1, 2, s) for s in enumerate_permutations(3)]
-    sent = [[(q.server, q.function, q.expr, q.block) for q in p.queries] for p in plans]
+    sent = [[(q.server, q.function, q.expr, q.block) for q in p.rows()] for p in plans]
     assert all(s == sent[0] for s in sent)
 
 
@@ -413,7 +457,7 @@ def test_task_outputs_written_exactly_once():
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 6, sigma)
         written = []
-        for q in plan.queries:
+        for q in plan.rows():
             if q.effect[0] in ("out", "masked"):
                 written.append((q.effect[1], q.effect[2], q.effect[3]))
         assert len(written) == len(set(written))
@@ -424,8 +468,44 @@ def test_mixed_regime_with_leftovers():
     plan = build_plan(4, 3, 5, Permutation.identity(4))
     assert plan.m_prime == 2 and plan.r == 1
     assert len(plan) == (2 + 3) * 9 + 1 * 4 * factorial(4)
-    tail = [q for q in plan.queries if q.block == 0]
+    tail = [q for q in plan.rows() if q.block == 0]
     assert len(tail) == 4 * factorial(4)
     assert all(q.server == 1 for q in tail)
     # leftover request reads the fifth input vector
     assert all(q.expr == ("w", 4) for q in tail if q.expr[0] == "w")
+
+
+def test_plan_build_allocates_no_per_query_objects():
+    # The plan is flat integer columns: building the largest benchmark
+    # plan leaves a handful of containers for the cyclic collector, not
+    # one or more tuples per query.
+    sigma = Permutation((3, 5, 1, 4, 2))
+    gc.collect()
+    before = len(gc.get_objects())
+    plan = build_plan(5, 3, 8001, sigma)
+    assert len(plan) == query_count(5, 3, 8001)
+    assert len(gc.get_objects()) - before < 1_000
+
+
+FIELDS = [(3, 1), (2**31 - 1, 12), (2**61 - 1, 2)]  # tuple path, int64 kernel, 61-bit
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 4),
+    m=st.integers(1, 7),
+    field=st.sampled_from(FIELDS),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_full_protocol_matches_reference(k, n, m, field, seed, data):
+    sigma = Permutation(tuple(data.draw(st.permutations(range(1, k + 1)), label="sigma")))
+    p, l = field
+    assert build_plan(k, n, m, sigma).rows() == _reference_plan(sigma, k, n, m)
+    functions = generate_functions(k, l, p, Rng(seed).child("functions"))
+    w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
+    servers = [Server(i + 1, functions, p) for i in range(n)]
+    outputs, report = run_protocol(RunConfig(k, n, m, l, p, seed), sigma, w, SimTransport(servers))
+    assert outputs == [compose_reference(functions, sigma, v, p) for v in w]
+    assert report.d == query_count(k, n, m)
