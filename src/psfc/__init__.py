@@ -25,7 +25,6 @@ from .protocol import (
     KTooLarge,
     MarginalQueryList,
     Permutation,
-    Query,
     RunConfig,
     compose_reference,
     enumerate_permutations,

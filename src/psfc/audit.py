@@ -79,6 +79,7 @@ __all__ = [
 MAX_EXHAUSTIVE_K = 6
 SAMPLED_SIGMA_COUNT = 24
 JOINT_CELL_CAP = 1 << 22
+UNIFORMITY_CHUNK = 200_000  # trials evaluated together in one numpy stack
 
 
 class GuardExceeded(ValueError):
@@ -261,8 +262,6 @@ def uniformity_test(
     trials: int,
     seed: int = 0,
     resample_f: bool = True,
-    chunk: int = 200_000,
-    max_sigmas: int = 24,
 ) -> UniformityResult:
     """Monte-Carlo comparison of server views across composition orders.
 
@@ -273,8 +272,9 @@ def uniformity_test(
     joint distributions, plus a split-half self distance per order as a
     noise floor, plus a per-slot chi-square against uniform.
 
-    Orders are exhausted while K! <= max_sigmas; beyond that a seeded
-    sample of max_sigmas orders is used and the result says so.
+    Orders are exhausted while K! <= SAMPLED_SIGMA_COUNT; beyond that a
+    seeded sample of SAMPLED_SIGMA_COUNT orders is used and the result
+    says so.  Trials run in chunks of UNIFORMITY_CHUNK.
     """
     slot_cells = p**l
     if slot_cells > 32:
@@ -282,13 +282,13 @@ def uniformity_test(
     if trials < 2:
         raise ValueError("need at least 2 trials")
 
-    if factorial(k) <= max_sigmas:
+    if factorial(k) <= SAMPLED_SIGMA_COUNT:
         sigmas = enumerate_permutations(k)
         sampled = False
     else:
         rng = Rng(seed).child("uniformity-sigmas")
         seen: dict[tuple[int, ...], Permutation] = {}
-        while len(seen) < max_sigmas:
+        while len(seen) < SAMPLED_SIGMA_COUNT:
             sigma = random_permutation(k, rng)
             seen.setdefault(sigma.mapping, sigma)
         sigmas = list(seen.values())
@@ -320,7 +320,7 @@ def uniformity_test(
             slot_hists[(si, srv)] = np.zeros((slots_per_server[srv], slot_cells), dtype=np.int64)
         done = 0
         while done < trials:
-            t = min(chunk, trials - done)
+            t = min(UNIFORMITY_CHUNK, trials - done)
             if resample_f:
                 f_batch = _sample_invertible_batch(k, l, p, t, nprng)
             else:

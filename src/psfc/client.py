@@ -7,12 +7,11 @@ records what it sent; storage, pad bookkeeping and output decoding are
 the interpreter's.  This module must not import any matrix operation; a
 test enforces that structurally.
 
-Execution is a single logical thread that sends a block at a time: a
-block's queries go to the transport in one call, and every answer it
-returns is used before the next block's inputs are materialized, which
-is exactly the ordering the scheduler's feasibility argument requires.
-A chain or fallback query goes alone, because it reads the previous
-answer.
+Execution is a single logical thread that sends a group at a time: a
+block's queries, or one level of a request's chains, go to the
+transport in one call, and every answer it returns is used before the
+next group's inputs are materialized, which is exactly the ordering the
+scheduler's feasibility argument requires.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 from functools import partial
 
 from .field import FieldVector, vec_add, vec_sub
-from .protocol import Permutation, Query, RunConfig
+from .protocol import Permutation, RunConfig
 from .rand import Rng
 from .scheduler import build_plan, run_plan
 
@@ -65,21 +64,18 @@ class RunReport:
     d_k: list[int]
     rate: tuple[int, int]
     outputs: list[FieldVector]
-    transcript: list[tuple[int, int, int]]  # (seq, server, function)
-    inputs_sent: list[FieldVector]  # parallel to transcript
+    sent: list[tuple[int, int, FieldVector]]  # (server, function, input), in send order
 
-    def queries(self) -> list[Query]:
-        """The full issued query triples, reconstructed from the transcript."""
-        return [
-            Query(server=server, input=sent, function=function, seq=seq)
-            for (seq, server, function), sent in zip(self.transcript, self.inputs_sent)
-        ]
+    @property
+    def transcript(self) -> list[tuple[int, int, int]]:
+        """(seq, server, function) of each query, in send order."""
+        return [(seq, server, function) for seq, (server, function, _) in enumerate(self.sent)]
 
     def marginals(self) -> dict[int, list[tuple[int, FieldVector]]]:
         """Client-side projection of each server's view, in arrival order."""
         per_server: dict[int, list[tuple[int, FieldVector]]] = {s: [] for s in range(1, self.n + 1)}
-        for q in self.queries():
-            per_server[q.server].append((q.function, q.input))
+        for server, function, x in self.sent:
+            per_server[server].append((function, x))
         return per_server
 
     @property
@@ -137,16 +133,13 @@ def run_protocol(
 
     outputs = run_plan(plan, w_vectors, draw, partial(vec_add, p=p), partial(unmask, p=p), query)
 
-    transcript = [(seq, server, function) for seq, (server, function, _) in enumerate(sent)]
-    inputs_sent = [w for _, _, w in sent]
     per_function = Counter(function for _, function, _ in sent)
     d_k = [per_function[function] for function in range(1, k + 1)]
-    d = len(transcript)
+    d = len(sent)
     ratio = Fraction(k * m, d)
     report = RunReport(
         k=k, n=n, m=m, l=l, p=p, seed=config.seed, sigma=sigma.mapping,
-        d=d, d_k=d_k, rate=(ratio.numerator, ratio.denominator),
-        outputs=outputs, transcript=transcript, inputs_sent=inputs_sent,
+        d=d, d_k=d_k, rate=(ratio.numerator, ratio.denominator), outputs=outputs, sent=sent,
     )
     return outputs, report
 

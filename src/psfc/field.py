@@ -91,7 +91,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, exact for all n below 2^61."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n == q:
             return True
         if n % q == 0:
@@ -263,19 +263,17 @@ def sample_uniform_vector(l: int, p: int, rng: Rng) -> FieldVector:
     return tuple(randrange(p) for _ in range(l))
 
 
-def sample_invertible_matrix(
-    l: int, p: int, rng: Rng, max_redraws: int = INVERTIBLE_REDRAW_CAP
-) -> FieldMatrix:
+def sample_invertible_matrix(l: int, p: int, rng: Rng) -> FieldMatrix:
     """Uniform draw from GL(l, p) by rejection from uniform matrices.
 
     Rejection preserves uniformity on the invertible subset.  The redraw
     cap is unreachable in practice (the singular fraction is at most
     ~71% even at p=2), so hitting it is an internal error.
     """
-    for _ in range(max_redraws):
+    for _ in range(INVERTIBLE_REDRAW_CAP):
         m = tuple(tuple(rng.randrange(p) for _ in range(l)) for _ in range(l))
         if rank(m, p) == l:
             return m
     raise SamplingExhausted(
-        f"no invertible {l}x{l} matrix over GF({p}) in {max_redraws} draws"
+        f"no invertible {l}x{l} matrix over GF({p}) in {INVERTIBLE_REDRAW_CAP} draws"
     )

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .field import FieldMatrix, FieldVector, PrimeModulus, mat_vec_mul
 from .rand import Rng
@@ -25,7 +24,6 @@ __all__ = [
     "enumerate_permutations",
     "random_permutation",
     "compose_reference",
-    "Query",
     "MarginalQueryList",
     "RunConfig",
 ]
@@ -120,15 +118,6 @@ def compose_reference(
 
 
 # -- protocol records ---------------------------------------------------------
-
-
-class Query(NamedTuple):
-    """The full triple a server sees for one request, plus the issue index."""
-
-    server: int
-    input: FieldVector
-    function: int
-    seq: int
 
 
 @dataclass

@@ -13,12 +13,12 @@ Two interchangeable transports execute a run:
   call.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
   per server.  A transport call carries a group of queries (a block, or
-  one chain query): the client writes each server's frames in one
-  pipelined send and reads the answers back in per-connection sequence
-  order, so a block costs one exchange per connection; the host serves
-  the frames it has buffered in one `serve` call.  Byte-for-byte
-  the same RunReport as the simulated path for the same (config, order,
-  seed).
+  one level of a request's chains): the client writes each server's
+  frames in one pipelined send and reads the answers back in
+  per-connection sequence order, so a group costs one exchange per
+  connection; the host serves the frames it has buffered in one `serve`
+  call.  Byte-for-byte the same RunReport as the simulated path for the
+  same (config, order, seed).
 """
 
 from __future__ import annotations
@@ -202,32 +202,53 @@ def encode_message(msg: WireMessage) -> bytes:
     raise ValueError(f"unknown message kind {msg.kind!r}")
 
 
+def _parse_frame(buf, check=None) -> Optional[tuple[WireMessage, int]]:
+    """The frame at the start of `buf` and its length, or None while it is
+    incomplete.  Raises MalformedFrame on a bad magic.
+
+    `check(magic, head)` sees the unpacked header as soon as it is
+    buffered, before any of the body is awaited, and raises to refuse
+    the frame.
+    """
+    have = len(buf)
+    if have < 4:
+        return None
+    if buf.startswith(QUERY_MAGIC):
+        magic, head = QUERY_MAGIC, _QUERY_HEAD
+    elif buf.startswith(ANSWER_MAGIC):
+        magic, head = ANSWER_MAGIC, _ANSWER_HEAD
+    else:
+        raise MalformedFrame(f"bad magic {bytes(buf[:4])!r}")
+    head_end = 4 + head.size
+    if have < head_end:
+        return None
+    fields = head.unpack_from(buf, 4)
+    if check is not None:
+        check(magic, fields)
+    dim = fields[-1]
+    end = head_end + 8 * dim
+    if have < end:
+        return None
+    payload = struct.unpack_from(f"<{dim}Q", buf, head_end)
+    if magic == QUERY_MAGIC:
+        return WireMessage("query", fields[0], fields[1], payload), end
+    return WireMessage("answer", fields[0], None, payload), end
+
+
 def decode_message(data: bytes) -> WireMessage:
-    """Inverse of encode_message.  Raises MalformedFrame on bad bytes.
+    """Inverse of encode_message: exactly one whole frame.  Raises
+    MalformedFrame on bad bytes.
 
     Canonicality of elements (value < p) is deliberately not checked
     here; the server ingress does that, since only it knows p.
     """
-    magic = data[:4]
-    if magic == QUERY_MAGIC:
-        head_end = 4 + _QUERY_HEAD.size
-        if len(data) < head_end:
-            raise MalformedFrame("truncated query header")
-        seq, function, dim = _QUERY_HEAD.unpack(data[4:head_end])
-    elif magic == ANSWER_MAGIC:
-        head_end = 4 + _ANSWER_HEAD.size
-        if len(data) < head_end:
-            raise MalformedFrame("truncated answer header")
-        seq, dim = _ANSWER_HEAD.unpack(data[4:head_end])
-        function = None
-    else:
-        raise MalformedFrame(f"bad magic {magic!r}")
-    end = head_end + 8 * dim
+    frame = _parse_frame(data)
+    if frame is None:
+        raise MalformedFrame(f"truncated frame of {len(data)} bytes")
+    msg, end = frame
     if len(data) != end:
         raise MalformedFrame(f"frame length {len(data)} != expected {end}")
-    payload = struct.unpack(f"<{dim}Q", data[head_end:end])
-    kind = "query" if magic == QUERY_MAGIC else "answer"
-    return WireMessage(kind=kind, seq=seq, function=function, payload=payload)
+    return msg
 
 
 # -- TCP transport --------------------------------------------------------------
@@ -257,34 +278,14 @@ class _FrameReader:
         self._buf += chunk
 
     def pop(self, check=None) -> Optional[WireMessage]:
-        """The next buffered frame, or None while it is incomplete.
-
-        `check(magic, head)` sees the unpacked header as soon as it is
-        buffered, before any of the body is awaited, and raises to refuse
-        the frame.
-        """
-        buf = self._buf
-        have = len(buf)
-        if have < 4:
+        """The next buffered frame, or None while it is incomplete; `check`
+        as in _parse_frame."""
+        frame = _parse_frame(self._buf, check)
+        if frame is None:
             return None
-        if buf.startswith(QUERY_MAGIC):
-            magic, head = QUERY_MAGIC, _QUERY_HEAD
-        elif buf.startswith(ANSWER_MAGIC):
-            magic, head = ANSWER_MAGIC, _ANSWER_HEAD
-        else:
-            raise MalformedFrame(f"bad magic {bytes(buf[:4])!r}")
-        head_end = 4 + head.size
-        if have < head_end:
-            return None
-        fields = head.unpack_from(buf, 4)
-        if check is not None:
-            check(magic, fields)
-        end = head_end + 8 * fields[-1]
-        if have < end:
-            return None
-        frame = bytes(buf[:end])
-        del buf[:end]
-        return decode_message(frame)
+        msg, end = frame
+        del self._buf[:end]
+        return msg
 
 
 class TcpServerHost:

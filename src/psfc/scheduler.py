@@ -28,6 +28,10 @@ assignment* and an order-dependent *vector assignment*:
   fixed lexicographic order.  Only the chain matching the secret order
   is decoded; the rest are camouflage.
 
+Chains and the fallback share one shape: a request's chains are
+stepped level by level, step t of every chain in one exchange, so a
+request costs K exchanges either way.
+
 A plan is a register program: seven flat integer columns, one entry per
 query, that hold no nested objects (see QueryPlan), so a plan of 10^5
 queries is a handful of lists for the garbage collector to scan.
@@ -94,8 +98,8 @@ _STORE, _MASKED, _IMAGE, _DROP = 0, 1, 2, 3
 
 class PlannedQuery(NamedTuple):
     """One decoded row.  A register reads as ("w", i) for raw input i,
-    ("out", batch, step, comp) for a block task output, ("prev", cid)
-    for chain cid's link or ("final", i) for output i; a row's input may
+    ("out", batch, step, comp) for a block task output, ("prev", c)
+    for chain c's link or ("final", i) for output i; a row's input may
     also be ("mask", mid), ("ph", pid) or ("xor", value, mid), and its
     effect ("masked", batch, step, comp, mid), ("img", mid) or ("drop",).
     """
@@ -126,11 +130,11 @@ class QueryPlan:
 
     Registers: [0, M) are the outputs, in request order; [M, 2M) the raw
     inputs; [2M, links) the block task outputs of steps 1..K-1, by step,
-    then batch, then component; from `links` on, the chain links, one
-    per request for chains and one shared by the fallback's chains.  A
-    block task's step-K output is its request's output register, so the
-    last step writes straight into place.  Column i of every list
-    describes query i (see the source kinds and effects above).
+    then batch, then component; from `links` on, one link per chain of
+    a request outside the blocks (`chains` of them).  A block task's
+    step-K output is its request's output register, so the last step
+    writes straight into place.  Column i of every list describes query
+    i (see the source kinds and effects above).
     """
 
     k: int
@@ -140,6 +144,7 @@ class QueryPlan:
     r: int
     n_blocks: int
     links: int  # the first chain-link register
+    chains: int  # chains per request outside the blocks: K! with a fallback, else 1
     ledger: MaskLedger
     server: list[int]
     function: list[int]
@@ -190,20 +195,6 @@ class QueryPlan:
             block = i // width + 1 if i < self.n_blocks * width else 0
             rows.append(PlannedQuery(server, function, expr, done, block))
         return rows
-
-
-def _emit_chains(cols, sigma: Permutation, m: int, links: int) -> None:
-    """The K <= N chain per request: server s_j computes F_{s_j}."""
-    server, function, kind, source, pad, effect, dest = cols
-    k = sigma.size
-    for w in range(m):
-        server += sigma.mapping
-        function += sigma.mapping
-        kind += [_REG] * k
-        source += [m + w] + [links + w] * (k - 1)
-        pad += [-1] * k
-        effect += [_STORE] * k
-        dest += [links + w] * (k - 1) + [w]
 
 
 def _emit_blocks(cols, sigma: Permutation, n: int, m: int, m_prime: int, n_blocks: int) -> int:
@@ -257,40 +248,54 @@ def _emit_blocks(cols, sigma: Permutation, n: int, m: int, m_prime: int, n_block
     return ph
 
 
-def _emit_fallback(cols, sigma: Permutation, first: int, m: int, link: int) -> None:
-    """All K! chains for each request first..m-1, every query to server 1.
+def _emit_chains(cols, sigma: Permutation, first: int, m: int, links: int, fallback: bool) -> int:
+    """Requests first..m-1 as chains, stepped level by level; returns the
+    number of chains per request.
 
-    The chain enumeration is lexicographic and fixed, so the server's
-    view is independent of which chain the client actually wants.  Only
-    the last query of the chain equal to sigma stores an output; the
-    other chains end in a dropped answer.  The chains run one after
-    another, so they all share one link register.
+    K <= N: each request is one chain, sigma, and server s_j computes
+    F_{s_j}.  The fallback: each request is all K! chains in a fixed
+    lexicographic order, every query to server 1, so the server's view
+    is independent of which chain the client actually wants.
+
+    Level t holds step t of every chain of a request; it reads only the
+    level before it, so it goes in one exchange.  Chain c links through
+    register links + c, shared by the requests, which run one after
+    another.  Only the chain equal to sigma stores its last answer, in
+    the request's output register; the others end in a dropped answer.
     """
     server, function, kind, source, pad, effect, dest = cols
     k = sigma.size
-    if k > MAX_ENUMERABLE_K:
+    if not fallback:
+        chains = [sigma.mapping]
+    elif k > MAX_ENUMERABLE_K:
         raise KTooLarge(f"the fallback enumerates K! chains; K <= {MAX_ENUMERABLE_K}, got {k}")
-    chains = list(permutations(range(1, k + 1)))  # lexicographic
-    functions = [f for chain in chains for f in chain]
-    before = chains.index(sigma.mapping)
-    after = len(chains) - 1 - before
-    drop_effects, drop_dests = [_STORE] * (k - 1) + [_DROP], [link] * (k - 1) + [-1]
-    effects = drop_effects * before + [_STORE] * k + drop_effects * after
+    else:
+        chains = list(permutations(range(1, k + 1)))  # lexicographic
+    count, mine = len(chains), chains.index(sigma.mapping)
+    functions = [chain[t] for t in range(k) for chain in chains]  # step-major
+    size = count * k
+    servers = [1] * size if fallback else functions
+    link = list(range(links, links + count))
+    last = [_DROP] * count
+    last[mine] = _STORE
+    effects = [_STORE] * (size - count) + last
     for w in range(first, m):
-        server += [1] * len(functions)
+        server += servers
         function += functions
-        kind += [_REG] * len(functions)
-        source += ([m + w] + [link] * (k - 1)) * len(chains)
-        pad += [-1] * len(functions)
+        kind += [_REG] * size
+        source += [m + w] * count + link * (k - 1)
+        pad += [-1] * size
         effect += effects
-        dest += drop_dests * before + [link] * (k - 1) + [w] + drop_dests * after
+        dest += link * (k - 1) + [-1] * mine + [w] + [-1] * (count - 1 - mine)
+    return count
 
 
 def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     """Full ordered plan for M requests under composition order sigma."""
     if sigma.size != k:
         raise InvalidRegime(f"order has size {sigma.size}, expected K={k}")
-    if k <= n:
+    fallback = k > n
+    if not fallback:
         m_prime, r = 0, 0  # one chain per request
     else:
         # N = 1, or too few requests to fill a batch: everything goes
@@ -299,16 +304,12 @@ def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     n_blocks = m_prime + k - 1 if m_prime else 0
     links = 2 * m + (k - 1) * m_prime * (n - 1)
     cols: tuple[list[int], ...] = ([], [], [], [], [], [], [])
-    ph = 0
-    if k <= n:
-        _emit_chains(cols, sigma, m, links)
-    if n_blocks:
-        ph = _emit_blocks(cols, sigma, n, m, m_prime, n_blocks)
-    if r:
-        _emit_fallback(cols, sigma, m - r, m, links)
+    ph = _emit_blocks(cols, sigma, n, m, m_prime, n_blocks) if n_blocks else 0
+    first = m - r if fallback else 0
+    chains = _emit_chains(cols, sigma, first, m, links, fallback) if first < m else 1
     slots = k - n if n_blocks else 0
     ledger = MaskLedger(slots, slots * n_blocks, ph)
-    return QueryPlan(k, n, m, m_prime, r, n_blocks, links, ledger, *cols)
+    return QueryPlan(k, n, m, m_prime, r, n_blocks, links, chains, ledger, *cols)
 
 
 def query_count(k: int, n: int, m: int) -> int:
@@ -362,20 +363,20 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
       sub(a, b)         a with the pad image b cancelled;
       query(rows)       the answers F_f(x) to rows [(s, f, x), ...], an
                         iterable in row order.
-    The plan runs one group at a time: each block's N(K-1) rows go in one
-    `query` call, because no block reads its own answers; each chain and
-    fallback row goes alone, because it reads the previous answer.  All
-    inputs of a group are built before any of its answers is stored, so
-    a same-block read raises DependencyViolation, as does any read of a
-    register not yet written.  Masks and placeholders are drawn at first
-    use, in plan order, a padded placeholder before its mask, so a seeded
-    backend sees one fixed sequence of draws.  A padded answer waits
-    until its block returns the mask's image, which comes last in the
-    block.  The interpreter owns all plan state: the registers, masks
-    and pending unmasks.
+    The plan runs one group at a time, each in one `query` call: the
+    n_blocks blocks of N(K-1) rows, then groups of `plan.chains` rows,
+    one level of a request's chains each.  No group reads its own
+    answers.  All inputs of a group are built before any of its answers
+    is stored, so a same-group read raises DependencyViolation, as does
+    any read of a register not yet written.  Masks and placeholders are
+    drawn at first use, in plan order, a padded placeholder before its
+    mask, so a seeded backend sees one fixed sequence of draws.  A padded
+    answer waits until its block returns the mask's image, which comes
+    last in the block.  The interpreter owns all plan state: the
+    registers, masks and pending unmasks.
     """
     m = plan.m
-    regs: list = [None] * (plan.links + (m if plan.k <= plan.n else 1))
+    regs: list = [None] * (plan.links + plan.chains)
     regs[m : 2 * m] = [inputs[i] for i in range(m)]
     masks: list = [None] * plan.ledger.mask_count
     pending: dict = {}  # mask id -> [(register, padded answer)]
@@ -389,12 +390,11 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     servers, functions, kinds, sources = plan.server, plan.function, plan.source_kind, plan.source
     pads, effects, dests = plan.pad, plan.effect, plan.dest
     total = len(servers)
-    # Groups: n_blocks blocks of N(K-1) rows, then single rows.
-    width = plan.n * (plan.k - 1)
+    width, chains = plan.n * (plan.k - 1), plan.chains
     blocks_end = plan.n_blocks * width
     start = 0
     while start < total:
-        stop = start + width if start < blocks_end else start + 1
+        stop = start + (width if start < blocks_end else chains)
         group = range(start, stop)
         start = stop
         rows = []

@@ -55,8 +55,8 @@ def test_exchange_sizes_invariant_across_orders():
     # A server sees how its queries arrive in exchanges, so the sizes, in
     # arrival order, must be the same for every order.
     for k in range(1, 5):
-        for n in range(1, 4):
-            for m in (1, 2, 3):
+        for n in range(1, 5):
+            for m in range(1, 6):
                 res = fingerprint_invariance(k, n, m, seed=k * n * m)
                 assert res.ok, (k, n, m, res.mismatches)
                 plan = build_plan(k, n, m, Permutation.identity(k))
@@ -81,9 +81,10 @@ def test_exchange_size_check_fires_on_order_dependent_exchanges(monkeypatch):
         return run_protocol(config, sigma, w, transport)
 
     monkeypatch.setattr(audit, "run_protocol", leaky_run)
-    res = fingerprint_invariance(3, 2, 2, seed=1)
-    assert not res.ok
-    assert all("exchange sizes" in line for line in res.mismatches)
+    for k, n, m in ((3, 2, 2), (3, 1, 1)):  # blocks, and the fallback's levels
+        res = fingerprint_invariance(k, n, m, seed=1)
+        assert not res.ok
+        assert all("exchange sizes" in line for line in res.mismatches)
 
 
 def test_fingerprint_invariance_chain():

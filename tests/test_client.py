@@ -166,11 +166,8 @@ def test_report_queries_reconstruct_triples():
     config, functions, w = _instance(2, 2, 1, 1, 5, seed=23)
     sigma = Permutation.from_paper_order((2, 1))
     _, report = _run(config, functions, w, sigma)
-    queries = report.queries()
-    assert [q.seq for q in queries] == [0, 1]
-    assert queries[0].server == 1 and queries[0].function == 1
-    assert queries[0].input == w[0]
-    assert queries[1].server == 2 and queries[1].function == 2
+    assert report.transcript == [(0, 1, 1), (1, 2, 2)]
+    assert [x for _, _, x in report.sent] == [w[0], mat_vec_mul(functions[0], w[0], 5)]
 
 
 def test_report_marginals_match_server_view():

@@ -9,6 +9,7 @@ import socket
 import struct
 import threading
 import time
+from math import factorial
 
 import pytest
 
@@ -35,14 +36,14 @@ from psfc.scheduler import build_plan
 
 
 class _Counting:
-    """Passes exchanges through and counts them."""
+    """Passes exchanges through and records the rows in each."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls = 0
+        self.sizes = []
 
     def query(self, rows):
-        self.calls += 1
+        self.sizes.append(len(rows))
         return self.inner.query(rows)
 
 
@@ -52,7 +53,8 @@ def _sim_and_tcp(k, n, m, l, sigma, seed=11):
     functions = generate_functions(k, l, p, Rng(seed).child("functions"))
     w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
     sim_servers = [Server(i + 1, functions, p) for i in range(n)]
-    sim_outputs, sim_report = run_protocol(config, sigma, w, SimTransport(sim_servers))
+    sim = _Counting(SimTransport(sim_servers))
+    sim_outputs, sim_report = run_protocol(config, sigma, w, sim)
     tcp_servers = [Server(i + 1, functions, p) for i in range(n)]
     host = TcpServerHost(tcp_servers)
     tcp = _Counting(TcpTransport(host.addresses))
@@ -64,7 +66,8 @@ def _sim_and_tcp(k, n, m, l, sigma, seed=11):
     assert sim_outputs == tcp_outputs == [compose_reference(functions, sigma, v, p) for v in w]
     assert tcp_report.to_json() == sim_report.to_json()
     assert [marginal_to_json(s) for s in tcp_servers] == [marginal_to_json(s) for s in sim_servers]
-    return tcp.calls
+    assert tcp.sizes == sim.sizes
+    return tcp.sizes
 
 
 @pytest.mark.parametrize(
@@ -78,10 +81,21 @@ def _sim_and_tcp(k, n, m, l, sigma, seed=11):
 )
 def test_tcp_exchanges_match_sim(k, n, m, sigma):
     sigma = Permutation(sigma)
-    calls = _sim_and_tcp(k, n, m, 2, sigma)
+    sizes = _sim_and_tcp(k, n, m, 2, sigma)
     plan = build_plan(k, n, m, sigma)
-    block_rows = plan.n_blocks * n * (k - 1)
-    assert calls == plan.n_blocks + len(plan) - block_rows
+    # A block per exchange, then one exchange per level of each other
+    # request's chains.
+    levels = (len(plan) - plan.n_blocks * n * (k - 1)) // plan.chains
+    assert sizes == [n * (k - 1)] * plan.n_blocks + [plan.chains] * levels
+
+
+@pytest.mark.parametrize("k, n, m", [(3, 1, 2), (5, 3, 5)], ids=["n1", "k5-leftover"])
+def test_fallback_request_is_k_exchanges_of_k_factorial_rows(k, n, m):
+    sigma = Permutation.from_paper_order(range(1, k + 1))
+    plan = build_plan(k, n, m, sigma)
+    assert plan.r
+    sizes = _sim_and_tcp(k, n, m, 2, sigma)
+    assert sizes[plan.n_blocks:] == [factorial(k)] * (k * plan.r)
 
 
 def test_tiny_window_reads_before_sending(monkeypatch):
@@ -89,8 +103,8 @@ def test_tiny_window_reads_before_sending(monkeypatch):
     # further frame of a block; the run must still complete unchanged.
     monkeypatch.setattr(runtime, "_WINDOW_BYTES", 8)
     sigma = Permutation((2, 5, 1, 4, 3))
-    calls = _sim_and_tcp(5, 2, 3, 16, sigma)
-    assert calls == build_plan(5, 2, 3, sigma).n_blocks
+    sizes = _sim_and_tcp(5, 2, 3, 16, sigma)
+    assert len(sizes) == build_plan(5, 2, 3, sigma).n_blocks
 
 
 def test_host_dropping_mid_block_raises_channel_closed():

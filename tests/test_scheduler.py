@@ -179,24 +179,25 @@ def _reference_block_plan(sigma, k, n, m_prime):
 
 
 def _reference_plan(sigma, k, n, m):
-    """The whole plan written row by row: chains, or blocks then the fallback."""
+    """The whole plan written row by row: the blocks, then each other
+    request's chains (sigma for K <= N, all K! for the fallback), stepped
+    level by level."""
     if k <= n:
-        return [
-            PlannedQuery(func, func, ("w", w) if j == 1 else ("prev", w),
-                         ("final", w) if j == k else ("prev", w), 0)
-            for w in range(m)
-            for j, func in enumerate(sigma.mapping, start=1)
-        ]
-    m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
+        m_prime, first, chains = 0, 0, [sigma.mapping]
+    else:
+        m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
+        first, chains = m - r, list(permutations(range(1, k + 1)))  # lexicographic
     rows = _reference_block_plan(sigma, k, n, m_prime)[0] if m_prime else []
-    for w in range(m - r, m):
-        for tau in permutations(range(1, k + 1)):  # lexicographic
-            for j, func in enumerate(tau, start=1):
+    for w in range(first, m):
+        for j in range(1, k + 1):
+            for c, tau in enumerate(chains):
                 if j < k:
-                    effect = ("prev", 0)
+                    effect = ("prev", c)
                 else:
                     effect = ("final", w) if tau == sigma.mapping else ("drop",)
-                rows.append(PlannedQuery(1, func, ("w", w) if j == 1 else ("prev", 0), effect, 0))
+                server = tau[j - 1] if k <= n else 1
+                expr = ("w", w) if j == 1 else ("prev", c)
+                rows.append(PlannedQuery(server, tau[j - 1], expr, effect, 0))
     return rows
 
 
@@ -260,21 +261,30 @@ def test_fallback_counts():
 def test_fallback_all_to_server_one_lex_order():
     queries = build_plan(2, 1, 1, Permutation.identity(2)).rows()
     assert all(q.server == 1 for q in queries)
-    # lexicographic chains: (1,2) then (2,1)
+    # step 1 of the lexicographic chains (1,2) and (2,1), then step 2
     assert [q.function for q in queries] == [1, 2, 2, 1]
 
 
 def test_fallback_final_effects_carry_chain_order():
-    # Only the chain evaluating the secret order ends in a final effect;
-    # every other chain's last answer is dropped.
+    # A request's six chains run level by level, chain c linking through
+    # ("prev", c).  Only the chain evaluating the secret order ends in a
+    # final effect; every other chain's last answer is dropped.
+    chains = list(permutations(range(1, 4)))
     for sigma in enumerate_permutations(3):
+        mine = chains.index(sigma.mapping)
         queries = build_plan(3, 1, 5, sigma).rows()[3 * 18:]  # requests 4 and 5
-        finals = [i for i, q in enumerate(queries) if q.effect[0] == "final"]
-        assert [queries[i].effect for i in finals] == [("final", 3), ("final", 4)]
-        for i in finals:
-            assert tuple(q.function for q in queries[i - 2:i + 1]) == sigma.mapping
-        last_steps = [q for j, q in enumerate(queries) if j % 3 == 2]
-        assert sum(q.effect == ("drop",) for q in last_steps) == 2 * 5
+        for w, request in ((3, queries[:18]), (4, queries[18:])):
+            levels = [request[6 * t:6 * t + 6] for t in range(3)]
+            for t, level in enumerate(levels):
+                assert [q.function for q in level] == [chain[t] for chain in chains]
+                reads = [("w", w)] * 6 if t == 0 else [("prev", c) for c in range(6)]
+                assert [q.expr for q in level] == reads
+            for level in levels[:2]:
+                assert [q.effect for q in level] == [("prev", c) for c in range(6)]
+            assert [q.effect for q in levels[2]] == [
+                ("final", w) if c == mine else ("drop",) for c in range(6)
+            ]
+            assert tuple(level[mine].function for level in levels) == sigma.mapping
 
 
 # -- query_count -------------------------------------------------------------------
@@ -363,7 +373,9 @@ def test_feasibility_check_rejects_same_block_reads():
 
 
 def test_run_plan_sends_a_block_per_call():
-    # Blocks go whole, N(K-1) rows a call; chain and fallback rows alone.
+    # Blocks go whole, N(K-1) rows a call; then each request outside the
+    # blocks goes in K calls, one level of its chains each: one row for
+    # K <= N, K! rows for the fallback.
     for k, n, m in ((3, 3, 2), (4, 3, 4), (4, 3, 5), (3, 1, 2)):
         plan = build_plan(k, n, m, Permutation.identity(k))
         sizes = []
@@ -373,8 +385,21 @@ def test_run_plan_sends_a_block_per_call():
             return [0] * len(rows)
 
         run_plan(plan, [0] * plan.m, lambda _mid: 0, max, max, query)
-        singles = len(plan) - plan.n_blocks * n * (k - 1)
-        assert sizes == [n * (k - 1)] * plan.n_blocks + [1] * singles
+        chains, requests = (1, m) if k <= n else (factorial(k), plan.r)
+        assert sizes == [n * (k - 1)] * plan.n_blocks + [chains] * (k * requests)
+
+
+def test_run_plan_rejects_a_read_within_a_fallback_level():
+    # Row 1 of a request's first level now reads the link that row 0,
+    # in the same level, writes.  run_plan builds the whole level's
+    # inputs before it uses any answer, so the read is unresolved.
+    plan = build_plan(3, 1, 1, Permutation.identity(3))
+    source = list(plan.source)
+    source[1] = plan.dest[0]
+    broken = dataclasses.replace(plan, source=source)
+    assert broken.rows()[1].expr == plan.rows()[0].effect == ("prev", 0)
+    with pytest.raises(DependencyViolation):
+        check_feasibility(broken)
 
 
 def test_run_plan_rejects_unresolved_reference():
