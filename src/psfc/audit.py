@@ -34,6 +34,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 import numpy as np
@@ -48,6 +49,7 @@ from .field import (
     sample_uniform_vector,
 )
 from .protocol import (
+    MAX_ENUMERABLE_K,
     MarginalQueryList,
     Permutation,
     RunConfig,
@@ -218,14 +220,22 @@ def _det_batch(mats: np.ndarray, p: int) -> np.ndarray:
 
 
 def _sample_invertible_batch(k: int, l: int, p: int, t: int, nprng) -> np.ndarray:
-    """(K, T, L, L) int64 stack of per-trial uniform invertible matrices."""
+    """(K, T, L, L) int64 stack of per-trial uniform invertible matrices.
+
+    Rejection sampling that redraws only the singular matrices: each
+    round draws one replacement per rejected matrix, in C order over the
+    stack, and tests just those.  The draw sizes and order are those of
+    a loop that re-tests the whole stack every round, so the generator
+    stream and the result are identical to it.
+    """
     mats = nprng.integers(0, p, size=(k, t, l, l), dtype=np.int64)
-    while True:
-        bad = _det_batch(mats, p) == 0
-        count = int(bad.sum())
-        if not count:
-            return mats
-        mats[bad] = nprng.integers(0, p, size=(count, l, l), dtype=np.int64)
+    flat = mats.reshape(k * t, l, l)  # a view: writes land in `mats`
+    redo = np.flatnonzero(_det_batch(flat, p) == 0)
+    while redo.size:
+        fresh = nprng.integers(0, p, size=(redo.size, l, l), dtype=np.int64)
+        flat[redo] = fresh
+        redo = redo[_det_batch(fresh, p) == 0]
+    return mats
 
 
 def _batch_eval(
@@ -406,6 +416,16 @@ def _hidden_run(
     return None
 
 
+@lru_cache(maxsize=MAX_ENUMERABLE_K)
+def _orders(k: int) -> tuple[Permutation, ...]:
+    """All K! orders, built once per K and shared by every attack.
+
+    A tuple of frozen Permutations, so no caller can change what later
+    calls see.
+    """
+    return tuple(enumerate_permutations(k))
+
+
 def sigma_attack(
     marginal: MarginalQueryList, functions: list[FieldMatrix], p: int, rng: Rng
 ) -> Permutation:
@@ -431,13 +451,14 @@ def sigma_attack(
             if hidden is not None:
                 runs.add((f_a, *hidden, f_b))
 
+    orders = _orders(len(functions))
     candidates = []
-    for perm in enumerate_permutations(len(functions)):
+    for perm in orders:
         pos = {v: i for i, v in enumerate(perm.mapping)}
         if all(pos[f] == pos[run[0]] + i for run in runs for i, f in enumerate(run)):
             candidates.append(perm)
     if not candidates:
-        candidates = enumerate_permutations(len(functions))
+        candidates = orders
     if len(candidates) == 1:
         return candidates[0]
     return rng.choice(candidates)

@@ -26,6 +26,7 @@ cases keep tuples.  Both paths return tuples of Python ints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import mul
 from typing import Sequence
 
@@ -87,8 +88,13 @@ class SamplingExhausted(RuntimeError):
     """Rejection sampling hit its redraw cap; indicates an internal bug."""
 
 
+@lru_cache(maxsize=64)
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin, exact for all n below 2^61."""
+    """Deterministic Miller-Rabin, exact for all n below 2^61.
+
+    Results are cached per modulus, since every run config re-validates
+    the same few moduli.
+    """
     if n < 2:
         return False
     for q in _MR_BASES:

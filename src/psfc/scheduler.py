@@ -368,9 +368,10 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     one level of a request's chains each.  No group reads its own
     answers.  All inputs of a group are built before any of its answers
     is stored, so a same-group read raises DependencyViolation, as does
-    any read of a register not yet written.  Masks and placeholders are
-    drawn at first use, in plan order, a padded placeholder before its
-    mask, so a seeded backend sees one fixed sequence of draws.  A padded
+    any read of a register not yet written, or of a chain link written
+    by an earlier request.  Masks and placeholders are drawn at first
+    use, in plan order, a padded placeholder before its mask, so a
+    seeded backend sees one fixed sequence of draws.  A padded
     answer waits until its block returns the mask's image, which comes
     last in the block.  The interpreter owns all plan state: the
     registers, masks and pending unmasks.
@@ -390,11 +391,21 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     servers, functions, kinds, sources = plan.server, plan.function, plan.source_kind, plan.source
     pads, effects, dests = plan.pad, plan.effect, plan.dest
     total = len(servers)
-    width, chains = plan.n * (plan.k - 1), plan.chains
+    k, links = plan.k, plan.links
+    width, chains = plan.n * (k - 1), plan.chains
     blocks_end = plan.n_blocks * width
-    start = 0
+    unset = [None] * chains
+    start = level = 0
     while start < total:
-        stop = start + (width if start < blocks_end else chains)
+        if start < blocks_end:
+            stop = start + width
+        else:
+            stop = start + chains
+            if not level:
+                # Requests share the link registers: clear them as each
+                # request starts, so reading another request's link raises.
+                regs[links:] = unset
+            level = (level + 1) % k
         group = range(start, stop)
         start = stop
         rows = []

@@ -5,6 +5,7 @@ the acceptance suite; here each auditor is exercised at a size that
 still has discriminating power, plus the structural corner cases.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,9 @@ import pytest
 from psfc.audit import (
     GuardExceeded,
     _batch_eval,
+    _det_batch,
+    _orders,
+    _sample_invertible_batch,
     attack_campaign,
     converse_counts,
     fingerprint_invariance,
@@ -142,6 +146,33 @@ def test_uniformity_self_vs_cross_same_scale():
     assert res.max_tv_cross <= res.max_tv_self * 2.0
 
 
+def _sample_invertible_whole_stack(k, l, p, t, nprng):
+    """The reference sampler: every round re-tests the whole stack."""
+    mats = nprng.integers(0, p, size=(k, t, l, l), dtype=np.int64)
+    while True:
+        bad = _det_batch(mats, p) == 0
+        count = int(bad.sum())
+        if not count:
+            return mats
+        mats[bad] = nprng.integers(0, p, size=(count, l, l), dtype=np.int64)
+
+
+@pytest.mark.parametrize("k, l, p", [(3, 1, 3), (3, 2, 2), (2, 3, 2), (4, 2, 5)])
+def test_invertible_sampler_matches_whole_stack_loop(k, l, p):
+    t = 5_000
+    for seed in range(3):
+        ref_rng, nprng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = _sample_invertible_whole_stack(k, l, p, t, ref_rng)
+        mats = _sample_invertible_batch(k, l, p, t, nprng)
+        assert mats.shape == (k, t, l, l) and mats.dtype == np.int64
+        assert np.array_equal(mats, expected)
+        # Both consumed the same draws, so the streams go on alike.
+        assert nprng.integers(0, 2**62) == ref_rng.integers(0, 2**62)
+        # Entries below 5 and L <= 3 keep float determinants exact.
+        dets = np.rint(np.linalg.det(mats.astype(np.float64))).astype(np.int64)
+        assert np.all(dets % p != 0)
+
+
 def test_batch_eval_matches_real_protocol():
     # Feeds the client's own pad stream to the numpy backend, one trial
     # wide; the per-server views must equal the real client/server run.
@@ -193,6 +224,22 @@ def test_attacker_uninformed_guesses_uniformly():
     rng = Rng(23)
     guesses = {sigma_attack(marginal, functions, p, rng).mapping for _ in range(200)}
     assert len(guesses) == 6
+
+
+def test_attacker_guesses_from_one_shared_immutable_order_tuple():
+    p = DEFAULT_MODULUS
+    functions = generate_functions(3, 1, p, Rng(22).child("functions"))
+    marginal = MarginalQueryList(server=1, entries=[(1, (5,)), (3, (99,))])
+    orders = _orders(3)
+    assert orders is _orders(3)
+    guess = sigma_attack(marginal, functions, p, Rng(23))
+    assert any(guess is order for order in orders)
+    with pytest.raises(TypeError):
+        orders[0] = Permutation((3, 2, 1))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        guess.mapping = (3, 2, 1)
+    assert _orders(3) == tuple(enumerate_permutations(3))
+    assert sigma_attack(marginal, functions, p, Rng(23)) == guess
 
 
 def test_attacker_k1_trivial():

@@ -3,7 +3,13 @@
 import pytest
 
 from psfc import field
-from psfc.field import mat_vec_mul, sample_invertible_matrix, sample_uniform_vector, vec_add
+from psfc.field import (
+    is_prime,
+    mat_vec_mul,
+    sample_invertible_matrix,
+    sample_uniform_vector,
+    vec_add,
+)
 from psfc.protocol import (
     InvalidPermutation,
     KTooLarge,
@@ -166,3 +172,15 @@ def test_run_config_validation():
         RunConfig(k=0, n=2, m=1, l=1, p=5)
     with pytest.raises(ValueError):
         RunConfig(k=2, n=2, m=1, l=1, p=6)
+
+
+def test_run_config_rejects_bad_moduli_after_a_prime_is_cached():
+    p = 2**31 - 1
+    RunConfig(k=2, n=2, m=1, l=1, p=p)
+    hits = is_prime.cache_info().hits
+    RunConfig(k=2, n=2, m=1, l=1, p=p)
+    assert is_prime.cache_info().hits == hits + 1  # Miller-Rabin ran once for p
+    for bad in (p * 3, 2**31 + 1, 2**61):
+        with pytest.raises(ValueError):
+            RunConfig(k=2, n=2, m=1, l=1, p=bad)
+    assert not is_prime(p * 3) and not is_prime(2**31 + 1)

@@ -411,6 +411,21 @@ def test_run_plan_rejects_unresolved_reference():
         check_feasibility(broken)
 
 
+@pytest.mark.parametrize("k, n", [(2, 2), (3, 1)])
+def test_run_plan_rejects_a_link_left_by_an_earlier_request(k, n):
+    # Requests reuse the chain-link registers.  Request 2's first row now
+    # reads link 0, which request 1 wrote: a K <= N chain and a fallback.
+    plan = build_plan(k, n, 2, Permutation.identity(k))
+    first = len(plan) // 2
+    source = list(plan.source)
+    source[first] = plan.links
+    broken = dataclasses.replace(plan, source=source)
+    assert broken.rows()[first].expr == ("prev", 0)
+    check_feasibility(plan)
+    with pytest.raises(DependencyViolation):
+        check_feasibility(broken)
+
+
 def test_mask_usage_exactly_n_queries_per_block():
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 4, sigma)  # M'=2, blocks=5
