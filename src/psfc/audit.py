@@ -10,7 +10,9 @@ evidence, all computed from the servers' marginal views only:
 2. statistical: on tiny fields, the order-conditioned distribution of a
    server's full input tuple is compared across orders by total
    variation distance, and every individual input slot is chi-square
-   tested against the uniform law;
+   tested against the uniform law.  Its thresholds are fixed here:
+   `UniformityResult.tv_limit`, `tv_self_limit` and `chi2_all_pass`
+   (at CHI2_ALPHA), and NAIVE_FLOOR for the broken control below;
 3. adversarial: a reverse-computation attacker that links query inputs
    to function images of earlier outputs.  It must recover the order
    from a deliberately broken interleaved schedule (the negative
@@ -35,19 +37,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 import numpy as np
 
 from .client import RunReport, run_protocol
-from .field import (
-    DEFAULT_MODULUS,
-    FieldMatrix,
-    FieldVector,
-    mat_vec_mul,
-    rank,
-    sample_uniform_vector,
-)
+from .field import DEFAULT_MODULUS, FieldMatrix, FieldVector, mat_vec_mul, rank, sample_uniform_vector
 from .protocol import (
     MAX_ENUMERABLE_K,
     MarginalQueryList,
@@ -83,9 +79,41 @@ SAMPLED_SIGMA_COUNT = 24
 JOINT_CELL_CAP = 1 << 22
 UNIFORMITY_CHUNK = 200_000  # trials evaluated together in one numpy stack
 
+# Fixed acceptance thresholds.  The TV limit is a calibration choice, not
+# a derived constant; the attacker must break the control above NAIVE_FLOOR.
+TV_BASELINE = 0.02
+TV_BASELINE_TRIALS = 1_000_000
+CHI2_ALPHA = 0.01
+NAIVE_FLOOR = 0.9
+
 
 class GuardExceeded(ValueError):
     """Requested audit would enumerate an impractically large space."""
+
+
+@lru_cache(maxsize=MAX_ENUMERABLE_K)
+def _orders(k: int) -> tuple[Permutation, ...]:
+    """All K! orders, built once per K and shared by every attack.
+
+    A tuple of frozen Permutations, so no caller can change what later
+    calls see.
+    """
+    return tuple(enumerate_permutations(k))
+
+
+def _pick_orders(k: int, budget: int, rng: Rng) -> tuple[list[Permutation], bool]:
+    """The orders an audit compares, and whether they are a sample.
+
+    All K! orders while K! <= budget; otherwise SAMPLED_SIGMA_COUNT
+    distinct orders drawn from `rng`, in first-draw order.
+    """
+    if factorial(k) <= budget:
+        return list(_orders(k)), False
+    seen: dict[tuple[int, ...], Permutation] = {}
+    while len(seen) < SAMPLED_SIGMA_COUNT:
+        sigma = random_permutation(k, rng)
+        seen.setdefault(sigma.mapping, sigma)
+    return list(seen.values()), True
 
 
 # -- structural check: fingerprint invariance ----------------------------------
@@ -128,22 +156,16 @@ def fingerprint_invariance(
     and exchange sizes.
 
     Exhausts all K! orders up to K = 6; beyond that a seeded sample of
-    orders is used and the result is flagged as non-exhaustive.
+    distinct orders is used and the result is flagged as non-exhaustive.
     """
-    if k <= MAX_EXHAUSTIVE_K:
-        sigmas = enumerate_permutations(k)
-        exhaustive = True
-    else:
-        rng = Rng(seed).child("fingerprint-sigmas")
-        sigmas = [random_permutation(k, rng) for _ in range(SAMPLED_SIGMA_COUNT)]
-        exhaustive = False
-
+    sigmas, sampled = _pick_orders(
+        k, factorial(MAX_EXHAUSTIVE_K), Rng(seed).child("fingerprint-sigmas")
+    )
     config = RunConfig(k=k, n=n, m=m, l=l, p=p, seed=seed)
     functions = generate_functions(k, l, p, Rng(seed).child("functions"))
     w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
 
-    baseline: dict[int, tuple[int, ...]] | None = None
-    baseline_exchanges: dict[int, tuple[int, ...]] | None = None
+    baseline = None  # (fingerprints, exchange sizes) under the first order
     mismatches: list[str] = []
     for sigma in sigmas:
         servers = [Server(i + 1, functions, p) for i in range(n)]
@@ -151,17 +173,14 @@ def fingerprint_invariance(
         run_protocol(config, sigma, w, log)
         fps = {s.id: marginal_fingerprint(s) for s in servers}
         exchanges = {server: tuple(sizes) for server, sizes in log.sizes.items()}
-        if baseline is None:
-            baseline, baseline_exchanges = fps, exchanges
-        else:
-            if fps != baseline:
-                mismatches.append(f"order {sigma} changes a server fingerprint")
-            if exchanges != baseline_exchanges:
-                mismatches.append(f"order {sigma} changes a server's exchange sizes")
+        baseline = baseline or (fps, exchanges)
+        if fps != baseline[0]:
+            mismatches.append(f"order {sigma} changes a server fingerprint")
+        if exchanges != baseline[1]:
+            mismatches.append(f"order {sigma} changes a server's exchange sizes")
     return FingerprintResult(
-        k=k, n=n, m=m, ok=not mismatches, exhaustive=exhaustive,
-        n_sigmas=len(sigmas), fingerprints=baseline or {},
-        exchanges=baseline_exchanges or {}, mismatches=mismatches,
+        k=k, n=n, m=m, ok=not mismatches, exhaustive=not sampled, n_sigmas=len(sigmas),
+        fingerprints=baseline[0], exchanges=baseline[1], mismatches=mismatches,
     )
 
 
@@ -197,7 +216,17 @@ class UniformityResult:
     def chi2_min_p(self) -> float:
         return min(self.chi2_pvalues.values()) if self.chi2_pvalues else 1.0
 
-    def chi2_all_pass(self, alpha: float) -> bool:
+    @property
+    def tv_limit(self) -> float:
+        """Cross-order TV limit: TV_BASELINE at TV_BASELINE_TRIALS, scaled as 1/sqrt(trials)."""
+        return TV_BASELINE * math.sqrt(TV_BASELINE_TRIALS / self.trials)
+
+    @property
+    def tv_self_limit(self) -> float:
+        """Split-half TV limit: each half has half the trials, so sqrt(2) more noise."""
+        return self.tv_limit * math.sqrt(2)
+
+    def chi2_all_pass(self, alpha: float = CHI2_ALPHA) -> bool:
         """Bonferroni-corrected goodness-of-fit verdict over all slots."""
         if not self.chi2_pvalues:
             return True
@@ -238,13 +267,13 @@ def _sample_invertible_batch(k: int, l: int, p: int, t: int, nprng) -> np.ndarra
     return mats
 
 
-def _batch_eval(
-    plan: QueryPlan, f_batch, w_batch, draw, p: int, per_trial_f: bool
-) -> list[list[np.ndarray]]:
+def _batch_eval(plan: QueryPlan, f_batch, w_batch, draw, p: int) -> list[list[np.ndarray]]:
     """The plan interpreter over a stack of trials, as numpy arrays.
 
     Values are (trials x L) int64 arrays; `draw(mid)` returns a fresh
-    one.  Returns, per server, the list of input arrays in arrival order.
+    one.  `f_batch[k - 1]` is function k: one (L x L) matrix shared by
+    every trial, or a (trials x L x L) stack.  Returns, per server, the
+    list of input arrays in arrival order.
     """
     per_server: list[list[np.ndarray]] = [[] for _ in range(plan.n)]
 
@@ -253,25 +282,19 @@ def _batch_eval(
         # computed and a block's answers are never all held at once.
         for server, function, w in rows:
             per_server[server - 1].append(w)
-            fk = f_batch[function - 1]
-            if per_trial_f:
-                yield np.einsum("tij,tj->ti", fk, w) % p
-            else:
-                yield (w @ fk.T) % p
+            yield np.einsum("...ij,...j->...i", f_batch[function - 1], w) % p
 
     run_plan(plan, w_batch, draw, lambda x, z: (x + z) % p, lambda a, b: (a - b) % p, query)
     return per_server
 
 
+def _tv(a: np.ndarray, b: np.ndarray) -> float:
+    """Total variation distance between the laws of two count arrays."""
+    return float(0.5 * np.abs(a / a.sum() - b / b.sum()).sum())
+
+
 def uniformity_test(
-    k: int,
-    n: int,
-    m: int,
-    p: int,
-    l: int,
-    trials: int,
-    seed: int = 0,
-    resample_f: bool = True,
+    k: int, n: int, m: int, p: int, l: int, trials: int, seed: int = 0, resample_f: bool = True
 ) -> UniformityResult:
     """Monte-Carlo comparison of server views across composition orders.
 
@@ -292,17 +315,7 @@ def uniformity_test(
     if trials < 2:
         raise ValueError("need at least 2 trials")
 
-    if factorial(k) <= SAMPLED_SIGMA_COUNT:
-        sigmas = enumerate_permutations(k)
-        sampled = False
-    else:
-        rng = Rng(seed).child("uniformity-sigmas")
-        seen: dict[tuple[int, ...], Permutation] = {}
-        while len(seen) < SAMPLED_SIGMA_COUNT:
-            sigma = random_permutation(k, rng)
-            seen.setdefault(sigma.mapping, sigma)
-        sigmas = list(seen.values())
-        sampled = True
+    sigmas, sampled = _pick_orders(k, SAMPLED_SIGMA_COUNT, Rng(seed).child("uniformity-sigmas"))
     plan0 = build_plan(k, n, m, sigmas[0])
     slots_per_server = [plan0.server.count(server) for server in range(1, n + 1)]
     joint_cells = [slot_cells**s for s in slots_per_server]
@@ -311,75 +324,54 @@ def uniformity_test(
             f"joint input-tuple space has {max(joint_cells)} cells (> {JOINT_CELL_CAP})"
         )
 
-    fixed_f = None
     if not resample_f:
-        fixed_mats = generate_functions(k, l, p, Rng(seed).child("functions"))
-        fixed_f = [np.array(mat, dtype=np.int64) for mat in fixed_mats]
+        f_batch = np.array(generate_functions(k, l, p, Rng(seed).child("functions")), dtype=np.int64)
 
     powers = np.array([p**i for i in range(l)], dtype=np.int64)
-    labels = [str(s) for s in sigmas]
-    half_hists: dict[tuple[int, int, int], np.ndarray] = {}  # (sigma, server, half)
-    slot_hists: dict[tuple[int, int], np.ndarray] = {}  # (sigma, server) -> (slots, cells)
-
+    # Per server: joint-tuple counts by (order, half, cell), and per-slot
+    # counts by (order, slot, cell).
+    joint = [np.zeros((len(sigmas), 2, cells), dtype=np.int64) for cells in joint_cells]
+    slots = [np.zeros((len(sigmas), s, slot_cells), dtype=np.int64) for s in slots_per_server]
     for si, sigma in enumerate(sigmas):
         plan = build_plan(k, n, m, sigma)
         nprng = np.random.default_rng(Rng(seed).child(f"uniformity:{sigma}").seed)
-        for srv in range(n):
-            half_hists[(si, srv, 0)] = np.zeros(joint_cells[srv], dtype=np.int64)
-            half_hists[(si, srv, 1)] = np.zeros(joint_cells[srv], dtype=np.int64)
-            slot_hists[(si, srv)] = np.zeros((slots_per_server[srv], slot_cells), dtype=np.int64)
-        done = 0
-        while done < trials:
+        for done in range(0, trials, UNIFORMITY_CHUNK):
             t = min(UNIFORMITY_CHUNK, trials - done)
             if resample_f:
                 f_batch = _sample_invertible_batch(k, l, p, t, nprng)
-            else:
-                f_batch = fixed_f
             w_batch = nprng.integers(0, p, size=(max(m, 1), t, l), dtype=np.int64)
             draw = lambda _mid: nprng.integers(0, p, size=(t, l), dtype=np.int64)
-            per_server = _batch_eval(plan, f_batch, w_batch, draw, p, resample_f)
-            for srv in range(n):
-                slot_values = [vals @ powers for vals in per_server[srv]]
-                joint = np.zeros(t, dtype=np.int64)
-                for s, vals in enumerate(slot_values):
-                    joint += vals * (slot_cells**s)
-                    slot_hists[(si, srv)][s] += np.bincount(vals, minlength=slot_cells)
+            for srv, inputs in enumerate(_batch_eval(plan, f_batch, w_batch, draw, p)):
+                code = np.zeros(t, dtype=np.int64)
+                for s, x in enumerate(inputs):
+                    vals = x @ powers
+                    code += vals * slot_cells**s
+                    slots[srv][si, s] += np.bincount(vals, minlength=slot_cells)
                 half = t // 2
-                half_hists[(si, srv, 0)] += np.bincount(joint[:half], minlength=joint_cells[srv])
-                half_hists[(si, srv, 1)] += np.bincount(joint[half:], minlength=joint_cells[srv])
-            done += t
+                joint[srv][si, 0] += np.bincount(code[:half], minlength=joint_cells[srv])
+                joint[srv][si, 1] += np.bincount(code[half:], minlength=joint_cells[srv])
 
     from scipy.stats import chi2 as chi2_dist
 
-    tv_cross: dict[tuple[str, str, int], float] = {}
+    labels = [str(s) for s in sigmas]
+    pvalues = []  # per server, (order, slot)
+    for counts in slots:
+        expected = counts.sum(axis=2, keepdims=True) / slot_cells
+        stats = ((counts - expected) ** 2 / expected).sum(axis=2)
+        pvalues.append(chi2_dist.sf(stats, slot_cells - 1))
     tv_self: dict[tuple[str, int], float] = {}
     chi2_pvalues: dict[tuple[str, int, int], float] = {}
-    totals = {
-        (si, srv): half_hists[(si, srv, 0)] + half_hists[(si, srv, 1)]
-        for si in range(len(sigmas))
+    for si, label in enumerate(labels):
+        for srv in range(n):
+            tv_self[(label, srv + 1)] = _tv(*joint[srv][si])
+            for s, pvalue in enumerate(pvalues[srv][si]):
+                chi2_pvalues[(label, srv + 1, s)] = float(pvalue)
+    totals = [counts.sum(axis=1) for counts in joint]
+    tv_cross = {
+        (labels[a], labels[b], srv + 1): _tv(totals[srv][a], totals[srv][b])
+        for a, b in combinations(range(len(sigmas)), 2)
         for srv in range(n)
     }
-    for si in range(len(sigmas)):
-        for srv in range(n):
-            a = half_hists[(si, srv, 0)]
-            b = half_hists[(si, srv, 1)]
-            tv_self[(labels[si], srv + 1)] = float(
-                0.5 * np.abs(a / a.sum() - b / b.sum()).sum()
-            )
-            hist = slot_hists[(si, srv)]
-            expected = hist.sum(axis=1, keepdims=True) / slot_cells
-            stats = ((hist - expected) ** 2 / expected).sum(axis=1)
-            for s, stat in enumerate(stats):
-                chi2_pvalues[(labels[si], srv + 1, s)] = float(
-                    chi2_dist.sf(stat, slot_cells - 1)
-                )
-        for sj in range(si + 1, len(sigmas)):
-            for srv in range(n):
-                ha = totals[(si, srv)]
-                hb = totals[(sj, srv)]
-                tv_cross[(labels[si], labels[sj], srv + 1)] = float(
-                    0.5 * np.abs(ha / ha.sum() - hb / hb.sum()).sum()
-                )
 
     return UniformityResult(
         k=k, n=n, m=m, p=p, l=l, trials=trials, resample_f=resample_f,
@@ -392,38 +384,26 @@ def uniformity_test(
 # -- adversarial check: reverse-computation attacker ---------------------------
 
 
-def _hidden_run(
-    functions: list[FieldMatrix], start: FieldVector, target: FieldVector,
-    ends: tuple[int, int], p: int,
-) -> tuple[int, ...] | None:
-    """The fewest distinct hidden steps taking `start` to `target`, or None.
+def _hidden_images(
+    functions: list[FieldMatrix], start: FieldVector, first: int, p: int
+) -> list[tuple[tuple[int, ...], FieldVector]]:
+    """Every run of 0..K-2 distinct functions other than `first`, with
+    the image of `start` under it.
 
-    Breadth-first over runs of functions outside `ends`, so with K
-    functions it tries 0..K-2 hidden steps and each prefix's image is
-    computed once.
+    Listed breadth-first: shorter runs first, runs of one length in
+    lexicographic order, so each prefix's image is computed once.
     """
-    frontier = [((), start)]
-    while frontier:
-        for hidden, value in frontier:
-            if value == target:
-                return hidden
-        frontier = [
+    level = [((), start)]
+    listed = list(level)
+    for _ in range(len(functions) - 2):
+        level = [
             (hidden + (h,), mat_vec_mul(functions[h - 1], value, p))
-            for hidden, value in frontier
+            for hidden, value in level
             for h in range(1, len(functions) + 1)
-            if h not in ends and h not in hidden
+            if h != first and h not in hidden
         ]
-    return None
-
-
-@lru_cache(maxsize=MAX_ENUMERABLE_K)
-def _orders(k: int) -> tuple[Permutation, ...]:
-    """All K! orders, built once per K and shared by every attack.
-
-    A tuple of frozen Permutations, so no caller can change what later
-    calls see.
-    """
-    return tuple(enumerate_permutations(k))
+        listed += level
+    return listed
 
 
 def sigma_attack(
@@ -439,26 +419,24 @@ def sigma_attack(
     with every observed run; with no usable runs that is a uniform guess.
     """
     entries = marginal.entries
-    outputs = [mat_vec_mul(functions[f - 1], w, p) for f, w in entries]
     runs: set[tuple[int, ...]] = set()
-    for a in range(len(entries)):
-        f_a = entries[a][0]
-        for b in range(a + 1, len(entries)):
-            f_b, w_b = entries[b]
-            if f_a == f_b:
-                continue
-            hidden = _hidden_run(functions, outputs[a], w_b, (f_a, f_b), p)
+    for a, (f_a, w_a) in enumerate(entries):
+        later = [(f_b, w_b) for f_b, w_b in entries[a + 1:] if f_b != f_a]
+        if not later:
+            continue
+        images = _hidden_images(functions, mat_vec_mul(functions[f_a - 1], w_a, p), f_a, p)
+        for f_b, w_b in later:
+            # The fewest hidden steps from output a to input b that avoid f_b.
+            hidden = next((run for run, value in images if value == w_b and f_b not in run), None)
             if hidden is not None:
                 runs.add((f_a, *hidden, f_b))
 
+    # An order fits when each run is a stretch of its consecutive steps.
     orders = _orders(len(functions))
-    candidates = []
-    for perm in orders:
-        pos = {v: i for i, v in enumerate(perm.mapping)}
-        if all(pos[f] == pos[run[0]] + i for run in runs for i, f in enumerate(run)):
-            candidates.append(perm)
-    if not candidates:
-        candidates = orders
+    candidates = [
+        perm for perm in orders
+        if all(perm.mapping[perm.mapping.index(run[0]):][: len(run)] == run for run in runs)
+    ] or orders
     if len(candidates) == 1:
         return candidates[0]
     return rng.choice(candidates)
@@ -502,12 +480,7 @@ class AttackCampaignResult:
 
 
 def attack_campaign(
-    k: int,
-    n: int,
-    trials: int,
-    p: int = DEFAULT_MODULUS,
-    l: int = 1,
-    seed: int = 0,
+    k: int, n: int, trials: int, p: int = DEFAULT_MODULUS, l: int = 1, seed: int = 0,
     scheme: str = "real",
 ) -> AttackCampaignResult:
     """Run the attacker against fresh instances and count exact recoveries.
@@ -567,11 +540,10 @@ def rate_report(report: RunReport) -> RateVerdict:
     (1 - 1/N)/(1 - 1/max(K, N)) <= C <= 1.  The verdict fails if the
     measured rate exceeds 1 or the scheme's own asymptotic limit.
     """
-    k, n = report.k, report.n
-    measured = Fraction(report.rate[0], report.rate[1])
-    lower, limit = rate_bounds(k, n)
+    measured = Fraction(*report.rate)
+    lower, limit = rate_bounds(report.k, report.n)
     upper = Fraction(1)
-    ok = measured <= upper and measured <= limit and lower <= upper
+    ok = measured <= upper and measured <= limit
     return RateVerdict(
         measured=measured, lower_bound=lower, upper_bound=upper,
         asymptotic_limit=limit, gap=upper - measured, ok=ok,

@@ -6,6 +6,7 @@ still has discriminating power, plus the structural corner cases.
 """
 
 import dataclasses
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,8 +28,10 @@ from psfc.audit import (
     uniformity_test,
 )
 from psfc.client import run_protocol
-from psfc.field import DEFAULT_MODULUS
-from psfc.protocol import MarginalQueryList, Permutation, RunConfig, enumerate_permutations
+from psfc.field import DEFAULT_MODULUS, mat_vec_mul, sample_uniform_vector
+from psfc.protocol import (
+    MarginalQueryList, Permutation, RunConfig, enumerate_permutations, random_permutation,
+)
 from psfc.rand import Rng
 from psfc.runtime import Server, SimTransport, generate_functions, generate_inputs
 from psfc.scheduler import build_plan
@@ -193,10 +196,68 @@ def test_batch_eval_matches_real_protocol():
             np.array(w, dtype=np.int64)[:, None, :],
             lambda _mid: np.array([[randrange(p) for _ in range(l)]], dtype=np.int64),
             p,
-            per_trial_f=False,
         )
         batch_view = [[tuple(int(x) for x in arr[0]) for arr in srv] for srv in per_server]
         assert batch_view == real_view, f"seed {seed}"
+
+
+@pytest.mark.parametrize("k, n, m, p, l", [(3, 2, 1, 3, 1), (4, 3, 2, 5, 2), (3, 1, 1, 2, 3)])
+def test_batch_eval_one_matrix_equals_broadcast_stack(k, n, m, p, l):
+    # One (L x L) matrix per function, shared by every trial, must give
+    # the views of that matrix broadcast to a (T x L x L) stack.
+    t = 500
+    plan = build_plan(k, n, m, enumerate_permutations(k)[-1])
+    shared = np.array(generate_functions(k, l, p, Rng(k).child("functions")), dtype=np.int64)
+    stacked = [np.broadcast_to(f, (t, l, l)) for f in shared]
+    views = []
+    for f_batch in (shared, stacked):
+        nprng = np.random.default_rng(11)
+        w_batch = nprng.integers(0, p, size=(m, t, l), dtype=np.int64)
+        draw = lambda _mid: nprng.integers(0, p, size=(t, l), dtype=np.int64)
+        views.append(_batch_eval(plan, f_batch, w_batch, draw, p))
+    assert [len(srv) for srv in views[0]] == [plan.server.count(s) for s in range(1, n + 1)]
+    for one, many in zip(*views):
+        assert all(np.array_equal(a, b) and a.shape == (t, l) for a, b in zip(one, many))
+
+
+@pytest.mark.parametrize("p, l", [(3, 1), (2, 2)])
+def test_uniformity_fires_on_an_order_dependent_view(monkeypatch, p, l):
+    # Under the second order only, server 1's first input has its last
+    # element forced to 0.  At L = 2 that element is weighted by a slot
+    # power above 1, so the joint index must fold it in to see the leak.
+    import psfc.audit as audit
+
+    calls = []
+    honest = audit._batch_eval
+
+    def leaky(*args, **kwargs):
+        per_server = honest(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == 2:
+            first = per_server[0][0].copy()
+            first[:, -1] = 0
+            per_server[0][0] = first
+        return per_server
+
+    monkeypatch.setattr(audit, "_batch_eval", leaky)
+    trials = 20_000
+    res = uniformity_test(3, 2, 1, p, l, trials=trials, seed=5)
+    assert len(calls) == 6  # one chunk per order
+    assert res.max_tv_cross > 0.02 * math.sqrt(1_000_000 / trials)
+    assert not res.chi2_all_pass(0.01)
+
+
+def test_uniformity_limits_are_the_fixed_rule():
+    # TV 0.02 at 10^6 trials, scaled as 1/sqrt(trials); sqrt(2) times
+    # that for split halves; chi-square at alpha 0.01, Bonferroni.
+    res = uniformity_test(3, 2, 1, 3, 1, trials=30_000, seed=7)
+    assert res.tv_limit == 0.02 * math.sqrt(1_000_000 / 30_000)
+    assert res.tv_self_limit == res.tv_limit * math.sqrt(2)
+    assert dataclasses.replace(res, trials=1_000_000).tv_limit == 0.02
+    ones = dict.fromkeys(res.chi2_pvalues, 1.0)
+    key, edge = next(iter(ones)), 0.01 / len(ones)
+    assert dataclasses.replace(res, chi2_pvalues={**ones, key: edge}).chi2_all_pass()
+    assert not dataclasses.replace(res, chi2_pvalues={**ones, key: edge * 0.99}).chi2_all_pass()
 
 
 # -- attacker -----------------------------------------------------------------------
@@ -240,6 +301,77 @@ def test_attacker_guesses_from_one_shared_immutable_order_tuple():
         guess.mapping = (3, 2, 1)
     assert _orders(3) == tuple(enumerate_permutations(3))
     assert sigma_attack(marginal, functions, p, Rng(23)) == guess
+
+
+def _reference_hidden_run(functions, start, target, ends, p):
+    """The per-pair search: a fresh breadth-first search for each pair."""
+    frontier = [((), start)]
+    while frontier:
+        for hidden, value in frontier:
+            if value == target:
+                return hidden
+        frontier = [
+            (hidden + (h,), mat_vec_mul(functions[h - 1], value, p))
+            for hidden, value in frontier
+            for h in range(1, len(functions) + 1)
+            if h not in ends and h not in hidden
+        ]
+    return None
+
+
+def _reference_sigma_attack(marginal, functions, p, rng):
+    """The attacker with one hidden-run search per pair of queries."""
+    entries = marginal.entries
+    outputs = [mat_vec_mul(functions[f - 1], w, p) for f, w in entries]
+    runs = set()
+    for a in range(len(entries)):
+        f_a = entries[a][0]
+        for b in range(a + 1, len(entries)):
+            f_b, w_b = entries[b]
+            if f_a == f_b:
+                continue
+            hidden = _reference_hidden_run(functions, outputs[a], w_b, (f_a, f_b), p)
+            if hidden is not None:
+                runs.add((f_a, *hidden, f_b))
+    orders = _orders(len(functions))
+    candidates = []
+    for perm in orders:
+        pos = {v: i for i, v in enumerate(perm.mapping)}
+        if all(pos[f] == pos[run[0]] + i for run in runs for i, f in enumerate(run)):
+            candidates.append(perm)
+    if not candidates:
+        candidates = orders
+    if len(candidates) == 1:
+        return candidates[0]
+    return rng.choice(candidates)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sigma_attack_matches_per_pair_reference(k, n):
+    # p = 3 makes chance collisions common, so several hidden runs often
+    # fit one pair and the first one listed must be the one kept; the
+    # large prime links only true runs.
+    l = 2
+    for p in (3, DEFAULT_MODULUS):
+        for trial in range(3):
+            trng = Rng(900 + trial).child(f"{k}:{n}:{p}")
+            sigma = random_permutation(k, trng)
+            functions = generate_functions(k, l, p, trng)
+            naive = [Server(i + 1, functions, p) for i in range(n)]
+            naive_chain_run(sigma, naive, sample_uniform_vector(l, p, trng), p)
+            views = [s.marginal for s in naive]
+            if k <= 4 or n > 1:  # K=5, N=1 is 600 queries: too slow for the reference
+                m = n - 1 if (k > n and n >= 2) else 1
+                real = [Server(i + 1, functions, p) for i in range(n)]
+                config = RunConfig(k=k, n=n, m=m, l=l, p=p, seed=trng.seed)
+                run_protocol(config, sigma, generate_inputs(m, l, p, trng), SimTransport(real))
+                views += [s.marginal for s in real]
+            for marginal in views:
+                for seed in range(3):
+                    assert sigma_attack(marginal, functions, p, Rng(seed)) == (
+                        _reference_sigma_attack(marginal, functions, p, Rng(seed))
+                    ), (k, n, p, trial, marginal.server)
 
 
 def test_attacker_k1_trivial():
@@ -305,6 +437,14 @@ def test_rate_chain_is_one():
     assert verdict.measured == 1
     assert verdict.asymptotic_limit == 1
     assert verdict.gap == 0 and verdict.ok
+
+
+def test_rate_verdict_fails_above_the_scheme_limit():
+    # A rate of 1 is within the capacity window but above K=4, N=3's
+    # own limit of 8/9, so the verdict must fail.
+    verdict = rate_report(dataclasses.replace(_report_for(4, 3, 2), rate=(1, 1)))
+    assert verdict.measured == 1 and verdict.asymptotic_limit == Fraction(8, 9)
+    assert not verdict.ok
 
 
 def test_rate_k3_n2_limit():

@@ -6,6 +6,8 @@ import struct
 import subprocess
 import sys
 
+import pytest
+
 from psfc.cli import main
 
 
@@ -81,6 +83,26 @@ def test_run_capture_dir(tmp_path):
     assert doc["entries"][0]["function"] == 1
 
 
+def test_run_rejects_malformed_addresses(capsys):
+    base = ["run", "--k", "2", "--n", "2", "--m", "1", "--l", "1", "--p", "5",
+            "--transport", "tcp"]
+    for addresses in ("127.0.0.1:abc,127.0.0.1:1", "127.0.0.1,127.0.0.1:1",
+                      ":80,127.0.0.1:1", "127.0.0.1:0,127.0.0.1:1", "127.0.0.1:70000,127.0.0.1:1"):
+        assert run_cli(*base, "--addresses", addresses) == 2, addresses
+        assert "error: --addresses" in capsys.readouterr().err
+
+
+def test_run_rejects_capture_dir_with_remote_servers(tmp_path, capsys):
+    # Remote servers keep their own views: there is nothing local to capture.
+    capture = tmp_path / "caps"
+    code = run_cli("run", "--k", "2", "--n", "2", "--m", "1", "--l", "1", "--p", "5",
+                   "--transport", "tcp", "--addresses", "127.0.0.1:1,127.0.0.1:2",
+                   "--capture-dir", str(capture))
+    assert code == 2
+    assert "--capture-dir" in capsys.readouterr().err
+    assert not capture.exists()
+
+
 def test_audit_small(capsys):
     code = run_cli("audit", "--k", "3", "--n", "2", "--p", "3", "--l", "1",
                    "--trials", "30000", "--attack-trials", "400", "--seed", "7")
@@ -100,6 +122,25 @@ def test_audit_negative_control(tmp_path, capsys):
     control = [r for r in rows if "broken control" in r["check"]]
     assert len(control) == 1 and control[0]["pass"]
     assert control[0]["statistic"] > 0.9
+
+
+def test_audit_thresholds_are_fixed(tmp_path, capsys):
+    # TV 0.02 at 10^6 trials scaled as 1/sqrt(trials), sqrt(2) times that
+    # for split halves, alpha 0.01: no option loosens them.
+    emit = tmp_path / "audit.json"
+    assert run_cli("audit", "--k", "3", "--n", "2", "--p", "3", "--l", "1",
+                   "--trials", "30000", "--attack-trials", "100", "--seed", "7",
+                   "--emit", str(emit)) == 0
+    rows = {r["check"]: r for r in json.loads(emit.read_text())}
+    assert rows["input-tuple TV across orders (all orders)"]["threshold"] == "<= 0.115470"
+    assert rows["input-tuple TV split-half floor"]["threshold"] == "<= 0.163299"
+    assert rows["per-slot uniformity chi-square (72 slots)"]["threshold"] == ">= alpha/72"
+    rate = rows["measured rate <= min(1, scheme limit)"]
+    assert rate["pass"] and rate["statistic"] == "1/4" and rate["threshold"] == "<= 3/4"
+    for flag in ("--alpha", "--tv-threshold"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("audit", flag, "1")
+        assert exc.value.code == 2
 
 
 def test_audit_rejects_bad_trials():
