@@ -36,7 +36,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
@@ -45,7 +44,6 @@ import numpy as np
 from .client import RunReport, run_protocol
 from .field import DEFAULT_MODULUS, FieldMatrix, FieldVector, mat_vec_mul, rank, sample_uniform_vector
 from .protocol import (
-    MAX_ENUMERABLE_K,
     MarginalQueryList,
     Permutation,
     RunConfig,
@@ -91,16 +89,6 @@ class GuardExceeded(ValueError):
     """Requested audit would enumerate an impractically large space."""
 
 
-@lru_cache(maxsize=MAX_ENUMERABLE_K)
-def _orders(k: int) -> tuple[Permutation, ...]:
-    """All K! orders, built once per K and shared by every attack.
-
-    A tuple of frozen Permutations, so no caller can change what later
-    calls see.
-    """
-    return tuple(enumerate_permutations(k))
-
-
 def _pick_orders(k: int, budget: int, rng: Rng) -> tuple[list[Permutation], bool]:
     """The orders an audit compares, and whether they are a sample.
 
@@ -108,7 +96,7 @@ def _pick_orders(k: int, budget: int, rng: Rng) -> tuple[list[Permutation], bool
     distinct orders drawn from `rng`, in first-draw order.
     """
     if factorial(k) <= budget:
-        return list(_orders(k)), False
+        return list(enumerate_permutations(k)), False
     seen: dict[tuple[int, ...], Permutation] = {}
     while len(seen) < SAMPLED_SIGMA_COUNT:
         sigma = random_permutation(k, rng)
@@ -316,8 +304,8 @@ def uniformity_test(
         raise ValueError("need at least 2 trials")
 
     sigmas, sampled = _pick_orders(k, SAMPLED_SIGMA_COUNT, Rng(seed).child("uniformity-sigmas"))
-    plan0 = build_plan(k, n, m, sigmas[0])
-    slots_per_server = [plan0.server.count(server) for server in range(1, n + 1)]
+    plans = [build_plan(k, n, m, sigma) for sigma in sigmas]
+    slots_per_server = [plans[0].server.count(server) for server in range(1, n + 1)]
     joint_cells = [slot_cells**s for s in slots_per_server]
     if max(joint_cells) > JOINT_CELL_CAP:
         raise GuardExceeded(
@@ -332,8 +320,7 @@ def uniformity_test(
     # counts by (order, slot, cell).
     joint = [np.zeros((len(sigmas), 2, cells), dtype=np.int64) for cells in joint_cells]
     slots = [np.zeros((len(sigmas), s, slot_cells), dtype=np.int64) for s in slots_per_server]
-    for si, sigma in enumerate(sigmas):
-        plan = build_plan(k, n, m, sigma)
+    for si, (sigma, plan) in enumerate(zip(sigmas, plans)):
         nprng = np.random.default_rng(Rng(seed).child(f"uniformity:{sigma}").seed)
         for done in range(0, trials, UNIFORMITY_CHUNK):
             t = min(UNIFORMITY_CHUNK, trials - done)
@@ -432,7 +419,7 @@ def sigma_attack(
                 runs.add((f_a, *hidden, f_b))
 
     # An order fits when each run is a stretch of its consecutive steps.
-    orders = _orders(len(functions))
+    orders = enumerate_permutations(len(functions))
     candidates = [
         perm for perm in orders
         if all(perm.mapping[perm.mapping.index(run[0]):][: len(run)] == run for run in runs)

@@ -2,8 +2,11 @@
 
 Composition orders on the command line use the display convention: the
 string "4,3,2,1" lists the order right to left, so the rightmost entry
-is the function applied first.  Exit codes: 0 success, 1 a protocol or
-audit check failed, 2 usage error.
+is the function applied first.  `run` and `audit` build one seeded
+instance the same way (`_config`, `_instance`); their `--seed` defaults
+to PSFC_SEED, else 0.  `demo` runs the worked examples on symbolic
+values and checks them against their own outputs, so it takes no seed.
+Exit codes: 0 success, 1 a protocol or audit check failed, 2 usage error.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ USAGE_ERROR = 2
 CHECK_ERROR = 1
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("PSFC_SEED", "0"))
+class _UsageError(Exception):
+    """Bad arguments: `main` prints "error: <message>" and exits USAGE_ERROR."""
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -56,7 +59,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", type=int, default=1, help="number of input vectors")
     sub.add_argument("--l", type=int, default=1, help="vector dimension")
     sub.add_argument("--p", type=int, default=DEFAULT_MODULUS, help="prime modulus")
-    sub.add_argument("--seed", type=int, default=None,
+    # A string default goes through `type`, so a malformed PSFC_SEED is a usage error.
+    sub.add_argument("--seed", type=int, default=os.environ.get("PSFC_SEED", "0"),
                      help="root seed (default: PSFC_SEED env var, else 0)")
 
 
@@ -69,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="execute one protocol run and verify it")
     _add_common(run)
+    run.set_defaults(handler=cmd_run)
     run.add_argument("--sigma", default="random",
                      help='composition order, display order, e.g. "3,2,1"; or "random"')
     run.add_argument("--transport", choices=("sim", "tcp"), default="sim")
@@ -81,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     audit = sub.add_parser("audit", help="run the privacy and rate audit suite")
     _add_common(audit)
-    audit.set_defaults(p=3)
+    audit.set_defaults(handler=cmd_audit, p=3)
     audit.add_argument("--trials", type=int, default=100_000,
                        help="Monte-Carlo trials per composition order")
     audit.add_argument("--attack-trials", type=int, default=2_000)
@@ -92,16 +97,32 @@ def build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--emit", default=None, help="write audit verdicts JSON here")
 
     table = sub.add_parser("rate-table", help="emit a CSV rate sweep")
+    table.set_defaults(handler=cmd_rate_table)
     table.add_argument("--k-values", default="2,3,4,5")
     table.add_argument("--n-values", default="1,2,3,4,5")
     table.add_argument("--m-values", default="6,60,600,6000")
     table.add_argument("--output", default=None, help="CSV path (default: stdout)")
 
     demo = sub.add_parser("demo", help="replay a worked example with per-server tables")
+    demo.set_defaults(handler=cmd_demo)
     demo.add_argument("name", help="example1 or example3")
-    demo.add_argument("--seed", type=int, default=None)
 
     return parser
+
+
+def _config(args) -> RunConfig:
+    try:
+        return RunConfig(k=args.k, n=args.n, m=args.m, l=args.l, p=args.p, seed=args.seed)
+    except ValueError as exc:
+        raise _UsageError(exc) from exc
+
+
+def _instance(config: RunConfig):
+    """The seeded (functions, inputs, fresh servers) of `config`."""
+    rng = Rng(config.seed)
+    functions = generate_functions(config.k, config.l, config.p, rng.child("functions"))
+    w = generate_inputs(config.m, config.l, config.p, rng.child("inputs"))
+    return functions, w, [Server(i + 1, functions, config.p) for i in range(config.n)]
 
 
 # -- run -------------------------------------------------------------------------
@@ -115,51 +136,44 @@ def _parse_address(part: str) -> tuple[str, int]:
     return hostname, int(port)
 
 
-def cmd_run(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
+def _remote_addresses(args, n: int) -> list[tuple[str, int]]:
+    """The N servers named by --addresses; a usage error if they cannot be used."""
+    if args.transport != "tcp":
+        raise _UsageError("--addresses needs --transport tcp")
+    if args.capture_dir:
+        raise _UsageError("--capture-dir records local servers; remote servers "
+                          "given by --addresses keep their own views")
     try:
-        config = RunConfig(k=args.k, n=args.n, m=args.m, l=args.l, p=args.p, seed=seed)
+        addresses = [_parse_address(part) for part in args.addresses.split(",")]
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(f"--addresses: {exc}") from exc
+    if len(addresses) != n:
+        raise _UsageError(f"need {n} addresses, got {len(addresses)}")
+    return addresses
+
+
+def cmd_run(args) -> int:
+    config = _config(args)
     if args.sigma == "random":
-        sigma = random_permutation(config.k, Rng(seed).child("sigma"))
+        sigma = random_permutation(config.k, Rng(config.seed).child("sigma"))
     else:
         try:
             sigma = Permutation.parse(args.sigma)
         except InvalidPermutation as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return USAGE_ERROR
+            raise _UsageError(exc) from exc
         if sigma.size != config.k:
-            print(f"error: order has {sigma.size} entries, expected K={config.k}", file=sys.stderr)
-            return USAGE_ERROR
+            raise _UsageError(f"order has {sigma.size} entries, expected K={config.k}")
+    addresses = _remote_addresses(args, config.n) if args.addresses else None
 
-    functions = generate_functions(config.k, config.l, config.p, Rng(seed).child("functions"))
-    w = generate_inputs(config.m, config.l, config.p, Rng(seed).child("inputs"))
-    servers = [Server(i + 1, functions, config.p) for i in range(config.n)]
-
+    functions, w, servers = _instance(config)
     host = None
-    if args.transport == "tcp":
-        if args.addresses:
-            if args.capture_dir:
-                print("error: --capture-dir records local servers; remote servers "
-                      "given by --addresses keep their own views", file=sys.stderr)
-                return USAGE_ERROR
-            try:
-                addresses = [_parse_address(part) for part in args.addresses.split(",")]
-            except ValueError as exc:
-                print(f"error: --addresses: {exc}", file=sys.stderr)
-                return USAGE_ERROR
-            if len(addresses) != config.n:
-                print(f"error: need {config.n} addresses, got {len(addresses)}", file=sys.stderr)
-                return USAGE_ERROR
-        else:
+    if args.transport == "sim":
+        transport = SimTransport(servers)
+    else:
+        if addresses is None:
             host = TcpServerHost(servers)
             addresses = host.addresses
         transport = TcpTransport(addresses)
-    else:
-        transport = SimTransport(servers)
-
     try:
         outputs, report = run_protocol(config, sigma, w, transport)
     finally:
@@ -167,8 +181,7 @@ def cmd_run(args) -> int:
         if host is not None:
             host.close()
 
-    expected = [compose_reference(functions, sigma, vec, config.p) for vec in w]
-    ok = outputs == expected
+    ok = outputs == [compose_reference(functions, sigma, vec, config.p) for vec in w]
     verdict = rate_report(report)
     print(f"order {sigma}  D={report.d}  rate={report.rate[0]}/{report.rate[1]}"
           f" ({report.rate_float:.6f})  outputs {'MATCH' if ok else 'MISMATCH'}")
@@ -187,24 +200,17 @@ def cmd_run(args) -> int:
             path = os.path.join(args.capture_dir, f"marginal_server_{server.id}.json")
             with open(path, "w") as fh:
                 fh.write(marginal_to_json(server))
-    if not ok or not verdict.ok:
-        return CHECK_ERROR
-    return 0
+    return 0 if ok and verdict.ok else CHECK_ERROR
 
 
 # -- audit -----------------------------------------------------------------------
 
 
 def cmd_audit(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    try:
-        config = RunConfig(k=args.k, n=args.n, m=args.m, l=args.l, p=args.p, seed=seed)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    config = _config(args)
+    seed = config.seed
     if args.trials < 2 or args.attack_trials < 1:
-        print("error: trial counts must be positive", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError("trial counts must be positive")
 
     rows: list[dict] = []
 
@@ -250,14 +256,11 @@ def cmd_audit(args) -> int:
         row("attacker vs broken control", round(naive.best_rate, 4), f"> {NAIVE_FLOOR}",
             naive.best_rate > NAIVE_FLOOR)
 
-    functions = generate_functions(config.k, config.l, config.p, Rng(seed).child("functions"))
-    w = generate_inputs(config.m, config.l, config.p, Rng(seed).child("inputs"))
+    functions, w, servers = _instance(config)
     sigma = random_permutation(config.k, Rng(seed).child("sigma"))
-    servers = [Server(i + 1, functions, config.p) for i in range(config.n)]
     outputs, report = run_protocol(config, sigma, w, SimTransport(servers))
-    expected = [compose_reference(functions, sigma, vec, config.p) for vec in w]
-    row("zero-error correctness (seeded run)", int(outputs == expected), "== 1",
-        outputs == expected)
+    ok = outputs == [compose_reference(functions, sigma, vec, config.p) for vec in w]
+    row("zero-error correctness (seeded run)", int(ok), "== 1", ok)
     conv = converse_counts(report)
     row("per-function counts D_k >= M", min(d for _, d, _ in conv.counts),
         f">= {report.m}", conv.ok)
@@ -290,12 +293,10 @@ def cmd_rate_table(args) -> int:
         k_values = [int(x) for x in args.k_values.split(",")]
         n_values = [int(x) for x in args.n_values.split(",")]
         m_values = [int(x) for x in args.m_values.split(",")]
-    except ValueError:
-        print("error: value lists must be comma-separated integers", file=sys.stderr)
-        return USAGE_ERROR
+    except ValueError as exc:
+        raise _UsageError("value lists must be comma-separated integers") from exc
     if any(v < 1 for v in k_values + n_values + m_values):
-        print("error: K, N, M must be >= 1", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError("K, N, M must be >= 1")
 
     buffer = io.StringIO()
     writer = csv.writer(buffer)
@@ -320,87 +321,75 @@ def cmd_rate_table(args) -> int:
 # -- demo ----------------------------------------------------------------------------
 
 
-def _symbolic_rows(plan):
-    """Run the plan on symbolic values: rows of (block, server, function, text).
+def _demo(k: int, n: int, m: int, sigma: Permutation) -> bool:
+    """Run one order's plan on symbolic values and print its per-server table.
 
     A value is a tuple of terms; a server maps F over the terms, and a
-    pad image cancels its own terms, which is exactly linearity.
+    pad image cancels its own terms, which is exactly linearity.  The
+    table is what the run itself sent: `run_plan` sends block b in its
+    b-th `query` call, before any chain level.  The check: every output
+    reads F{s_K}(...F{s_1}(W[..])), and D equals query_count.
     """
-    n = plan.n
-    if plan.n_blocks > 0 and n >= 2:
-        inputs = [(f"W[{i // (n - 1) + 1},{i % (n - 1) + 1}]",) for i in range(plan.m)]
+    plan = build_plan(k, n, m, sigma)
+    if plan.n_blocks:
+        names = [f"W[{i // (n - 1) + 1},{i % (n - 1) + 1}]" for i in range(m)]
     else:
-        inputs = [(f"W[{i + 1}]",) for i in range(plan.m)]
-    texts = []
+        names = [f"W[{i + 1}]" for i in range(m)]
+    sent = []  # (block, server, function, text), in send order
+    calls = 0
 
     def query(rows):
-        texts.extend(" + ".join(value) for _, _, value in rows)
+        nonlocal calls
+        calls += 1
+        block = calls if calls <= plan.n_blocks else 0
+        sent.extend((block, srv, function, " + ".join(value)) for srv, function, value in rows)
         return [tuple(f"F{function}({term})" for term in value) for _, function, value in rows]
 
-    run_plan(
-        plan, inputs,
+    outputs = run_plan(
+        plan, [(name,) for name in names],
         lambda mid: ("Z*",) if mid is None else ("Z[{},{}]".format(*plan.ledger.block_slot(mid)),),
         lambda x, z: x + z, lambda a, b: tuple(t for t in a if t not in b), query,
     )
-    return [(q.block, q.server, q.function, text) for q, text in zip(plan.rows(), texts)]
-
-
-def _demo_run(k: int, n: int, m: int, l: int, p: int, seed: int, sigma: Permutation) -> bool:
-    config = RunConfig(k=k, n=n, m=m, l=l, p=p, seed=seed)
-    functions = generate_functions(k, l, p, Rng(seed).child("functions"))
-    w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
-    servers = [Server(i + 1, functions, p) for i in range(n)]
-    outputs, report = run_protocol(config, sigma, w, SimTransport(servers))
-    expected = [compose_reference(functions, sigma, vec, p) for vec in w]
+    expected = []
+    for name in names:
+        for function in sigma.mapping:
+            name = f"F{function}({name})"
+        expected.append((name,))
     ok = outputs == expected
-    plan = build_plan(k, n, m, sigma)
 
     print(f"\ncomposition order {sigma}")
-    rows = _symbolic_rows(plan)
-    blocks = sorted({b for b, _, _, _ in rows})
-    for block in blocks:
-        label = f"block {block}" if block else "chain"
-        print(f"  {label}:")
+    for block in sorted({b for b, _, _, _ in sent}):
+        print(f"  {'block ' + str(block) if block else 'chain'}:")
         for srv in range(1, n + 1):
-            cells = [f"F{f} {t}" for b, s, f, t in rows if b == block and s == srv]
+            cells = [f"F{f} {t}" for b, s, f, t in sent if b == block and s == srv]
             if cells:
                 print(f"    server {srv}:  " + "  |  ".join(cells))
     expected_d = query_count(k, n, m)
-    print(f"  queries: {report.d} (expected {expected_d}); "
+    print(f"  queries: {len(sent)} (expected {expected_d}); "
           f"outputs {'MATCH' if ok else 'MISMATCH'}")
-    return ok and report.d == expected_d
+    return ok and len(sent) == expected_d
 
 
 def cmd_demo(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.name == "example1":
         print("Two functions, two servers: one server per function, rate 1.")
-        ok = all(
-            _demo_run(2, 2, 1, 2, 5, seed, Permutation.from_paper_order(order))
-            for order in ((2, 1), (1, 2))
-        )
+        ok = all(_demo(2, 2, 1, Permutation.from_paper_order(order)) for order in ((2, 1), (1, 2)))
     elif args.name == "example3":
         print("Four functions, three servers: fixed per-server column (Fn, Fn, F4).")
-        ok = all(
-            _demo_run(4, 3, 2, 2, 5, seed, Permutation.from_paper_order(order))
-            for order in ((1, 3, 4, 2), (4, 3, 2, 1))
-        )
+        ok = all(_demo(4, 3, 2, Permutation.from_paper_order(order))
+                 for order in ((1, 3, 4, 2), (4, 3, 2, 1)))
     else:
-        print(f"error: unknown demo {args.name!r} (try example1, example3)", file=sys.stderr)
-        return USAGE_ERROR
+        raise _UsageError(f"unknown demo {args.name!r} (try example1, example3)")
     return 0 if ok else CHECK_ERROR
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args)
-    if args.command == "audit":
-        return cmd_audit(args)
-    if args.command == "rate-table":
-        return cmd_rate_table(args)
-    return cmd_demo(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

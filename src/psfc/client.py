@@ -114,8 +114,6 @@ def run_protocol(
     from the seed's "client" child stream, drawn in plan order.
     """
     k, n, m, l, p = config.k, config.n, config.m, config.l, config.p
-    if sigma.size != k:
-        raise ValueError(f"order size {sigma.size} != K={k}")
     if len(w_vectors) != m:
         raise ValueError(f"expected {m} input vectors, got {len(w_vectors)}")
     plan = build_plan(k, n, m, sigma)

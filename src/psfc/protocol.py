@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .field import FieldMatrix, FieldVector, PrimeModulus, mat_vec_mul
 from .rand import Rng
@@ -86,15 +87,18 @@ class Permutation:
         return "(" + " ".join(str(v) for v in self.to_paper_order()) + ")"
 
 
-def enumerate_permutations(k: int) -> list[Permutation]:
+@lru_cache(maxsize=MAX_ENUMERABLE_K)
+def enumerate_permutations(k: int) -> tuple[Permutation, ...]:
     """All K! orders, lexicographic in the internal map sequence.
 
     The enumeration order is fixed and independent of everything else;
-    the fallback scheme relies on that to stay order-blind.
+    the fallback scheme relies on that to stay order-blind.  Built once
+    per K and shared: a tuple of frozen Permutations, so no caller can
+    change what later calls see.
     """
     if not 1 <= k <= MAX_ENUMERABLE_K:
         raise KTooLarge(f"permutation enumeration supports 1 <= K <= {MAX_ENUMERABLE_K}, got {k}")
-    return [Permutation(m) for m in itertools.permutations(range(1, k + 1))]
+    return tuple(Permutation(m) for m in itertools.permutations(range(1, k + 1)))
 
 
 def random_permutation(k: int, rng: Rng) -> Permutation:

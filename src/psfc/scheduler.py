@@ -24,9 +24,13 @@ assignment* and an order-dependent *vector assignment*:
 
 * leftover requests (N-1 does not divide M) and the N = 1 degenerate
   case fall back to asking server 1 to evaluate all K! composition
-  chains for the request, K*K! queries per request, enumerated in a
-  fixed lexicographic order.  Only the chain matching the secret order
-  is decoded; the rest are camouflage.
+  chains for the request, K*K! queries per request, in the fixed
+  lexicographic order of `protocol.enumerate_permutations` (K <= 8).
+  Only the chain matching the secret order is decoded; the rest are
+  camouflage.
+
+`_shape` is the one rule for how many requests take which route; both
+`build_plan` and `query_count` read it.
 
 Chains and the fallback share one shape: a request's chains are
 stepped level by level, step t of every chain in one exchange, so a
@@ -49,11 +53,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import factorial
 from typing import NamedTuple
 
-from .protocol import MAX_ENUMERABLE_K, KTooLarge, Permutation
+from .protocol import Permutation, enumerate_permutations
 
 __all__ = [
     "InvalidRegime",
@@ -265,12 +268,7 @@ def _emit_chains(cols, sigma: Permutation, first: int, m: int, links: int, fallb
     """
     server, function, kind, source, pad, effect, dest = cols
     k = sigma.size
-    if not fallback:
-        chains = [sigma.mapping]
-    elif k > MAX_ENUMERABLE_K:
-        raise KTooLarge(f"the fallback enumerates K! chains; K <= {MAX_ENUMERABLE_K}, got {k}")
-    else:
-        chains = list(permutations(range(1, k + 1)))  # lexicographic
+    chains = [c.mapping for c in enumerate_permutations(k)] if fallback else [sigma.mapping]
     count, mine = len(chains), chains.index(sigma.mapping)
     functions = [chain[t] for t in range(k) for chain in chains]  # step-major
     size = count * k
@@ -290,18 +288,25 @@ def _emit_chains(cols, sigma: Permutation, first: int, m: int, links: int, fallb
     return count
 
 
+def _shape(k: int, n: int, m: int) -> tuple[int, int, int]:
+    """(M', r, n_blocks) for (K, N, M): M' batches of N-1 requests go
+    through the n_blocks = M' + K - 1 blocks, and r leftover requests
+    through the fallback.  K <= N has neither: one chain per request.
+    """
+    if k <= n:
+        return 0, 0, 0
+    # N = 1, or too few requests to fill a batch: everything goes
+    # through the fallback rather than blocks of pure placeholders.
+    m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
+    return m_prime, r, m_prime + k - 1 if m_prime else 0
+
+
 def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     """Full ordered plan for M requests under composition order sigma."""
     if sigma.size != k:
         raise InvalidRegime(f"order has size {sigma.size}, expected K={k}")
     fallback = k > n
-    if not fallback:
-        m_prime, r = 0, 0  # one chain per request
-    else:
-        # N = 1, or too few requests to fill a batch: everything goes
-        # through the fallback rather than blocks of pure placeholders.
-        m_prime, r = divmod(m, n - 1) if n > 1 else (0, m)
-    n_blocks = m_prime + k - 1 if m_prime else 0
+    m_prime, r, n_blocks = _shape(k, n, m)
     links = 2 * m + (k - 1) * m_prime * (n - 1)
     cols: tuple[list[int], ...] = ([], [], [], [], [], [], [])
     ph = _emit_blocks(cols, sigma, n, m, m_prime, n_blocks) if n_blocks else 0
@@ -321,11 +326,8 @@ def query_count(k: int, n: int, m: int) -> int:
     """
     if k <= n:
         return k * m
-    if n == 1:
-        return m * k * factorial(k)
-    m_prime, r = divmod(m, n - 1)
-    block_queries = (m_prime + k - 1) * n * (k - 1) if m_prime else 0
-    return block_queries + r * k * factorial(k)
+    _, r, n_blocks = _shape(k, n, m)
+    return n_blocks * n * (k - 1) + r * k * factorial(k)
 
 
 def rate_bounds(k: int, n: int) -> tuple[Fraction, Fraction]:

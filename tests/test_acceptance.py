@@ -53,7 +53,7 @@ def test_criterion_1_zero_error_correctness():
         if k <= 4:
             sigmas = enumerate_permutations(k)
         else:
-            pool = enumerate_permutations(5)
+            pool = list(enumerate_permutations(5))
             Rng(1234).child("accept-sigmas").shuffle(pool)
             sigmas = pool[:50]
         for n in range(1, 6):

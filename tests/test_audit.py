@@ -16,7 +16,6 @@ from psfc.audit import (
     GuardExceeded,
     _batch_eval,
     _det_batch,
-    _orders,
     _sample_invertible_batch,
     attack_campaign,
     converse_counts,
@@ -291,15 +290,14 @@ def test_attacker_guesses_from_one_shared_immutable_order_tuple():
     p = DEFAULT_MODULUS
     functions = generate_functions(3, 1, p, Rng(22).child("functions"))
     marginal = MarginalQueryList(server=1, entries=[(1, (5,)), (3, (99,))])
-    orders = _orders(3)
-    assert orders is _orders(3)
+    orders = enumerate_permutations(3)
+    assert orders is enumerate_permutations(3)
     guess = sigma_attack(marginal, functions, p, Rng(23))
     assert any(guess is order for order in orders)
     with pytest.raises(TypeError):
         orders[0] = Permutation((3, 2, 1))
     with pytest.raises(dataclasses.FrozenInstanceError):
         guess.mapping = (3, 2, 1)
-    assert _orders(3) == tuple(enumerate_permutations(3))
     assert sigma_attack(marginal, functions, p, Rng(23)) == guess
 
 
@@ -333,7 +331,7 @@ def _reference_sigma_attack(marginal, functions, p, rng):
             hidden = _reference_hidden_run(functions, outputs[a], w_b, (f_a, f_b), p)
             if hidden is not None:
                 runs.add((f_a, *hidden, f_b))
-    orders = _orders(len(functions))
+    orders = enumerate_permutations(len(functions))
     candidates = []
     for perm in orders:
         pos = {v: i for i, v in enumerate(perm.mapping)}

@@ -1,5 +1,6 @@
 """Command-line driver: exit codes, artifacts, determinism."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -8,7 +9,9 @@ import sys
 
 import pytest
 
+from psfc import cli
 from psfc.cli import main
+from psfc.scheduler import build_plan
 
 
 def run_cli(*argv):
@@ -101,6 +104,16 @@ def test_run_rejects_capture_dir_with_remote_servers(tmp_path, capsys):
     assert code == 2
     assert "--capture-dir" in capsys.readouterr().err
     assert not capture.exists()
+
+
+def test_run_rejects_addresses_without_tcp(capsys):
+    # --addresses names remote servers; over sim it would be ignored.
+    code = run_cli("run", "--k", "2", "--n", "2", "--m", "1", "--l", "1", "--p", "5",
+                   "--addresses", "127.0.0.1:1,127.0.0.1:2")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: --addresses needs --transport tcp\n"
+    assert captured.out == ""
 
 
 def test_audit_small(capsys):
@@ -213,6 +226,21 @@ def test_demo_example3_worked_table_rows(capsys):
             "  |  F4 Z* + Z[4,1]\n") in block4
 
 
+def test_demo_check_fires_on_a_broken_plan(monkeypatch, capsys):
+    # Swap the raw inputs of two rows: the symbolic run must notice.
+    def swapped(*args):
+        plan = build_plan(*args)
+        source = list(plan.source)
+        i, j = [i for i, s in enumerate(source) if plan.m <= s < 2 * plan.m][:2]
+        assert source[i] != source[j]
+        source[i], source[j] = source[j], source[i]
+        return dataclasses.replace(plan, source=source)
+
+    monkeypatch.setattr(cli, "build_plan", swapped)
+    assert run_cli("demo", "example3") == 1
+    assert "outputs MISMATCH" in capsys.readouterr().out
+
+
 def test_demo_unknown_name(capsys):
     assert run_cli("demo", "nope") == 2
 
@@ -223,6 +251,19 @@ def test_env_seed_fallback(tmp_path, monkeypatch):
     assert run_cli("run", "--k", "2", "--n", "2", "--m", "1", "--l", "1", "--p", "5",
                    "--sigma", "2,1", "--emit-report", str(a)) == 0
     assert json.loads(a.read_text())["config"]["seed"] == 77
+
+
+def test_malformed_env_seed_is_a_usage_error(monkeypatch, capsys):
+    monkeypatch.setenv("PSFC_SEED", "abc")
+    for command in ("run", "audit"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(command, "--k", "2", "--n", "2")
+        assert exc.value.code == 2
+        assert "argument --seed: invalid int value: 'abc'" in capsys.readouterr().err
+    # An explicit --seed wins; rate-table and demo take no seed at all.
+    assert run_cli("run", "--k", "2", "--n", "2", "--seed", "4") == 0
+    assert run_cli("rate-table", "--k-values", "2", "--n-values", "2", "--m-values", "4") == 0
+    assert run_cli("demo", "example1") == 0
 
 
 def test_console_entrypoint_runs():

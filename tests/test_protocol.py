@@ -59,6 +59,13 @@ def test_enumerate_permutations_order():
     assert len(enumerate_permutations(4)) == 24
 
 
+def test_enumerate_permutations_is_one_shared_immutable_tuple():
+    orders = enumerate_permutations(4)
+    assert orders is enumerate_permutations(4)
+    with pytest.raises(TypeError):
+        orders[0] = Permutation.identity(4)
+
+
 def test_enumerate_permutations_guard():
     with pytest.raises(KTooLarge):
         enumerate_permutations(9)

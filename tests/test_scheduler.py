@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psfc.client import run_protocol
-from psfc.protocol import Permutation, RunConfig, compose_reference, enumerate_permutations
+from psfc.protocol import KTooLarge, Permutation, RunConfig, compose_reference, enumerate_permutations
 from psfc.rand import Rng
 from psfc.runtime import Server, SimTransport, generate_functions, generate_inputs
 from psfc.scheduler import (
@@ -300,12 +300,19 @@ def test_query_count_worked_examples():
 
 
 def test_query_count_matches_plan_length():
-    for k in range(1, 6):
+    for k in range(1, 7):
         sigma = Permutation.identity(k)
         for n in range(1, 6):
-            for m in range(1, 8):
+            # K = 6 keeps M small: a leftover request is 720 chains.
+            for m in range(1, 8 if k < 6 else 4):
                 plan = build_plan(k, n, m, sigma)
                 assert len(plan) == query_count(k, n, m), (k, n, m)
+
+
+def test_fallback_beyond_the_enumeration_guard_raises():
+    # The fallback lists all K! chains through the one K! enumeration.
+    with pytest.raises(KTooLarge):
+        build_plan(9, 1, 1, Permutation.identity(9))
 
 
 # -- plan invariants -----------------------------------------------------------------
