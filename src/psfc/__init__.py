@@ -36,7 +36,6 @@ from .scheduler import (
     InvalidRegime,
     MaskLedger,
     MissingValue,
-    PlannedQuery,
     QueryPlan,
     build_plan,
     query_count,

@@ -12,7 +12,9 @@ evidence, all computed from the servers' marginal views only:
    variation distance, and every individual input slot is chi-square
    tested against the uniform law.  Its thresholds are fixed here:
    `UniformityResult.tv_limit`, `tv_self_limit` and `chi2_all_pass`
-   (at CHI2_ALPHA), and NAIVE_FLOOR for the broken control below;
+   (at CHI2_ALPHA), and NAIVE_FLOOR for the broken control below.
+   Its trial stacks are reduced mod p by table lookup, never by integer
+   division; the p^L <= 32 guard bounds every value, and so the table;
 3. adversarial: a reverse-computation attacker that links query inputs
    to function images of earlier outputs.  It must recover the order
    from a deliberately broken interleaved schedule (the negative
@@ -221,19 +223,36 @@ class UniformityResult:
         return self.chi2_min_p >= alpha / len(self.chi2_pvalues)
 
 
-def _det_batch(mats: np.ndarray, p: int) -> np.ndarray:
-    """Determinants mod p of a (..., L, L) stack, closed-form for L <= 3."""
+def _residues(p: int, l: int) -> np.ndarray:
+    """Lookup table r with r[v] == v % p for every value `_batch_eval` meets.
+
+    With canonical operands a product row sums L products, a pad add
+    two residues and an unmask subtracts two, so every value lies in
+    [-(p-1), max(L(p-1)^2, 2(p-1))]; the p^L <= 32 guard keeps that
+    under a thousand entries.  A negative v reads from the end of the
+    table, as numpy indexing does, so a lookup needs no offset.
+    """
+    lo, hi = 1 - p, max(l * (p - 1) ** 2, 2 * (p - 1))
+    return np.roll(np.arange(lo, hi + 1, dtype=np.int64) % p, lo)
+
+
+def _singular(mats: np.ndarray, p: int) -> np.ndarray:
+    """Which matrices of a (..., L, L) stack of residues are singular mod p, for L <= 3."""
     l = mats.shape[-1]
     if l == 1:
-        return mats[..., 0, 0] % p
+        return mats[..., 0, 0] == 0  # canonical entries
     if l == 2:
-        return (mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]) % p
-    if l == 3:
+        det = mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]
+    elif l == 3:
         a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 0, 2]
         d, e, f = mats[..., 1, 0], mats[..., 1, 1], mats[..., 1, 2]
         g, h, i = mats[..., 2, 0], mats[..., 2, 1], mats[..., 2, 2]
-        return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
-    raise GuardExceeded(f"batched invertible sampling supports L <= 3, got L={l}")
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    else:
+        raise GuardExceeded(f"batched invertible sampling supports L <= 3, got L={l}")
+    # L!/2 products of L residues enter with each sign.
+    bound = factorial(l) // 2 * (p - 1) ** l
+    return (np.arange(-bound, bound + 1) % p == 0)[det + bound]
 
 
 def _sample_invertible_batch(k: int, l: int, p: int, t: int, nprng) -> np.ndarray:
@@ -247,11 +266,11 @@ def _sample_invertible_batch(k: int, l: int, p: int, t: int, nprng) -> np.ndarra
     """
     mats = nprng.integers(0, p, size=(k, t, l, l), dtype=np.int64)
     flat = mats.reshape(k * t, l, l)  # a view: writes land in `mats`
-    redo = np.flatnonzero(_det_batch(flat, p) == 0)
+    redo = np.flatnonzero(_singular(flat, p))
     while redo.size:
         fresh = nprng.integers(0, p, size=(redo.size, l, l), dtype=np.int64)
         flat[redo] = fresh
-        redo = redo[_det_batch(fresh, p) == 0]
+        redo = redo[_singular(fresh, p)]
     return mats
 
 
@@ -260,19 +279,21 @@ def _batch_eval(plan: QueryPlan, f_batch, w_batch, draw, p: int) -> list[list[np
 
     Values are (trials x L) int64 arrays; `draw(mid)` returns a fresh
     one.  `f_batch[k - 1]` is function k: one (L x L) matrix shared by
-    every trial, or a (trials x L x L) stack.  Returns, per server, the
-    list of input arrays in arrival order.
+    every trial, or a (trials x L x L) stack.  Every value is reduced
+    mod p by lookup in `_residues`.  Returns, per server, the list of
+    input arrays in arrival order.
     """
     per_server: list[list[np.ndarray]] = [[] for _ in range(plan.n)]
+    mod = _residues(p, w_batch.shape[-1])
 
     def query(rows):
         # A generator, so that each answer is used before the next one is
         # computed and a block's answers are never all held at once.
         for server, function, w in rows:
             per_server[server - 1].append(w)
-            yield np.einsum("...ij,...j->...i", f_batch[function - 1], w) % p
+            yield mod[np.einsum("...ij,...j->...i", f_batch[function - 1], w)]
 
-    run_plan(plan, w_batch, draw, lambda x, z: (x + z) % p, lambda a, b: (a - b) % p, query)
+    run_plan(plan, w_batch, draw, lambda x, z: mod[x + z], lambda a, b: mod[a - b], query)
     return per_server
 
 
@@ -316,10 +337,10 @@ def uniformity_test(
         f_batch = np.array(generate_functions(k, l, p, Rng(seed).child("functions")), dtype=np.int64)
 
     powers = np.array([p**i for i in range(l)], dtype=np.int64)
-    # Per server: joint-tuple counts by (order, half, cell), and per-slot
-    # counts by (order, slot, cell).
+    # Per server: joint-tuple counts by (order, half, cell).  A cell codes
+    # a server's input tuple with slot s's value (its L entries in base p)
+    # as digit s in base slot_cells.
     joint = [np.zeros((len(sigmas), 2, cells), dtype=np.int64) for cells in joint_cells]
-    slots = [np.zeros((len(sigmas), s, slot_cells), dtype=np.int64) for s in slots_per_server]
     for si, (sigma, plan) in enumerate(zip(sigmas, plans)):
         nprng = np.random.default_rng(Rng(seed).child(f"uniformity:{sigma}").seed)
         for done in range(0, trials, UNIFORMITY_CHUNK):
@@ -331,9 +352,7 @@ def uniformity_test(
             for srv, inputs in enumerate(_batch_eval(plan, f_batch, w_batch, draw, p)):
                 code = np.zeros(t, dtype=np.int64)
                 for s, x in enumerate(inputs):
-                    vals = x @ powers
-                    code += vals * slot_cells**s
-                    slots[srv][si, s] += np.bincount(vals, minlength=slot_cells)
+                    code += np.einsum("ij,j->i", x, powers * slot_cells**s)
                 half = t // 2
                 joint[srv][si, 0] += np.bincount(code[:half], minlength=joint_cells[srv])
                 joint[srv][si, 1] += np.bincount(code[half:], minlength=joint_cells[srv])
@@ -341,8 +360,14 @@ def uniformity_test(
     from scipy.stats import chi2 as chi2_dist
 
     labels = [str(s) for s in sigmas]
+    totals = [counts.sum(axis=1) for counts in joint]
     pvalues = []  # per server, (order, slot)
-    for counts in slots:
+    for tot, count in zip(totals, slots_per_server):
+        # Per-slot counts by (order, slot, cell): slot s's are the totals
+        # summed over every other digit.
+        counts = np.zeros((len(sigmas), count, slot_cells), dtype=np.int64)
+        for s in range(count):
+            counts[:, s] = tot.reshape(len(sigmas), -1, slot_cells, slot_cells**s).sum(axis=(1, 3))
         expected = counts.sum(axis=2, keepdims=True) / slot_cells
         stats = ((counts - expected) ** 2 / expected).sum(axis=2)
         pvalues.append(chi2_dist.sf(stats, slot_cells - 1))
@@ -353,7 +378,6 @@ def uniformity_test(
             tv_self[(label, srv + 1)] = _tv(*joint[srv][si])
             for s, pvalue in enumerate(pvalues[srv][si]):
                 chi2_pvalues[(label, srv + 1, s)] = float(pvalue)
-    totals = [counts.sum(axis=1) for counts in joint]
     tv_cross = {
         (labels[a], labels[b], srv + 1): _tv(totals[srv][a], totals[srv][b])
         for a, b in combinations(range(len(sigmas)), 2)

@@ -39,7 +39,6 @@ request costs K exchanges either way.
 A plan is a register program: seven flat integer columns, one entry per
 query, that hold no nested objects (see QueryPlan), so a plan of 10^5
 queries is a handful of lists for the garbage collector to scan.
-`QueryPlan.rows()` decodes them into readable `PlannedQuery` rows, and
 `run_plan` is the one interpreter of the columns.  It is written
 against a value backend (how to draw a pad, add it, cancel its image,
 and ask servers), so the client (field vectors), the audit (numpy trial
@@ -54,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple
 
 from .protocol import Permutation, enumerate_permutations
 
@@ -63,7 +61,6 @@ __all__ = [
     "DependencyViolation",
     "MissingValue",
     "MaskLedger",
-    "PlannedQuery",
     "QueryPlan",
     "build_plan",
     "query_count",
@@ -97,21 +94,6 @@ class MissingValue(RuntimeError):
 #   _DROP    camouflage answer, discarded (dest = -1)
 _REG, _MASK, _PH = 0, 1, 2
 _STORE, _MASKED, _IMAGE, _DROP = 0, 1, 2, 3
-
-
-class PlannedQuery(NamedTuple):
-    """One decoded row.  A register reads as ("w", i) for raw input i,
-    ("out", batch, step, comp) for a block task output, ("prev", c)
-    for chain c's link or ("final", i) for output i; a row's input may
-    also be ("mask", mid), ("ph", pid) or ("xor", value, mid), and its
-    effect ("masked", batch, step, comp, mid), ("img", mid) or ("drop",).
-    """
-
-    server: int
-    function: int
-    expr: tuple
-    effect: tuple
-    block: int  # 1-based block index; 0 for chain / fallback queries
 
 
 @dataclass(frozen=True)
@@ -161,7 +143,9 @@ class QueryPlan:
         return len(self.server)
 
     def register_name(self, reg: int) -> tuple:
-        """Register `reg` as the value it holds is named in PlannedQuery."""
+        """Register `reg` named by the value it holds: ("w", i) for raw
+        input i, ("out", batch, step, comp) for a block task output,
+        ("prev", c) for chain c's link or ("final", i) for output i."""
         m, width = self.m, self.n - 1
         blocked = self.m_prime * width  # requests the blocks serve
         if reg >= self.links:
@@ -177,27 +161,6 @@ class QueryPlan:
             step, index = self.k, reg
         batch, comp = divmod(index, width)
         return ("out", batch + 1, step, comp + 1)
-
-    def rows(self) -> list[PlannedQuery]:
-        """The plan as readable rows, in plan order."""
-        name = self.register_name
-        width = self.n * (self.k - 1)
-        rows = []
-        columns = zip(self.server, self.function, self.source_kind, self.source,
-                      self.pad, self.effect, self.dest)
-        for i, (server, function, kind, source, pad, effect, dest) in enumerate(columns):
-            expr = name(source) if kind == _REG else ("mask" if kind == _MASK else "ph", source)
-            if pad >= 0:
-                expr = ("xor", expr, pad)
-            if effect == _STORE:
-                done = name(dest)
-            elif effect == _MASKED:
-                done = ("masked",) + name(dest)[1:] + (pad,)
-            else:
-                done = ("img", dest) if effect == _IMAGE else ("drop",)
-            block = i // width + 1 if i < self.n_blocks * width else 0
-            rows.append(PlannedQuery(server, function, expr, done, block))
-        return rows
 
 
 def _emit_blocks(cols, sigma: Permutation, n: int, m: int, m_prime: int, n_blocks: int) -> int:

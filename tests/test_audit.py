@@ -6,6 +6,7 @@ still has discriminating power, plus the structural corner cases.
 """
 
 import dataclasses
+import itertools
 import math
 from fractions import Fraction
 
@@ -15,8 +16,9 @@ import pytest
 from psfc.audit import (
     GuardExceeded,
     _batch_eval,
-    _det_batch,
+    _residues,
     _sample_invertible_batch,
+    _singular,
     attack_campaign,
     converse_counts,
     fingerprint_invariance,
@@ -33,7 +35,7 @@ from psfc.protocol import (
 )
 from psfc.rand import Rng
 from psfc.runtime import Server, SimTransport, generate_functions, generate_inputs
-from psfc.scheduler import build_plan
+from psfc.scheduler import build_plan, run_plan
 
 
 # -- fingerprint invariance -----------------------------------------------------
@@ -148,11 +150,24 @@ def test_uniformity_self_vs_cross_same_scale():
     assert res.max_tv_cross <= res.max_tv_self * 2.0
 
 
+def _det_mod_p(mats, p):
+    """The reference determinant mod p of a (..., L, L) stack, L <= 3."""
+    l = mats.shape[-1]
+    if l == 1:
+        return mats[..., 0, 0] % p
+    if l == 2:
+        return (mats[..., 0, 0] * mats[..., 1, 1] - mats[..., 0, 1] * mats[..., 1, 0]) % p
+    a, b, c = mats[..., 0, 0], mats[..., 0, 1], mats[..., 0, 2]
+    d, e, f = mats[..., 1, 0], mats[..., 1, 1], mats[..., 1, 2]
+    g, h, i = mats[..., 2, 0], mats[..., 2, 1], mats[..., 2, 2]
+    return (a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)) % p
+
+
 def _sample_invertible_whole_stack(k, l, p, t, nprng):
     """The reference sampler: every round re-tests the whole stack."""
     mats = nprng.integers(0, p, size=(k, t, l, l), dtype=np.int64)
     while True:
-        bad = _det_batch(mats, p) == 0
+        bad = _det_mod_p(mats, p) == 0
         count = int(bad.sum())
         if not count:
             return mats
@@ -217,6 +232,99 @@ def test_batch_eval_one_matrix_equals_broadcast_stack(k, n, m, p, l):
     assert [len(srv) for srv in views[0]] == [plan.server.count(s) for s in range(1, n + 1)]
     for one, many in zip(*views):
         assert all(np.array_equal(a, b) and a.shape == (t, l) for a, b in zip(one, many))
+
+
+# Every (p, L) the uniformity guard p^L <= 32 lets through, p prime.
+SMALL_FIELDS = [
+    (p, l) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for l in range(1, 6) if p**l <= 32
+]
+
+
+def _batch_eval_mod_p(plan, f_batch, w_batch, draw, p):
+    """The reference evaluator: every value reduced by `% p`."""
+    per_server = [[] for _ in range(plan.n)]
+
+    def query(rows):
+        for server, function, w in rows:
+            per_server[server - 1].append(w)
+            yield np.einsum("...ij,...j->...i", f_batch[function - 1], w) % p
+
+    run_plan(plan, w_batch, draw, lambda x, z: (x + z) % p, lambda a, b: (a - b) % p, query)
+    return per_server
+
+
+@pytest.mark.parametrize("p, l", SMALL_FIELDS)
+def test_residue_table_matches_mod_p(p, l):
+    # Products sum L terms below p^2, pad adds two residues and unmasks
+    # subtract two: at p = 2, L = 1 a pad add reaches 2 > L(p-1)^2.
+    lo, hi = -(p - 1), max(l * (p - 1) ** 2, 2 * (p - 1))
+    values = np.arange(lo, hi + 1)
+    table = _residues(p, l)
+    assert len(table) == hi - lo + 1
+    assert np.array_equal(table[values], values % p)
+
+
+@pytest.mark.parametrize("p, l", [(p, l) for p, l in SMALL_FIELDS if l <= 3])
+def test_singular_matches_det_mod_p(p, l):
+    # Every L x L matrix over GF(p), exhaustively.
+    mats = np.array(list(itertools.product(range(p), repeat=l * l)), dtype=np.int64)
+    mats = mats.reshape(-1, l, l)
+    assert np.array_equal(_singular(mats, p), _det_mod_p(mats, p) == 0)
+
+
+@pytest.mark.parametrize("resample_f", [True, False])
+@pytest.mark.parametrize(
+    "k, n, m, p, l",
+    [(3, 2, 1, 3, 1), (3, 2, 1, 2, 1), (3, 2, 1, 2, 2), (3, 2, 1, 2, 3), (3, 2, 1, 3, 2),
+     (3, 2, 1, 5, 1), (3, 2, 1, 7, 1), (2, 3, 1, 3, 1), (2, 1, 1, 2, 3)],
+)
+def test_uniformity_figures_equal_the_mod_p_reference(monkeypatch, k, n, m, p, l, resample_f):
+    # The lookup path must give bit-identical figures to the `% p`
+    # evaluator and the whole-stack sampler it replaced.
+    import psfc.audit as audit
+
+    def run():
+        return uniformity_test(k, n, m, p, l, trials=3_001, seed=9, resample_f=resample_f)
+
+    res = run()
+    monkeypatch.setattr(audit, "_batch_eval", _batch_eval_mod_p)
+    monkeypatch.setattr(audit, "_sample_invertible_batch", _sample_invertible_whole_stack)
+    ref = run()
+    assert res.tv_cross == ref.tv_cross
+    assert res.tv_self == ref.tv_self
+    assert res.chi2_pvalues == ref.chi2_pvalues
+
+
+@pytest.mark.parametrize("k, n, m, p, l", [(3, 2, 1, 3, 1), (3, 2, 1, 2, 2), (2, 3, 1, 3, 1)])
+def test_uniformity_slot_pvalues_match_per_slot_histograms(monkeypatch, k, n, m, p, l):
+    # The per-slot chi-square counts are read off the joint counts; they
+    # must equal histograms taken slot by slot from the inputs.
+    from scipy.stats import chi2
+
+    import psfc.audit as audit
+
+    cells = p**l
+    powers = np.array([p**i for i in range(l)], dtype=np.int64)
+    histograms = []  # per order (one chunk each), per (server, slot)
+
+    def recording(*args):
+        per_server = _batch_eval(*args)
+        histograms.append({
+            (srv + 1, s): np.bincount(x @ powers, minlength=cells)
+            for srv, inputs in enumerate(per_server)
+            for s, x in enumerate(inputs)
+        })
+        return per_server
+
+    monkeypatch.setattr(audit, "_batch_eval", recording)
+    res = uniformity_test(k, n, m, p, l, trials=3_001, seed=9)
+    labels = list(dict.fromkeys(label for label, _ in res.tv_self))
+    expected = {}
+    for label, counts in zip(labels, histograms, strict=True):
+        for (srv, s), hist in counts.items():
+            mean = hist.sum() / cells
+            expected[(label, srv, s)] = chi2.sf(((hist - mean) ** 2 / mean).sum(), cells - 1)
+    assert res.chi2_pvalues == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("p, l", [(3, 1), (2, 2)])

@@ -10,6 +10,7 @@ import gc
 import weakref
 from itertools import permutations
 from math import factorial
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,12 @@ from psfc.runtime import Server, SimTransport, generate_functions, generate_inpu
 from psfc.scheduler import (
     DependencyViolation,
     InvalidRegime,
-    PlannedQuery,
     QueryPlan,
+    _IMAGE,
+    _MASK,
+    _MASKED,
+    _REG,
+    _STORE,
     build_plan,
     query_count,
     run_plan,
@@ -42,7 +47,7 @@ def _mask_id(plan, block, slot):
 
 def _columns(plan, block):
     """Each server's function column in `block`."""
-    rows = [q for q in plan.rows() if q.block == block]
+    rows = [q for q in _rows(plan) if q.block == block]
     return tuple(tuple(q.function for q in rows if q.server == s) for s in range(1, plan.n + 1))
 
 
@@ -72,16 +77,16 @@ def test_build_blocks_regime_errors():
         plan = build_plan(k, n, m, Permutation.identity(k))
         assert plan.n_blocks == plan.m_prime == 0
         assert plan.ledger.mask_count == plan.ledger.placeholder_count == 0
-        assert all(q.block == 0 for q in plan.rows())
-    assert all(q.server == q.function for q in build_plan(2, 2, 1, Permutation.identity(2)).rows())
-    assert all(q.server == 1 for q in build_plan(4, 3, 1, Permutation.identity(4)).rows())
+        assert all(q.block == 0 for q in _rows(plan))
+    assert all(q.server == q.function for q in _rows(build_plan(2, 2, 1, Permutation.identity(2))))
+    assert all(q.server == 1 for q in _rows(build_plan(4, 3, 1, Permutation.identity(4))))
 
 
 # -- block plans against the worked K=4, N=3 tables ---------------------------
 
 
 def _queries_at(plan, block, server):
-    return [q for q in plan.rows() if q.block == block and q.server == server]
+    return [q for q in _rows(plan) if q.block == block and q.server == server]
 
 
 def test_plan_vectors_order_1342_blocks():
@@ -139,6 +144,45 @@ def test_plan_vectors_block1_placeholders():
         for q in _queries_at(plan, 1, 1):
             if q.function == 1 and pi[0] > 1:
                 assert q.expr[0] == "ph"
+
+
+# -- the plan decoded into readable rows ----------------------------------------
+
+
+class PlannedQuery(NamedTuple):
+    """One decoded row.  A register reads as `QueryPlan.register_name`
+    names it; a row's input may also be ("mask", mid), ("ph", pid) or
+    ("xor", value, mid), and its effect ("masked", batch, step, comp,
+    mid), ("img", mid) or ("drop",).
+    """
+
+    server: int
+    function: int
+    expr: tuple
+    effect: tuple
+    block: int  # 1-based block index; 0 for chain / fallback queries
+
+
+def _rows(plan) -> list[PlannedQuery]:
+    """The plan's columns as readable rows, in plan order."""
+    name = plan.register_name
+    width = plan.n * (plan.k - 1)
+    rows = []
+    columns = zip(plan.server, plan.function, plan.source_kind, plan.source,
+                  plan.pad, plan.effect, plan.dest)
+    for i, (server, function, kind, source, pad, effect, dest) in enumerate(columns):
+        expr = name(source) if kind == _REG else ("mask" if kind == _MASK else "ph", source)
+        if pad >= 0:
+            expr = ("xor", expr, pad)
+        if effect == _STORE:
+            done = name(dest)
+        elif effect == _MASKED:
+            done = ("masked",) + name(dest)[1:] + (pad,)
+        else:
+            done = ("img", dest) if effect == _IMAGE else ("drop",)
+        block = i // width + 1 if i < plan.n_blocks * width else 0
+        rows.append(PlannedQuery(server, function, expr, done, block))
+    return rows
 
 
 def _reference_block_plan(sigma, k, n, m_prime):
@@ -212,7 +256,7 @@ def test_plan_vectors_matches_reference_plan():
                 for sigma in orders[:: len(orders) // (1 if m == 8001 else 3)]:
                     plan = build_plan(k, n, m_prime * (n - 1), sigma)
                     rows, mask_ids, ph = _reference_block_plan(sigma, k, n, m_prime)
-                    assert plan.rows() == rows, (k, n, m, sigma)
+                    assert _rows(plan) == rows, (k, n, m, sigma)
                     assert {key: _mask_id(plan, *key) for key in mask_ids} == mask_ids
                     assert plan.ledger.mask_count == len(mask_ids)
                     assert plan.ledger.placeholder_count == ph
@@ -223,7 +267,7 @@ def test_plan_vectors_matches_reference_plan():
 
 def test_chain_order_21():
     sigma = Permutation.from_paper_order((2, 1))
-    queries = build_plan(2, 2, 1, sigma).rows()
+    queries = _rows(build_plan(2, 2, 1, sigma))
     assert [(q.server, q.function) for q in queries] == [(1, 1), (2, 2)]
     assert queries[0].expr == ("w", 0)
     assert queries[1].expr[0] == "prev"
@@ -231,12 +275,12 @@ def test_chain_order_21():
 
 def test_chain_order_12():
     sigma = Permutation.from_paper_order((1, 2))
-    queries = build_plan(2, 2, 1, sigma).rows()
+    queries = _rows(build_plan(2, 2, 1, sigma))
     assert [(q.server, q.function) for q in queries] == [(2, 2), (1, 1)]
 
 
 def test_chain_k1():
-    queries = build_plan(1, 1, 1, Permutation((1,))).rows()
+    queries = _rows(build_plan(1, 1, 1, Permutation((1,))))
     assert [(q.server, q.function) for q in queries] == [(1, 1)]
     assert queries[0].effect[0] == "final"
 
@@ -255,11 +299,11 @@ def test_fallback_counts():
     assert len(build_plan(2, 1, 1, Permutation.identity(2))) == 4
     assert len(build_plan(3, 1, 1, Permutation.identity(3))) == 18
     # N - 1 = 2 divides M = 4: no leftover request, no fallback row.
-    assert all(q.block for q in build_plan(4, 3, 4, Permutation.identity(4)).rows())
+    assert all(q.block for q in _rows(build_plan(4, 3, 4, Permutation.identity(4))))
 
 
 def test_fallback_all_to_server_one_lex_order():
-    queries = build_plan(2, 1, 1, Permutation.identity(2)).rows()
+    queries = _rows(build_plan(2, 1, 1, Permutation.identity(2)))
     assert all(q.server == 1 for q in queries)
     # step 1 of the lexicographic chains (1,2) and (2,1), then step 2
     assert [q.function for q in queries] == [1, 2, 2, 1]
@@ -272,7 +316,7 @@ def test_fallback_final_effects_carry_chain_order():
     chains = list(permutations(range(1, 4)))
     for sigma in enumerate_permutations(3):
         mine = chains.index(sigma.mapping)
-        queries = build_plan(3, 1, 5, sigma).rows()[3 * 18:]  # requests 4 and 5
+        queries = _rows(build_plan(3, 1, 5, sigma))[3 * 18:]  # requests 4 and 5
         for w, request in ((3, queries[:18]), (4, queries[18:])):
             levels = [request[6 * t:6 * t + 6] for t in range(3)]
             for t, level in enumerate(levels):
@@ -326,7 +370,7 @@ def test_per_server_function_sequence_independent_of_order():
                 for sigma in enumerate_permutations(k):
                     plan = build_plan(k, n, m, sigma)
                     per_server = [
-                        tuple(q.function for q in plan.rows() if q.server == s)
+                        tuple(q.function for q in _rows(plan) if q.server == s)
                         for s in range(1, n + 1)
                     ]
                     if baseline is None:
@@ -343,7 +387,7 @@ def check_feasibility(plan: QueryPlan) -> None:
     blocks, and run_plan itself rejects an unresolved reference, a read
     of its own block's answers, or an undecoded output.
     """
-    blocks = iter(q.block for q in plan.rows())
+    blocks = iter(q.block for q in _rows(plan))
 
     def query(rows):
         answers = []
@@ -368,12 +412,12 @@ def test_feasibility_mechanical_check():
 def test_feasibility_check_rejects_same_block_reads():
     # A phase-1 output consumed in its own block must fail the check.
     plan = build_plan(4, 3, 2, Permutation.identity(4))
-    rows = plan.rows()
+    rows = _rows(plan)
     i = next(i for i, q in enumerate(rows) if q.effect[0] == "out")
     source = list(plan.source)
     source[i + 1] = plan.dest[i]  # row i+1 now reads row i's answer
     broken = dataclasses.replace(plan, source=source)
-    assert broken.rows()[i + 1].expr == rows[i].effect
+    assert _rows(broken)[i + 1].expr == rows[i].effect
     # run_plan builds the whole block's inputs before it uses any answer.
     with pytest.raises(DependencyViolation):
         check_feasibility(broken)
@@ -404,7 +448,7 @@ def test_run_plan_rejects_a_read_within_a_fallback_level():
     source = list(plan.source)
     source[1] = plan.dest[0]
     broken = dataclasses.replace(plan, source=source)
-    assert broken.rows()[1].expr == plan.rows()[0].effect == ("prev", 0)
+    assert _rows(broken)[1].expr == _rows(plan)[0].effect == ("prev", 0)
     with pytest.raises(DependencyViolation):
         check_feasibility(broken)
 
@@ -413,7 +457,7 @@ def test_run_plan_rejects_unresolved_reference():
     plan = build_plan(2, 2, 1, Permutation.identity(2))
     # The chain's first query reads the link it is about to write.
     broken = dataclasses.replace(plan, source=[plan.dest[0]] + plan.source[1:])
-    assert broken.rows()[0].expr == ("prev", 0)
+    assert _rows(broken)[0].expr == ("prev", 0)
     with pytest.raises(DependencyViolation):
         check_feasibility(broken)
 
@@ -427,7 +471,7 @@ def test_run_plan_rejects_a_link_left_by_an_earlier_request(k, n):
     source = list(plan.source)
     source[first] = plan.links
     broken = dataclasses.replace(plan, source=source)
-    assert broken.rows()[first].expr == ("prev", 0)
+    assert _rows(broken)[first].expr == ("prev", 0)
     check_feasibility(plan)
     with pytest.raises(DependencyViolation):
         check_feasibility(broken)
@@ -437,7 +481,7 @@ def test_mask_usage_exactly_n_queries_per_block():
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 4, sigma)  # M'=2, blocks=5
         usage: dict[int, list] = {}
-        for q in plan.rows():
+        for q in _rows(plan):
             if q.expr[0] == "xor":
                 usage.setdefault(q.expr[2], []).append(q.block)
             elif q.expr[0] == "mask":
@@ -451,7 +495,7 @@ def test_placeholders_never_reused():
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 2, sigma)
         seen = set()
-        for q in plan.rows():
+        for q in _rows(plan):
             for expr in (q.expr, q.expr[1] if q.expr[0] == "xor" else None):
                 if expr and expr[0] == "ph":
                     assert expr[1] not in seen
@@ -464,7 +508,7 @@ def test_task_completion_follows_block_diagonal():
     sigma = Permutation.from_paper_order((2, 4, 1, 3))
     plan = build_plan(4, 3, 6, sigma)  # M'=3
     resolved_at: dict[tuple[int, int], int] = {}
-    for q in plan.rows():
+    for q in _rows(plan):
         if q.effect[0] in ("out", "masked"):
             batch, step = q.effect[1], q.effect[2]
             resolved_at.setdefault((batch, step), q.block)
@@ -477,7 +521,7 @@ def test_task_completion_follows_block_diagonal():
 
 def test_blocks_strictly_sequential():
     plan = build_plan(4, 3, 4, Permutation.identity(4))
-    blocks = [q.block for q in plan.rows()]
+    blocks = [q.block for q in _rows(plan)]
     assert blocks == sorted(blocks)
 
 
@@ -485,7 +529,7 @@ def test_fallback_section_shared_and_sigma_free():
     # With N=1 the entire plan is order-independent camouflage except
     # for client-private effect tags: what the servers are sent is equal.
     plans = [build_plan(3, 1, 2, s) for s in enumerate_permutations(3)]
-    sent = [[(q.server, q.function, q.expr, q.block) for q in p.rows()] for p in plans]
+    sent = [[(q.server, q.function, q.expr, q.block) for q in _rows(p)] for p in plans]
     assert all(s == sent[0] for s in sent)
 
 
@@ -504,7 +548,7 @@ def test_task_outputs_written_exactly_once():
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 6, sigma)
         written = []
-        for q in plan.rows():
+        for q in _rows(plan):
             if q.effect[0] in ("out", "masked"):
                 written.append((q.effect[1], q.effect[2], q.effect[3]))
         assert len(written) == len(set(written))
@@ -515,7 +559,7 @@ def test_mixed_regime_with_leftovers():
     plan = build_plan(4, 3, 5, Permutation.identity(4))
     assert plan.m_prime == 2 and plan.r == 1
     assert len(plan) == (2 + 3) * 9 + 1 * 4 * factorial(4)
-    tail = [q for q in plan.rows() if q.block == 0]
+    tail = [q for q in _rows(plan) if q.block == 0]
     assert len(tail) == 4 * factorial(4)
     assert all(q.server == 1 for q in tail)
     # leftover request reads the fifth input vector
@@ -549,7 +593,7 @@ FIELDS = [(3, 1), (2**31 - 1, 12), (2**61 - 1, 2)]  # tuple path, int64 kernel, 
 def test_full_protocol_matches_reference(k, n, m, field, seed, data):
     sigma = Permutation(tuple(data.draw(st.permutations(range(1, k + 1)), label="sigma")))
     p, l = field
-    assert build_plan(k, n, m, sigma).rows() == _reference_plan(sigma, k, n, m)
+    assert _rows(build_plan(k, n, m, sigma)) == _reference_plan(sigma, k, n, m)
     functions = generate_functions(k, l, p, Rng(seed).child("functions"))
     w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
     servers = [Server(i + 1, functions, p) for i in range(n)]
