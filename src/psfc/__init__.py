@@ -51,8 +51,6 @@ from .runtime import (
     TcpServerHost,
     TcpTransport,
     UnknownFunction,
-    WireMessage,
-    decode_message,
     encode_message,
     generate_functions,
     generate_inputs,

@@ -76,7 +76,9 @@ __all__ = [
 
 MAX_EXHAUSTIVE_K = 6
 SAMPLED_SIGMA_COUNT = 24
-JOINT_CELL_CAP = 1 << 22
+# int64 count entries a uniformity test allocates, over all servers
+# (orders x 2 halves x joint cells each): 128 MiB.
+JOINT_ENTRY_CAP = 1 << 24
 UNIFORMITY_CHUNK = 200_000  # trials evaluated together in one numpy stack
 
 # Fixed acceptance thresholds.  The TV limit is a calibration choice, not
@@ -328,10 +330,9 @@ def uniformity_test(
     plans = [build_plan(k, n, m, sigma) for sigma in sigmas]
     slots_per_server = [plans[0].server.count(server) for server in range(1, n + 1)]
     joint_cells = [slot_cells**s for s in slots_per_server]
-    if max(joint_cells) > JOINT_CELL_CAP:
-        raise GuardExceeded(
-            f"joint input-tuple space has {max(joint_cells)} cells (> {JOINT_CELL_CAP})"
-        )
+    entries = len(sigmas) * 2 * sum(joint_cells)
+    if entries > JOINT_ENTRY_CAP:
+        raise GuardExceeded(f"joint counts need {entries} entries (> {JOINT_ENTRY_CAP})")
 
     if not resample_f:
         f_batch = np.array(generate_functions(k, l, p, Rng(seed).child("functions")), dtype=np.int64)
@@ -491,17 +492,18 @@ class AttackCampaignResult:
 
 
 def attack_campaign(
-    k: int, n: int, trials: int, p: int = DEFAULT_MODULUS, l: int = 1, seed: int = 0,
-    scheme: str = "real",
+    k: int, n: int, trials: int, l: int = 1, seed: int = 0, scheme: str = "real"
 ) -> AttackCampaignResult:
     """Run the attacker against fresh instances and count exact recoveries.
 
     scheme="real" executes the actual protocol; scheme="naive" executes
     the broken interleaved chain as a negative control.  Each trial
-    draws a fresh order, fresh functions, and fresh inputs.
+    draws a fresh order, fresh functions, and fresh inputs over
+    GF(DEFAULT_MODULUS).
     """
     if scheme not in ("real", "naive"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    p = DEFAULT_MODULUS
     root = Rng(seed).child(f"attack:{scheme}:{k}:{n}")
     hits = [0] * n
     for t in range(trials):

@@ -243,7 +243,7 @@ def cmd_audit(args) -> int:
             round(uni.chi2_min_p, 6), f">= alpha/{n_slots}", uni.chi2_all_pass())
 
     real = attack_campaign(config.k, config.n, trials=args.attack_trials,
-                           p=DEFAULT_MODULUS, l=1, seed=seed, scheme="real")
+                           l=1, seed=seed, scheme="real")
     row("attacker vs real scheme", [round(r, 4) for r in real.per_server_rate],
         f"within {real.uniform_rate:.4f} +- {real.three_sigma_band:.4f}",
         real.within_uniform_band())
@@ -252,7 +252,7 @@ def cmd_audit(args) -> int:
         # L = 2: 1x1 matrices commute, so at L = 1 a run of several
         # hidden steps would not reveal their order.
         naive = attack_campaign(config.k, config.n, trials=args.attack_trials,
-                                p=DEFAULT_MODULUS, l=2, seed=seed, scheme="naive")
+                                l=2, seed=seed, scheme="naive")
         row("attacker vs broken control", round(naive.best_rate, 4), f"> {NAIVE_FLOOR}",
             naive.best_rate > NAIVE_FLOOR)
 

@@ -19,6 +19,13 @@ Two interchangeable transports execute a run:
   connection; the host serves the frames it has buffered in one `serve`
   call.  Byte-for-byte the same RunReport as the simulated path for the
   same (config, order, seed).
+
+Each direction of a connection carries one frame kind: queries to the
+host, answers to the client.  Each end reads its kind through one
+`_Channel` (socket, receive buffer, next sequence number) and one pure
+parser, `_parse_frame`, which refuses any other magic on its first
+bytes and lets the reader check a header before the body is awaited.
+Every frame is built by `encode_message`.
 """
 
 from __future__ import annotations
@@ -28,7 +35,6 @@ import socket
 import struct
 import threading
 from collections import deque
-from typing import NamedTuple, Optional
 
 from .field import (
     DimensionMismatch,
@@ -53,9 +59,7 @@ __all__ = [
     "generate_functions",
     "generate_inputs",
     "SimTransport",
-    "WireMessage",
     "encode_message",
-    "decode_message",
     "TcpServerHost",
     "TcpTransport",
 ]
@@ -181,74 +185,35 @@ class SimTransport:
 QUERY_MAGIC = b"PSFQ"
 ANSWER_MAGIC = b"PSFA"
 
-_QUERY_HEAD = struct.Struct("<IHI")  # seq u32, function u16, dim u32
-_ANSWER_HEAD = struct.Struct("<II")  # seq u32, dim u32
+# Each direction carries one frame kind, whose header starts with its magic.
+_QUERY_HEAD = struct.Struct("<4sIHI")  # magic, seq u32, function u16, dim u32
+_ANSWER_HEAD = struct.Struct("<4sII")  # magic, seq u32, dim u32
 
 
-class WireMessage(NamedTuple):
-    kind: str  # "query" | "answer"
-    seq: int
-    function: Optional[int]  # queries only
-    payload: FieldVector
+def encode_message(head: struct.Struct, fields: tuple, payload: FieldVector) -> bytes:
+    """Frame layout: `head` packed from `fields` and L, then L x u64, all LE."""
+    return head.pack(*fields, len(payload)) + struct.pack(f"<{len(payload)}Q", *payload)
 
 
-def encode_message(msg: WireMessage) -> bytes:
-    """Frame layout: magic | seq u32 | [function u16] | L u32 | L x u64, all LE."""
-    body = struct.pack(f"<{len(msg.payload)}Q", *msg.payload)
-    if msg.kind == "query":
-        return QUERY_MAGIC + _QUERY_HEAD.pack(msg.seq, msg.function, len(msg.payload)) + body
-    if msg.kind == "answer":
-        return ANSWER_MAGIC + _ANSWER_HEAD.pack(msg.seq, len(msg.payload)) + body
-    raise ValueError(f"unknown message kind {msg.kind!r}")
+def _parse_frame(buf, head: struct.Struct, magic: bytes, check):
+    """The frame at the start of `buf` as (header fields after the magic,
+    payload, frame length), or None while it is incomplete.
 
-
-def _parse_frame(buf, check=None) -> Optional[tuple[WireMessage, int]]:
-    """The frame at the start of `buf` and its length, or None while it is
-    incomplete.  Raises MalformedFrame on a bad magic.
-
-    `check(magic, head)` sees the unpacked header as soon as it is
-    buffered, before any of the body is awaited, and raises to refuse
-    the frame.
+    Raises MalformedFrame as soon as the buffered bytes differ from
+    `magic`.  `check(*fields)` sees the header as soon as it is buffered,
+    before any of the body is awaited, and raises to refuse the frame.
     """
-    have = len(buf)
-    if have < 4:
+    if buf[:4] != magic[:len(buf)]:
+        raise MalformedFrame(f"expected {magic!r}, got {bytes(buf[:4])!r}")
+    if len(buf) < head.size:
         return None
-    if buf.startswith(QUERY_MAGIC):
-        magic, head = QUERY_MAGIC, _QUERY_HEAD
-    elif buf.startswith(ANSWER_MAGIC):
-        magic, head = ANSWER_MAGIC, _ANSWER_HEAD
-    else:
-        raise MalformedFrame(f"bad magic {bytes(buf[:4])!r}")
-    head_end = 4 + head.size
-    if have < head_end:
-        return None
-    fields = head.unpack_from(buf, 4)
-    if check is not None:
-        check(magic, fields)
+    fields = head.unpack_from(buf)[1:]
+    check(*fields)
     dim = fields[-1]
-    end = head_end + 8 * dim
-    if have < end:
+    end = head.size + 8 * dim
+    if len(buf) < end:
         return None
-    payload = struct.unpack_from(f"<{dim}Q", buf, head_end)
-    if magic == QUERY_MAGIC:
-        return WireMessage("query", fields[0], fields[1], payload), end
-    return WireMessage("answer", fields[0], None, payload), end
-
-
-def decode_message(data: bytes) -> WireMessage:
-    """Inverse of encode_message: exactly one whole frame.  Raises
-    MalformedFrame on bad bytes.
-
-    Canonicality of elements (value < p) is deliberately not checked
-    here; the server ingress does that, since only it knows p.
-    """
-    frame = _parse_frame(data)
-    if frame is None:
-        raise MalformedFrame(f"truncated frame of {len(data)} bytes")
-    msg, end = frame
-    if len(data) != end:
-        raise MalformedFrame(f"frame length {len(data)} != expected {end}")
-    return msg
+    return fields, struct.unpack_from(f"<{dim}Q", buf, head.size), end
 
 
 # -- TCP transport --------------------------------------------------------------
@@ -261,31 +226,41 @@ _RECV_CHUNK = 1 << 16
 _WINDOW_BYTES = 1 << 16
 
 
-class _FrameReader:
-    """Frames off one connection, read in chunks of up to _RECV_CHUNK bytes."""
+class _Channel:
+    """One end of a connection: its socket, the frames it reads (one kind,
+    in chunks of up to _RECV_CHUNK bytes) and its next sequence number.
 
-    __slots__ = ("_conn", "_buf")
+    Both ends set TCP_NODELAY: a block that arrives in more than one read
+    is answered in more than one write, and Nagle's algorithm could hold
+    the later write until the peer's delayed ACK.
+    """
 
-    def __init__(self, conn: socket.socket):
-        self._conn = conn
+    __slots__ = ("sock", "seq", "_head", "_magic", "_buf")
+
+    def __init__(self, sock: socket.socket, head: struct.Struct, magic: bytes):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock = sock
+        self.seq = 0
+        self._head = head
+        self._magic = magic
         self._buf = bytearray()
 
     def fill(self) -> None:
         """Block for the next chunk; ChannelClosed when the peer is gone."""
-        chunk = self._conn.recv(_RECV_CHUNK)
+        chunk = self.sock.recv(_RECV_CHUNK)
         if not chunk:
             raise ChannelClosed("connection closed")
         self._buf += chunk
 
-    def pop(self, check=None) -> Optional[WireMessage]:
-        """The next buffered frame, or None while it is incomplete; `check`
-        as in _parse_frame."""
-        frame = _parse_frame(self._buf, check)
+    def pop(self, check):
+        """The next buffered frame as (header fields, payload), or None while
+        it is incomplete; `check` as in _parse_frame."""
+        frame = _parse_frame(self._buf, self._head, self._magic, check)
         if frame is None:
             return None
-        msg, end = frame
+        fields, payload, end = frame
         del self._buf[:end]
-        return msg
+        return fields, payload
 
 
 class TcpServerHost:
@@ -293,9 +268,9 @@ class TcpServerHost:
 
     Each server thread accepts a single client connection and answers
     query frames in arrival order (the per-server FIFO contract).  It
-    checks each header (a query, the next sequence number, a known
-    function, dimension L) before it buffers the body, and the server
-    rejects non-canonical elements; any refused frame closes the
+    checks each header (the query magic, the next sequence number, a
+    known function, dimension L) before it buffers the body, and the
+    server rejects non-canonical elements; any refused frame closes the
     connection.  It serves every whole frame it has buffered in one
     `serve` call, then sends those answers in one write.  The
     per-connection sequence number restarts at zero for every server, so
@@ -325,33 +300,26 @@ class TcpServerHost:
             conn, _ = listener.accept()
         except OSError:
             return  # closed before any client connected
-        next_seq = 0
 
-        def check(magic: bytes, head: tuple) -> None:
-            if magic != QUERY_MAGIC:
-                raise MalformedFrame("expected a query frame")
-            seq, function, dim = head
-            if seq != next_seq:
-                raise MalformedFrame(f"query seq {seq}, expected {next_seq}")
+        def check(seq: int, function: int, dim: int) -> None:
+            if seq != channel.seq:
+                raise MalformedFrame(f"query seq {seq}, expected {channel.seq}")
             server.admit(function, dim)
 
-        reader = _FrameReader(conn)
         with conn:
             try:
-                # A block that arrives in more than one read is answered in
-                # more than one write; without TCP_NODELAY, Nagle's algorithm
-                # could hold the later write until the client's delayed ACK.
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                channel = _Channel(conn, _QUERY_HEAD, QUERY_MAGIC)
                 while True:
-                    reader.fill()
+                    channel.fill()
                     batch = []
-                    while (msg := reader.pop(check)) is not None:
-                        batch.append((msg.function, msg.payload))
-                        next_seq += 1
+                    while (frame := channel.pop(check)) is not None:
+                        (_, function, _), w = frame
+                        batch.append((function, w))
+                        channel.seq += 1
                     if batch:
-                        first = next_seq - len(batch)
+                        first = channel.seq - len(batch)
                         conn.sendall(b"".join(
-                            encode_message(WireMessage("answer", seq, None, answer))
+                            encode_message(_ANSWER_HEAD, (ANSWER_MAGIC, seq), answer)
                             for seq, answer in enumerate(server.serve(batch), first)
                         ))
             except (OSError, MalformedFrame, UnknownFunction, DimensionMismatch,
@@ -375,16 +343,11 @@ class TcpTransport:
     """Client side: one persistent connection per server, pipelined sends."""
 
     def __init__(self, addresses: list[tuple[str, int]]):
-        self._conns = []
-        self._readers = []
-        self._seqs = []
+        self._channels: list[_Channel] = []
         try:
             for host, port in addresses:
-                conn = socket.create_connection((host, port), timeout=10.0)
-                conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                self._conns.append(conn)
-                self._readers.append(_FrameReader(conn))
-                self._seqs.append(0)
+                sock = socket.create_connection((host, port), timeout=10.0)
+                self._channels.append(_Channel(sock, _ANSWER_HEAD, ANSWER_MAGIC))
         except OSError as exc:
             self.close()
             raise ChannelClosed(f"cannot connect: {exc}") from exc
@@ -419,50 +382,47 @@ class TcpTransport:
         Frames are batched into one write while at most _WINDOW_BYTES of
         queries are unanswered; past that, answers are read first.
         """
-        conn = self._conns[server - 1]
-        seq = self._seqs[server - 1]
+        channel = self._channels[server - 1]
         unanswered: deque = deque()
         in_flight = 0
         batch = []
         for index, function, w in items:
-            frame = encode_message(WireMessage("query", seq, function, w))
+            frame = encode_message(_QUERY_HEAD, (QUERY_MAGIC, channel.seq, function), w)
             if in_flight and in_flight + len(frame) > _WINDOW_BYTES:
                 if batch:
-                    conn.sendall(b"".join(batch))
+                    channel.sock.sendall(b"".join(batch))
                     batch = []
                 while unanswered and in_flight + len(frame) > _WINDOW_BYTES:
                     in_flight -= self._receive(server, unanswered, answers)
             batch.append(frame)
-            unanswered.append((index, seq, len(frame), len(w)))
+            unanswered.append((index, channel.seq, len(frame), len(w)))
             in_flight += len(frame)
-            seq += 1
-        conn.sendall(b"".join(batch))
-        self._seqs[server - 1] = seq
+            channel.seq += 1
+        channel.sock.sendall(b"".join(batch))
         return unanswered
 
     def _receive(self, server: int, unanswered: deque, answers: list) -> int:
         """Read server's oldest unanswered answer into `answers`; its query's frame size.
 
         The answer's header is checked before its body is awaited: it must
-        be an answer to that query's seq, of that query's dimension.
+        answer that query's seq, with that query's dimension.
         """
         index, seq, size, dim = unanswered.popleft()
-        expected = (seq, dim)
 
-        def check(magic: bytes, head: tuple) -> None:
-            if magic != ANSWER_MAGIC or head != expected:
+        def check(*head: int) -> None:
+            if head != (seq, dim):
                 raise MalformedFrame(f"unexpected reply to query {seq} at server {server}")
 
-        reader = self._readers[server - 1]
-        while (msg := reader.pop(check)) is None:
-            reader.fill()
-        answers[index] = msg.payload
+        channel = self._channels[server - 1]
+        while (frame := channel.pop(check)) is None:
+            channel.fill()
+        answers[index] = frame[1]
         return size
 
     def close(self) -> None:
         self._closed = True
-        for conn in getattr(self, "_conns", []):
+        for channel in self._channels:
             try:
-                conn.close()
+                channel.sock.close()
             except OSError:
                 pass

@@ -179,8 +179,8 @@ def test_criterion_5_statistical_privacy():
 
 def test_criterion_6_attacker_calibration():
     """Attacker breaks the naive control (> 0.9) and not the real scheme."""
-    naive = attack_campaign(3, 2, trials=10_000, p=P31, l=1, seed=606, scheme="naive")
-    real = attack_campaign(3, 2, trials=10_000, p=P31, l=1, seed=606, scheme="real")
+    naive = attack_campaign(3, 2, trials=10_000, l=1, seed=606, scheme="naive")
+    real = attack_campaign(3, 2, trials=10_000, l=1, seed=606, scheme="real")
     naive_ok = naive.best_rate > 0.9
     real_ok = real.within_uniform_band()
     _verdict(

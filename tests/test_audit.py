@@ -8,6 +8,7 @@ still has discriminating power, plus the structural corner cases.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -118,6 +119,20 @@ def test_uniformity_guard():
 def test_uniformity_joint_cell_guard():
     with pytest.raises(GuardExceeded):
         uniformity_test(5, 2, 8, 3, 1, trials=100)  # 3^48 joint cells
+
+
+def test_uniformity_guard_counts_allocated_entries():
+    # 11^6 joint cells per server, but 6 orders x 2 halves x 2 servers of
+    # them: 42.5 M int64 counts (340 MB).  The guard refuses the shape
+    # before it allocates any count array.
+    tracemalloc.start()
+    try:
+        with pytest.raises(GuardExceeded, match="entries"):
+            uniformity_test(3, 2, 1, 11, 1, trials=1000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_uniformity_samples_orders_beyond_budget():

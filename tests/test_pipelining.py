@@ -25,8 +25,9 @@ from psfc.runtime import (
     SimTransport,
     TcpServerHost,
     TcpTransport,
-    WireMessage,
-    decode_message,
+    _ANSWER_HEAD,
+    _QUERY_HEAD,
+    _parse_frame,
     encode_message,
     generate_functions,
     generate_inputs,
@@ -116,7 +117,7 @@ def test_host_dropping_mid_block_raises_channel_closed():
         conn, _ = listener.accept()
         with conn:
             conn.recv(4096)
-            conn.sendall(encode_message(WireMessage("answer", 0, None, (1,))))
+            conn.sendall(encode_message(_ANSWER_HEAD, (b"PSFA", 0), (1,)))
 
     thread = threading.Thread(target=answer_once_then_drop, daemon=True)
     thread.start()
@@ -180,14 +181,18 @@ def _echo_host(listener):
     with conn:
         buffered = b""
         while True:
-            while len(buffered) < 14 or len(buffered) < 14 + 8 * int.from_bytes(buffered[10:14], "little"):
+            while (frame := _parse_frame(buffered, _QUERY_HEAD, b"PSFQ", _accept)) is None:
                 chunk = conn.recv(4096)
                 if not chunk:
                     return
                 buffered += chunk
-            end = 14 + 8 * int.from_bytes(buffered[10:14], "little")
-            msg, buffered = decode_message(buffered[:end]), buffered[end:]
-            conn.sendall(encode_message(WireMessage("answer", msg.seq, None, msg.payload)))
+            (seq, _, _), payload, end = frame
+            buffered = buffered[end:]
+            conn.sendall(encode_message(_ANSWER_HEAD, (b"PSFA", seq), payload))
+
+
+def _accept(*_fields):
+    pass
 
 
 def test_window_keeps_a_large_block_from_deadlocking(monkeypatch):
@@ -204,8 +209,8 @@ def test_window_keeps_a_large_block_from_deadlocking(monkeypatch):
     thread = threading.Thread(target=_echo_host, args=(listener,), daemon=True)
     thread.start()
     transport = TcpTransport([listener.getsockname()])
-    transport._conns[0].setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
-    transport._conns[0].setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    transport._channels[0].sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    transport._channels[0].sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
     rows = [(1, 1, tuple(range(i, i + 256))) for i in range(256)]
     start = time.monotonic()
     try:

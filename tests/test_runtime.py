@@ -4,6 +4,8 @@ import socket
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psfc.field import DEFAULT_MODULUS, KERNEL_MIN_DIM, DimensionMismatch, mat_vec_mul
 from psfc.protocol import Permutation, RunConfig, compose_reference
@@ -17,8 +19,10 @@ from psfc.runtime import (
     TcpServerHost,
     TcpTransport,
     UnknownFunction,
-    WireMessage,
-    decode_message,
+    _ANSWER_HEAD,
+    _QUERY_HEAD,
+    _Channel,
+    _parse_frame,
     encode_message,
     generate_functions,
     generate_inputs,
@@ -183,8 +187,20 @@ def test_sim_transport_closed():
 # -- wire codec -------------------------------------------------------------------------
 
 
+def _query(seq, function, payload):
+    return encode_message(_QUERY_HEAD, (b"PSFQ", seq, function), payload)
+
+
+def _answer(seq, payload):
+    return encode_message(_ANSWER_HEAD, (b"PSFA", seq), payload)
+
+
+def _accept(*_fields):
+    pass
+
+
 def test_query_frame_exact_bytes():
-    frame = encode_message(WireMessage("query", 7, 2, (3,)))
+    frame = _query(7, 2, (3,))
     expected = (
         b"PSFQ"
         + (7).to_bytes(4, "little")
@@ -196,7 +212,7 @@ def test_query_frame_exact_bytes():
 
 
 def test_answer_frame_layout():
-    frame = encode_message(WireMessage("answer", 1, None, (4, 5)))
+    frame = _answer(1, (4, 5))
     assert frame[:4] == b"PSFA"
     assert len(frame) == 4 + 4 + 4 + 16
 
@@ -204,31 +220,136 @@ def test_answer_frame_layout():
 def test_codec_roundtrip_random():
     rng = Rng(3)
     for _ in range(100):
-        kind = rng.choice(["query", "answer"])
         dim = rng.randrange(1, 5)
         payload = tuple(rng.randrange(2**31 - 1) for _ in range(dim))
-        function = rng.randrange(1, 10) if kind == "query" else None
-        msg = WireMessage(kind, rng.randrange(2**32), function, payload)
-        assert decode_message(encode_message(msg)) == msg
+        seq = rng.randrange(2**32)
+        if rng.choice(["query", "answer"]) == "query":
+            function = rng.randrange(1, 10)
+            frame = _query(seq, function, payload)
+            parsed = _parse_frame(frame, _QUERY_HEAD, b"PSFQ", _accept)
+            assert parsed == ((seq, function, dim), payload, len(frame))
+        else:
+            frame = _answer(seq, payload)
+            parsed = _parse_frame(frame, _ANSWER_HEAD, b"PSFA", _accept)
+            assert parsed == ((seq, dim), payload, len(frame))
 
 
 def test_decode_rejects_bad_magic():
     with pytest.raises(MalformedFrame):
-        decode_message(b"XXXX" + bytes(14))
+        _parse_frame(b"XXXX" + bytes(14), _QUERY_HEAD, b"PSFQ", _accept)
+    # Each end reads one kind, so the other direction's magic is refused
+    # too, and a bad first byte is refused before the rest arrives.
+    with pytest.raises(MalformedFrame):
+        _parse_frame(_answer(0, (1,)), _QUERY_HEAD, b"PSFQ", _accept)
+    with pytest.raises(MalformedFrame):
+        _parse_frame(b"PSFQ", _ANSWER_HEAD, b"PSFA", _accept)
+    with pytest.raises(MalformedFrame):
+        _parse_frame(b"X", _ANSWER_HEAD, b"PSFA", _accept)
 
 
 def test_decode_rejects_truncation():
-    frame = encode_message(WireMessage("query", 0, 1, (1, 2)))
-    with pytest.raises(MalformedFrame):
-        decode_message(frame[:-1])
-    with pytest.raises(MalformedFrame):
-        decode_message(frame + b"\x00")
+    # Every strict prefix of a frame is incomplete; the bytes after a
+    # frame are the next frame's, not part of this one.
+    frame = _query(0, 1, (1, 2))
+    for cut in range(len(frame)):
+        assert _parse_frame(frame[:cut], _QUERY_HEAD, b"PSFQ", _accept) is None
+    parsed = _parse_frame(frame + b"\x00", _QUERY_HEAD, b"PSFQ", _accept)
+    assert parsed == ((0, 1, 2), (1, 2), len(frame))
 
 
 def test_codec_does_not_check_canonicality():
     # Values >= p pass the codec; the server ingress rejects them.
-    msg = WireMessage("query", 0, 1, (2**40,))
-    assert decode_message(encode_message(msg)) == msg
+    frame = _query(0, 1, (2**40,))
+    assert _parse_frame(frame, _QUERY_HEAD, b"PSFQ", _accept)[1] == (2**40,)
+
+
+# -- frame parser fuzzing ----------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+U32 = st.integers(0, 2**32 - 1)
+# Per frame kind: its header struct, its magic, and its header fields
+# between the magic and L.
+KINDS = {
+    "query": (_QUERY_HEAD, b"PSFQ", st.tuples(U32, st.integers(0, 2**16 - 1))),
+    "answer": (_ANSWER_HEAD, b"PSFA", st.tuples(U32)),
+}
+PAYLOADS = st.lists(st.integers(0, 2**64 - 1), max_size=6).map(tuple)
+
+
+class _Chunks:
+    """A socket stand-in whose `recv` returns the given chunks, then EOF."""
+
+    def __init__(self, chunks):
+        self._chunks = iter(chunks)
+
+    def setsockopt(self, *_args):
+        pass
+
+    def recv(self, _size):
+        return next(self._chunks, b"")
+
+
+class _Refused(Exception):
+    pass
+
+
+@PROPERTY
+@given(
+    prefix=st.sampled_from([b"", b"P", b"PSF", b"PSFQ", b"PSFA"]),
+    rest=st.binary(max_size=48),
+)
+def test_parse_frame_any_bytes_give_none_a_frame_or_malformed(prefix, rest):
+    buf = prefix + rest
+    for head, magic, _ in KINDS.values():
+        try:
+            frame = _parse_frame(buf, head, magic, _accept)
+        except MalformedFrame:
+            assert buf[:4] != magic[:len(buf)]
+            continue
+        if frame is not None:
+            fields, payload, end = frame
+            assert encode_message(head, (magic, *fields[:-1]), payload) == buf[:end]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_channel_reads_frames_back_in_any_split(kind, data):
+    head, magic, fields = KINDS[kind]
+    sent = data.draw(st.lists(st.tuples(fields, PAYLOADS), max_size=5))
+    stream = b"".join(encode_message(head, (magic, *f), payload) for f, payload in sent)
+    cuts = sorted(data.draw(st.sets(st.integers(1, max(len(stream) - 1, 1)))))
+    chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)]) if a < b]
+    channel = _Channel(_Chunks(chunks), head, magic)
+    got = []
+    with pytest.raises(ChannelClosed):
+        while True:
+            channel.fill()
+            while (frame := channel.pop(_accept)) is not None:
+                got.append(frame)
+    assert got == [((*f, len(payload)), payload) for f, payload in sent]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@PROPERTY
+@given(data=st.data())
+def test_refusing_check_fires_on_the_header_alone(kind, data):
+    head, magic, fields = KINDS[kind]
+    f = data.draw(fields)
+    payload = data.draw(PAYLOADS)
+    frame = encode_message(head, (magic, *f), payload)
+    seen = []
+
+    def refuse(*header):
+        seen.append(header)
+        raise _Refused
+
+    for cut in range(head.size):
+        assert _parse_frame(frame[:cut], head, magic, refuse) is None
+    assert not seen
+    with pytest.raises(_Refused):
+        _parse_frame(frame[:head.size], head, magic, refuse)
+    assert seen == [(*f, len(payload))]
 
 
 # -- tcp transport ---------------------------------------------------------------------
@@ -269,7 +390,7 @@ def test_tcp_ingress_rejects_noncanonical():
     host = TcpServerHost(servers)
     raw = socket.create_connection(host.addresses[0], timeout=5)
     try:
-        raw.sendall(encode_message(WireMessage("query", 0, 1, (7,))))  # 7 >= p
+        raw.sendall(_query(0, 1, (7,)))  # 7 >= p
         assert raw.recv(64) == b""  # server drops the connection
     finally:
         raw.close()
