@@ -8,19 +8,19 @@ immutable, so they are safe to share across threads.
 
 A server multiplies by the same few matrices many times, so it converts
 each one once with `prepare_matrix`.  When p < 2^31 and L is at least
-KERNEL_MIN_DIM, the prepared matrix is an int64 array that stacks the
-matrix's high 16-bit limbs over its low ones, and `mat_vec_mul` then
-runs an exact int64 kernel: one product by the stacked limbs, then a
-reduction mod p once per limb, after whole-row sums (delayed reduction,
-after Dumas, Giorgi and Pernet, "Dense linear algebra over word-size
-prime fields: the FFLAS and FFPACK packages", ACM TOMS 35(3), 2008).  A
-canonical vector element is below 2^31 and a limb below 2^16, so a row
-of fewer than 2^16 products sums below 2^63, also with the reduced
-high-limb result times 2^16 added.  `rank` row-reduces an
-int64 array under the same conditions; there every product of two
-residues is below 2^62.  Below KERNEL_MIN_DIM numpy's per-call cost
-outweighs the gain, and from 2^31 on the int64 bound fails, so those
-cases keep tuples.  Both paths return tuples of Python ints.
+KERNEL_MIN_DIM, the prepared matrix is a float64 array of the transposed
+matrix's b-bit limbs, and `mat_vec_mul` multiplies a vector, or a stack
+of them, by every limb in one BLAS product, then reduces mod p once per
+limb, after whole-row sums (delayed reduction, after Dumas, Giorgi and
+Pernet, "Dense linear algebra over word-size prime fields: the FFLAS and
+FFPACK packages", ACM TOMS 35(3), 2008).  b is the widest limb with
+L (2^31 - 1)(2^b - 1) < 2^53 (16 bits up to L = 64), so every partial
+sum of canonical elements times limbs is an integer a double holds
+exactly, whatever order or fused multiply-adds the BLAS uses.  `rank`
+row-reduces int64 arrays under the same conditions (products of residues
+are below 2^62).  Below KERNEL_MIN_DIM numpy's per-call cost outweighs
+the gain, and from 2^31 on the exactness bound fails, so those cases keep
+tuples.  One vector's product is a tuple of ints on either path.
 """
 
 from __future__ import annotations
@@ -65,15 +65,12 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 INVERTIBLE_REDRAW_CAP = 10_000
 
-# The int64 kernels run for p < KERNEL_MAX_MODULUS and
-# KERNEL_MIN_DIM <= L < KERNEL_MAX_DIM.  The modulus and dimension bounds
-# keep every partial sum below 2^63; KERNEL_MIN_DIM is the measured L
-# from which numpy's per-call overhead is repaid.
+# The exact kernels run for p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= L
+# < KERNEL_MAX_DIM, bounds that keep every partial sum exact; KERNEL_MIN_DIM
+# is the measured L from which numpy's per-call overhead is repaid.
 KERNEL_MAX_MODULUS = 2**31
 KERNEL_MAX_DIM = 2**16
 KERNEL_MIN_DIM = 9
-_LIMB_BITS = 16
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 
 
 class InversionOfZero(ZeroDivisionError):
@@ -168,31 +165,44 @@ def _kernel_applies(l: int, p: int) -> bool:
     return p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= l < KERNEL_MAX_DIM
 
 
+def _limb_split(l: int, p: int) -> tuple[int, int]:
+    """(b, n): the widest b with l (2^31 - 1)(2^b - 1) < 2^53, and n b-bit limbs < p."""
+    b = 53 - 31 - (l - 1).bit_length()
+    return b, -(-(p - 1).bit_length() // b)
+
+
 def prepare_matrix(a: FieldMatrix, p: int) -> PreparedMatrix:
     """`a` in the form `mat_vec_mul` multiplies fastest by.
 
-    Where the exact kernel applies, a (2L x L) int64 array: the entries'
-    high 16-bit limbs above their low ones.  Else `a` unchanged.
+    Where the exact kernel applies, an (L x nL) float64 array whose j-th L
+    columns are limb j of `a`'s transpose, most significant first.
     """
     if _kernel_applies(len(a), p):
-        full = np.array(a, dtype=np.int64)
-        return np.concatenate((full >> _LIMB_BITS, full & _LIMB_MASK))
+        b, n = _limb_split(len(a), p)
+        t = np.array(a, dtype=np.int64).T
+        limbs = [(t >> (b * j)) & ((1 << b) - 1) for j in reversed(range(n))]
+        return np.concatenate(limbs, axis=1).astype(np.float64)
     return a
 
 
-def mat_vec_mul(a: PreparedMatrix, w: FieldVector, p: int) -> FieldVector:
+def mat_vec_mul(a: PreparedMatrix, w, p: int) -> FieldVector | np.ndarray:
     """Matrix-vector product over GF(p), of a tuple or prepared matrix.
 
-    On a prepared int64 array, `w` must be canonical: the limb bound
-    holds for elements below 2^31, not for arbitrary ints.
-    """
+    On a prepared array, `w` must be canonical and may be a 2-D stack of
+    vectors; then so is the result."""
+    if isinstance(a, np.ndarray):
+        x = np.asarray(w, dtype=np.float64)
+        if x.shape[-1] != len(a):
+            raise DimensionMismatch(f"matrix takes length {len(a)}, not {x.shape[-1]}")
+        b, n = _limb_split(len(a), p)
+        r = np.dot(x, a).astype(np.int64)  # np.dot dispatches faster than @
+        rows = r.shape[-1] // n
+        out = r[..., :rows] % p
+        for j in range(rows, r.shape[-1], rows):
+            out = ((out << b) + r[..., j : j + rows]) % p
+        return out if x.ndim > 1 else tuple(out.tolist())
     if len(a[0]) != len(w):
         raise DimensionMismatch(f"matrix is {len(a)}x{len(a[0])}, vector has length {len(w)}")
-    if isinstance(a, np.ndarray):
-        r = a @ np.array(w, dtype=np.int64)
-        rows = len(r) // 2
-        r = ((r[:rows] % p) * (1 << _LIMB_BITS) + r[rows:]) % p
-        return tuple(r.tolist())
     # A loop, not a comprehension: on CPython 3.11 a comprehension builds a
     # function and a frame per call, which costs more than L <= 3 products.
     out = []

@@ -36,6 +36,8 @@ import struct
 import threading
 from collections import deque
 
+import numpy as np
+
 from .field import (
     DimensionMismatch,
     FieldMatrix,
@@ -104,19 +106,37 @@ class Server:
     def serve(self, queries: list[tuple[int, FieldVector]]) -> list[FieldVector]:
         """Answer a batch of (function, w) queries, in order.
 
-        The whole batch is checked before any of it is recorded or
-        returned, so a refused batch leaves the marginal list unchanged.
-        Each element is checked before its row is multiplied: the int64
-        kernel is exact only for elements below p.
+        All of it is checked before any is recorded or returned, so a refused
+        batch leaves the marginal list unchanged.  Tuple matrices take it row
+        by row; on prepared arrays it is one stack, checked by one numpy
+        reduction, with one `mat_vec_mul` call per function.
         """
-        p, prepared = self.p, self._prepared
+        p, l, prepared = self.p, self.l, self._prepared
+        k, stacked = len(prepared), isinstance(prepared[0], np.ndarray)
         answers = []
         for function, w in queries:
-            self.admit(function, len(w))
-            for x in w:
-                if not 0 <= x < p:
-                    raise NonCanonicalElement(f"input element {x} outside [0, {p})")
-            answers.append(mat_vec_mul(prepared[function - 1], w, p))
+            if not (0 < function <= k and len(w) == l):
+                self.admit(function, len(w))
+            if not stacked:
+                for x in w:
+                    if not 0 <= x < p:
+                        raise NonCanonicalElement(f"input element {x} outside [0, {p})")
+                answers.append(mat_vec_mul(prepared[function - 1], w, p))
+        if stacked and queries:
+            functions, ws = zip(*queries)
+            try:  # numpy refuses an element below 0 or from 2^64 on
+                x = np.array(ws, dtype=np.uint64)
+            except OverflowError:
+                x = None
+            if x is None or x.max() >= p:
+                bad = next(e for w in ws for e in w if not 0 <= e < p)
+                raise NonCanonicalElement(f"input element {bad} outside [0, {p})")
+            answers = [None] * len(queries)
+            for function in set(functions):
+                index = [i for i, f in enumerate(functions) if f == function]
+                rows = x[index] if len(index) < len(queries) else x
+                for i, row in zip(index, mat_vec_mul(prepared[function - 1], rows, p).tolist()):
+                    answers[i] = tuple(row)
         self.marginal.entries.extend(queries)
         return answers
 

@@ -2,8 +2,9 @@
 
 Derived expectations are computed by independent oracles kept inside
 this file: a minor-expansion rank, an exhaustive GL(1, p) enumeration,
-and direct axiom checks over random samples.  The int64 kernels are
-checked against the pure-Python path, which is their reference.
+and direct axiom checks over random samples.  The float64 mat-vec
+kernel and the int64 rank are checked against the pure-Python path,
+which is their reference.
 """
 
 import itertools
@@ -20,6 +21,7 @@ from psfc.field import (
     DimensionMismatch,
     InversionOfZero,
     PrimeModulus,
+    _limb_split,
     _rank_int64,
     _rank_python,
     ff_inv,
@@ -190,7 +192,7 @@ def test_rank_mixed_dimensions():
         rank(((1, 2), (1, 2, 3)), 5)
 
 
-# -- int64 kernels against the pure-Python path ----------------------------------------
+# -- the exact kernels against the pure-Python path -------------------------------------
 
 
 def _matrix(rows, cols, p, seed, fill):
@@ -204,11 +206,12 @@ def _matrix(rows, cols, p, seed, fill):
 @PROPERTY
 @given(
     p=st.sampled_from(KERNEL_PRIMES),
-    l=st.integers(1, 64),
+    l=st.integers(1, 100),
     seed=st.integers(0, 2**32),
     worst=st.booleans(),
 )
 def test_kernel_mat_vec_matches_python_path(p, l, seed, worst):
+    # L up to 100 covers the 16-bit limbs (L <= 64) and narrower ones.
     a = _matrix(l, l, p, seed, p - 1 if worst else None)
     w = _matrix(1, l, p, seed + 1, p - 1 if worst else None)[0]
     prepared = prepare_matrix(a, p)
@@ -216,17 +219,28 @@ def test_kernel_mat_vec_matches_python_path(p, l, seed, worst):
     got = mat_vec_mul(prepared, w, p)
     assert got == mat_vec_mul(a, w, p)
     assert all(type(x) is int for x in got)
+    if l >= KERNEL_MIN_DIM:
+        stack = np.array([w, (p - 1,) * l, (0,) * l], dtype=np.int64)
+        expected = [list(mat_vec_mul(a, v, p)) for v in stack.tolist()]
+        assert mat_vec_mul(prepared, stack, p).tolist() == expected
 
 
 def test_kernel_row_sum_bound_at_largest_dimension():
-    # One row of the widest supported matrix in prepared form, its high
-    # limbs over its low ones, every limb at its largest (0x7FFF and
-    # 0xFFFF), times the largest canonical vector: the largest partial
-    # sums the limb split can produce.
+    # One row of the widest supported matrix in prepared form (a column
+    # per limb, most significant first), every limb at its largest, times
+    # the largest canonical vector, alone and stacked: the largest partial
+    # sums the limb split can produce.  The limb width is the widest that
+    # keeps them below 2^53.
     p = 2**31 - 19
     l = KERNEL_MAX_DIM - 1
-    a = np.array([[0x7FFF] * l, [0xFFFF] * l], dtype=np.int64)
-    assert mat_vec_mul(a, (p - 1,) * l, p) == ((2**31 - 1) * (p - 1) * l % p,)
+    b, n = _limb_split(l, p)
+    assert l * (2**31 - 1) * (2**b - 1) < 2**53 <= l * (2**31 - 1) * (2 ** (b + 1) - 1)
+    top = (p - 1).bit_length() - b * (n - 1)
+    a = np.array([[2**top - 1] + [2**b - 1] * (n - 1)] * l, dtype=np.float64)
+    expected = (2**31 - 1) * (p - 1) * l % p
+    assert mat_vec_mul(a, (p - 1,) * l, p) == (expected,)
+    stack = np.full((3, l), p - 1, dtype=np.int64)
+    assert mat_vec_mul(a, stack, p).tolist() == [[expected]] * 3
 
 
 @pytest.mark.parametrize("p", [2**32 - 5, 2**61 - 1])

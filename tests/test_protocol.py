@@ -152,7 +152,7 @@ def test_compose_matches_direct_matrix_chain():
 
 
 def test_compose_reference_stays_pure_python(monkeypatch):
-    # The oracle must not share the servers' int64 kernel: at a size where
+    # The oracle must not share the servers' float64 kernel: at a size where
     # servers use it, compose_reference runs with numpy unreachable.
     class NoNumpy:
         ndarray = type("NotAnArray", (), {})

@@ -3,6 +3,7 @@
 import socket
 import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -72,7 +73,7 @@ def test_serve_dimension_check():
         server.serve([(1, (1,))])
 
 
-@pytest.mark.parametrize("l", [2, 16])  # the tuple path and the int64 kernel
+@pytest.mark.parametrize("l", [2, 16])  # the tuple path and the float64 kernel
 def test_serve_rejects_noncanonical_elements(l):
     p = DEFAULT_MODULUS
     server = Server(1, generate_functions(1, l, p, Rng(1)), p)
@@ -101,6 +102,83 @@ def test_refused_batch_records_nothing(last, error):
         server.serve(batch)
     with pytest.raises(error):
         SimTransport([server]).query([(1, function, w) for function, w in batch])
+    assert server.marginal.entries == before
+
+
+BATCHES = settings(derandomize=True, max_examples=60, deadline=None, database=None)
+BATCH_PRIMES = (2, 3, 2**31 - 1, 2**61 - 1)
+# Both sides of KERNEL_MIN_DIM, and past the 16-bit limbs' L = 64.
+BATCH_DIMS = (1, KERNEL_MIN_DIM - 1, KERNEL_MIN_DIM, 64, 65, 100)
+
+
+def _uniform_functions(k, l, p, seed):
+    """K seeded uniform matrices; serving needs no inverse."""
+    rng = Rng(seed)
+    return [tuple(tuple(rng.randrange(p) for _ in range(l)) for _ in range(l)) for _ in range(k)]
+
+
+def _vectors(l, p):
+    """Canonical vectors of length l, the all-(p-1) worst case among them."""
+    return st.one_of(
+        st.just((p - 1,) * l),
+        st.lists(st.integers(0, p - 1), min_size=l, max_size=l).map(tuple),
+    )
+
+
+def _batches(k, l, p, max_size):
+    return st.lists(st.tuples(st.integers(1, k), _vectors(l, p)), max_size=max_size)
+
+
+@BATCHES
+@given(
+    data=st.data(),
+    p=st.sampled_from(BATCH_PRIMES),
+    l=st.sampled_from(BATCH_DIMS),
+    k=st.integers(1, 4),
+    seed=st.integers(0, 2**32),
+)
+def test_served_batch_equals_row_by_row_products(data, p, l, k, seed):
+    functions = _uniform_functions(k, l, p, seed)
+    server = Server(1, functions, p)
+    assert isinstance(server._prepared[0], np.ndarray) == (l >= KERNEL_MIN_DIM and p < 2**31)
+    assert server.serve([]) == [] and len(server.marginal) == 0
+    batch = data.draw(_batches(k, l, p, max_size=12))
+    answers = server.serve(batch)
+    assert answers == [mat_vec_mul(functions[f - 1], w, p) for f, w in batch]
+    assert all(type(x) is int for answer in answers for x in answer)
+    assert server.marginal.entries == batch
+
+
+@BATCHES
+@given(
+    data=st.data(),
+    p=st.sampled_from(BATCH_PRIMES),
+    l=st.sampled_from(BATCH_DIMS),
+    k=st.integers(1, 4),
+    fault=st.sampled_from(["function", "length", -1, "p", 2**63, 2**64]),
+)
+def test_refused_batch_raises_its_typed_error(data, p, l, k, fault):
+    # One bad row anywhere in a batch: the typed error, never one from
+    # numpy, through serve and through the sim transport, and no trace.
+    functions = _uniform_functions(k, l, p, 7)
+    server = Server(1, functions, p)
+    server.serve([(1, (0,) * l)])
+    before = list(server.marginal.entries)
+    batch = data.draw(_batches(k, l, p, max_size=6))
+    function, w = data.draw(st.integers(1, k)), data.draw(_vectors(l, p))
+    if fault == "function":
+        function, error = data.draw(st.sampled_from([0, k + 1, 2**16 - 1])), UnknownFunction
+    elif fault == "length":
+        w, error = w + (0,) if l == 1 or data.draw(st.booleans()) else w[1:], DimensionMismatch
+    else:
+        bad = p if fault == "p" else fault
+        at = data.draw(st.integers(0, l - 1))
+        w, error = w[:at] + (bad,) + w[at + 1 :], NonCanonicalElement
+    batch.insert(data.draw(st.integers(0, len(batch))), (function, w))
+    with pytest.raises(error):
+        server.serve(batch)
+    with pytest.raises(error):
+        SimTransport([server]).query([(1, f, v) for f, v in batch])
     assert server.marginal.entries == before
 
 
@@ -449,7 +527,7 @@ def test_tcp_host_rejects_garbage_frame():
         host.close()
 
 
-# -- the int64 kernel behind both transports ---------------------------------------------
+# -- the float64 kernel behind both transports -------------------------------------------
 
 
 class _Recording:
@@ -465,9 +543,9 @@ class _Recording:
         return answers
 
 
-def test_int64_kernel_path_on_both_transports():
+def test_float64_kernel_path_on_both_transports():
     # At L >= KERNEL_MIN_DIM and p < 2^31 the servers, including the TCP
-    # host's threads, answer through the int64 kernel.
+    # host's threads, answer through the float64 kernel.
     k, n, m, l, p = 4, 3, 4, 16, DEFAULT_MODULUS
     assert l >= KERNEL_MIN_DIM
     config = RunConfig(k=k, n=n, m=m, l=l, p=p, seed=33)

@@ -578,7 +578,7 @@ def test_plan_build_allocates_no_per_query_objects():
     assert len(gc.get_objects()) - before < 1_000
 
 
-FIELDS = [(3, 1), (2**31 - 1, 12), (2**61 - 1, 2)]  # tuple path, int64 kernel, 61-bit
+FIELDS = [(3, 1), (2**31 - 1, 12), (2**61 - 1, 2)]  # tuple path, float64 kernel, 61-bit
 
 
 @settings(derandomize=True, max_examples=60, deadline=None, database=None)
