@@ -3,8 +3,9 @@
 Servers are structurally non-colluding: each Server object holds the
 public function matrices and its own marginal query list, and nothing
 else.  No server references another, and nothing order-dependent is
-ever placed on the wire: a query carries only (per-connection sequence
-number, function index, input vector).
+ever placed on the wire: a query frame carries only its first row's
+per-connection sequence number, its row count, L, and each row's
+(function index, input vector).
 
 Two interchangeable transports execute a run:
 
@@ -13,19 +14,19 @@ Two interchangeable transports execute a run:
   call.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
   per server.  A transport call carries a group of queries (a block, or
-  one level of a request's chains): the client writes each server's
-  frames in one pipelined send and reads the answers back in
-  per-connection sequence order, so a group costs one exchange per
-  connection; the host serves the frames it has buffered in one `serve`
+  one level of a request's chains), and each server's share of it goes
+  as one query frame and comes back as one answer frame (more only past
+  _WINDOW_BYTES of body); the host serves each frame in one `serve`
   call.  Byte-for-byte the same RunReport as the simulated path for the
   same (config, order, seed).
 
-Each direction of a connection carries one frame kind: queries to the
-host, answers to the client.  Each end reads its kind through one
-`_Channel` (socket, receive buffer, next sequence number) and one pure
-parser, `_parse_frame`, which refuses any other magic on its first
-bytes and lets the reader check a header before the body is awaited.
-Every frame is built by `encode_message`.
+A frame is a header (magic, the per-connection seq of its first row, its
+row count, L), then for queries one function index per row, then the
+rows' elements.  Each direction carries one frame kind.  Each end reads
+its kind through one `_Channel` (socket, receive buffer, next sequence
+number) and one pure parser, `_parse_frame`, which refuses any other
+magic on its first bytes and lets the reader check a header before the
+body is awaited.  Every frame is built by `encode_message`.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import json
 import socket
 import struct
 import threading
-from collections import deque
+from itertools import chain
 
 import numpy as np
 
@@ -205,102 +206,113 @@ class SimTransport:
 QUERY_MAGIC = b"PSFQ"
 ANSWER_MAGIC = b"PSFA"
 
-# Each direction carries one frame kind, whose header starts with its magic.
-_QUERY_HEAD = struct.Struct("<4sIHI")  # magic, seq u32, function u16, dim u32
-_ANSWER_HEAD = struct.Struct("<4sII")  # magic, seq u32, dim u32
+# Both frame kinds share one header: magic, seq u32 (the per-connection
+# index of the frame's first row), count u32 (its rows), L u32.
+_HEAD = struct.Struct("<4sIII")
 
 
-def encode_message(head: struct.Struct, fields: tuple, payload: FieldVector) -> bytes:
-    """Frame layout: `head` packed from `fields` and L, then L x u64, all LE."""
-    return head.pack(*fields, len(payload)) + struct.pack(f"<{len(payload)}Q", *payload)
+def encode_message(magic: bytes, seq: int, l: int, functions, rows) -> bytes:
+    """One frame of `rows`, all little-endian: the header, then a function
+    u16 per row (queries; an answer passes none), then count*L x element u64."""
+    count = len(rows)
+    return struct.pack(f"<4sIII{len(functions)}H{count * l}Q", magic, seq, count, l,
+                       *functions, *chain.from_iterable(rows))
 
 
-def _parse_frame(buf, head: struct.Struct, magic: bytes, check):
-    """The frame at the start of `buf` as (header fields after the magic,
-    payload, frame length), or None while it is incomplete.
+def _parse_frame(buf, magic: bytes, check):
+    """The frame at the start of `buf` as (seq, functions, rows, frame
+    length), or None while it is incomplete; an answer has no functions.
 
     Raises MalformedFrame as soon as the buffered bytes differ from
-    `magic`.  `check(*fields)` sees the header as soon as it is buffered,
-    before any of the body is awaited, and raises to refuse the frame.
+    `magic`, or on a header of no rows or of L = 0.  `check(seq, count, l)`
+    sees the header as soon as it is buffered, before any of the body is
+    awaited, and raises to refuse the frame.
     """
     if buf[:4] != magic[:len(buf)]:
         raise MalformedFrame(f"expected {magic!r}, got {bytes(buf[:4])!r}")
-    if len(buf) < head.size:
+    if len(buf) < _HEAD.size:
         return None
-    fields = head.unpack_from(buf)[1:]
-    check(*fields)
-    dim = fields[-1]
-    end = head.size + 8 * dim
+    _, seq, count, l = _HEAD.unpack_from(buf)
+    if not (count and l):
+        raise MalformedFrame(f"frame of {count} rows of length {l}")
+    check(seq, count, l)
+    n = count if magic == QUERY_MAGIC else 0
+    end = _HEAD.size + 2 * n + 8 * count * l
     if len(buf) < end:
         return None
-    return fields, struct.unpack_from(f"<{dim}Q", buf, head.size), end
+    values = struct.unpack_from(f"<{n}H{count * l}Q", buf, _HEAD.size)
+    return seq, values[:n], list(zip(*[iter(values[n:])] * l)), end
 
 
 # -- TCP transport --------------------------------------------------------------
 
 
 _RECV_CHUNK = 1 << 16
-# Unanswered query bytes per connection.  Past it the client reads
-# answers before it sends more, so a block of large frames cannot fill
+# Body bytes of a full query frame.  A server's rows in one exchange go as
+# frames of as many rows as fit, and at least one; the client keeps one
+# frame unanswered per connection, so a block of large rows cannot fill
 # both socket buffers and leave client and host waiting on each other.
 _WINDOW_BYTES = 1 << 16
 
 
+def _rows_per_frame(l: int) -> int:
+    """The rows of a full frame: as many as fit in _WINDOW_BYTES of query
+    body (2 + 8L bytes a row), and at least one."""
+    return max(1, _WINDOW_BYTES // (2 + 8 * l))
+
+
 class _Channel:
     """One end of a connection: its socket, the frames it reads (one kind,
-    in chunks of up to _RECV_CHUNK bytes) and its next sequence number.
+    in chunks of up to _RECV_CHUNK bytes) and the seq of its next row.
 
-    Both ends set TCP_NODELAY: a block that arrives in more than one read
-    is answered in more than one write, and Nagle's algorithm could hold
-    the later write until the peer's delayed ACK.
+    Both ends set TCP_NODELAY, so that Nagle's algorithm never holds a
+    frame back until the peer's delayed ACK.
     """
 
-    __slots__ = ("sock", "seq", "_head", "_magic", "_buf")
+    __slots__ = ("sock", "seq", "_magic", "_buf")
 
-    def __init__(self, sock: socket.socket, head: struct.Struct, magic: bytes):
+    def __init__(self, sock: socket.socket, magic: bytes):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.seq = 0
-        self._head = head
         self._magic = magic
         self._buf = bytearray()
 
-    def fill(self) -> None:
-        """Block for the next chunk; ChannelClosed when the peer is gone."""
-        chunk = self.sock.recv(_RECV_CHUNK)
-        if not chunk:
-            raise ChannelClosed("connection closed")
-        self._buf += chunk
-
-    def pop(self, check):
-        """The next buffered frame as (header fields, payload), or None while
-        it is incomplete; `check` as in _parse_frame."""
-        frame = _parse_frame(self._buf, self._head, self._magic, check)
-        if frame is None:
-            return None
-        fields, payload, end = frame
-        del self._buf[:end]
-        return fields, payload
+    def read(self, check):
+        """The next frame as (seq, functions, rows), once it is whole;
+        `check` as in _parse_frame.  ChannelClosed when the peer is gone."""
+        buf = self._buf
+        while not (buf and (frame := _parse_frame(buf, self._magic, check))):
+            chunk = self.sock.recv(_RECV_CHUNK)
+            if not chunk:
+                raise ChannelClosed("connection closed")
+            buf += chunk
+        del buf[:frame[3]]
+        return frame[:3]
 
 
 class TcpServerHost:
     """Listens on one ephemeral localhost port per server.
 
     Each server thread accepts a single client connection and answers
-    query frames in arrival order (the per-server FIFO contract).  It
-    checks each header (the query magic, the next sequence number, a
-    known function, dimension L) before it buffers the body, and the
-    server rejects non-canonical elements; any refused frame closes the
-    connection.  It serves every whole frame it has buffered in one
-    `serve` call, then sends those answers in one write.  The
-    per-connection sequence number restarts at zero for every server, so
-    absolute global positions never appear on the wire.
+    query frames in arrival order (the per-server FIFO contract), each
+    frame in one `serve` call and one answer frame.  It refuses a header
+    before it waits for the body: not the query magic, a seq other than
+    its next row's, no rows, more rows than a full frame holds, or an L
+    other than its own.  The server then refuses unknown functions and
+    non-canonical elements before it records any row of the frame.  Any
+    refused frame closes the connection.  The per-connection sequence
+    number restarts at zero for every server, so absolute global positions
+    never appear on the wire.  `close` also shuts down a connection its
+    client still holds open.
     """
 
     def __init__(self, servers: list[Server], host: str = "127.0.0.1"):
         self.servers = servers
         self._listeners = []
+        self._conns = []
         self._threads = []
+        self._closed = False
         self.addresses: list[tuple[str, int]] = []
         for server in servers:
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -320,124 +332,111 @@ class TcpServerHost:
             conn, _ = listener.accept()
         except OSError:
             return  # closed before any client connected
+        self._conns.append(conn)  # before `_closed` is read: `close` shuts it
+        l, most = server.l, _rows_per_frame(server.l)
 
-        def check(seq: int, function: int, dim: int) -> None:
-            if seq != channel.seq:
-                raise MalformedFrame(f"query seq {seq}, expected {channel.seq}")
-            server.admit(function, dim)
+        def check(seq: int, count: int, dim: int) -> None:
+            if seq != channel.seq or count > most or dim != l:
+                raise MalformedFrame(f"query header {(seq, count, dim)} refused")
 
         with conn:
             try:
-                channel = _Channel(conn, _QUERY_HEAD, QUERY_MAGIC)
-                while True:
-                    channel.fill()
-                    batch = []
-                    while (frame := channel.pop(check)) is not None:
-                        (_, function, _), w = frame
-                        batch.append((function, w))
-                        channel.seq += 1
-                    if batch:
-                        first = channel.seq - len(batch)
-                        conn.sendall(b"".join(
-                            encode_message(_ANSWER_HEAD, (ANSWER_MAGIC, seq), answer)
-                            for seq, answer in enumerate(server.serve(batch), first)
-                        ))
-            except (OSError, MalformedFrame, UnknownFunction, DimensionMismatch,
-                    NonCanonicalElement):
-                # The peer went away, or a frame was refused: a bad header,
-                # an unknown function, a wrong dimension, a non-canonical
-                # element.  Either way the connection closes.
+                channel = _Channel(conn, QUERY_MAGIC)
+                while not self._closed:
+                    seq, functions, ws = channel.read(check)
+                    answers = server.serve(list(zip(functions, ws)))
+                    conn.sendall(encode_message(ANSWER_MAGIC, seq, l, (), answers))
+                    channel.seq += len(ws)
+            except (OSError, MalformedFrame, UnknownFunction, NonCanonicalElement):
+                # The peer went away, the host closed, or a frame was
+                # refused: a bad header, an unknown function, a
+                # non-canonical element.  Either way the connection closes.
                 return
 
     def close(self) -> None:
-        for listener in self._listeners:
+        """Stop every server thread, also one whose client is connected."""
+        self._closed = True
+        for sock in self._listeners + self._conns:
             try:
-                listener.close()
+                sock.shutdown(socket.SHUT_RDWR)  # wakes a blocked accept or recv
             except OSError:
-                pass
+                pass  # the peer has already gone
+        for listener in self._listeners:
+            listener.close()
         for thread in self._threads:
             thread.join(timeout=1.0)
 
 
 class TcpTransport:
-    """Client side: one persistent connection per server, pipelined sends."""
+    """Client side: one persistent connection per server.
+
+    A transport call sends each server's rows as frames of up to
+    `_rows_per_frame(L)` rows, so one query frame and one answer frame per
+    server unless its share passes _WINDOW_BYTES of body.  Every server's
+    first frame goes out before any answer is read; after that a
+    connection has one frame unanswered at a time.  An answer header must
+    repeat its query frame's (seq, count, L) before its body is awaited,
+    so the client buffers at most 8L bytes per row it asked for.
+    """
 
     def __init__(self, addresses: list[tuple[str, int]]):
         self._channels: list[_Channel] = []
         try:
             for host, port in addresses:
                 sock = socket.create_connection((host, port), timeout=10.0)
-                self._channels.append(_Channel(sock, _ANSWER_HEAD, ANSWER_MAGIC))
+                self._channels.append(_Channel(sock, ANSWER_MAGIC))
         except OSError as exc:
             self.close()
             raise ChannelClosed(f"cannot connect: {exc}") from exc
         self._closed = False
 
     def query(self, rows) -> list[FieldVector]:
-        """Answers to rows [(server, function, w), ...], in row order.
-
-        Each server's frames go out in one write, then the answers are
-        read back in each connection's seq order.
-        """
+        """Answers to rows [(server, function, w), ...], in row order; every
+        w of one call has the same length L."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        by_server: dict[int, list] = {}
-        for index, (server, function, w) in enumerate(rows):
-            by_server.setdefault(server, []).append((index, function, w))
+        l = len(rows[0][2]) if rows else 0
+        shares: dict[int, list] = {}
+        for index, (server, _, w) in enumerate(rows):
+            if len(w) != l:  # a frame has one L: refuse before anything is sent
+                raise DimensionMismatch(f"input has length {len(w)}, expected {l}")
+            shares.setdefault(server, []).append(index)
         answers: list = [None] * len(rows)
+        size = _rows_per_frame(l)
+        frames = []
         server = 0
         try:
-            unanswered = [(server, self._send(server, items, answers))
-                          for server, items in by_server.items()]
-            for server, queue in unanswered:
-                while queue:
-                    self._receive(server, queue, answers)
+            for server, indices in shares.items():
+                chunks = [indices[i:i + size] for i in range(0, len(indices), size)]
+                frames.append((server, chunks))
+                self._send(server, rows, chunks[0], l)
+            for server, chunks in frames:
+                for at, chunk in enumerate(chunks):
+                    if at:
+                        self._send(server, rows, chunk, l)
+                    self._receive(server, chunk, l, answers)
         except OSError as exc:
             raise ChannelClosed(f"server {server} connection failed: {exc}") from exc
         return answers
 
-    def _send(self, server: int, items: list, answers: list) -> deque:
-        """Send server's queries; the (row index, seq, frame size, dim) of those unanswered.
-
-        Frames are batched into one write while at most _WINDOW_BYTES of
-        queries are unanswered; past that, answers are read first.
-        """
+    def _send(self, server: int, rows, chunk: list, l: int) -> None:
+        """Send the rows at indices `chunk` to `server` as one query frame."""
         channel = self._channels[server - 1]
-        unanswered: deque = deque()
-        in_flight = 0
-        batch = []
-        for index, function, w in items:
-            frame = encode_message(_QUERY_HEAD, (QUERY_MAGIC, channel.seq, function), w)
-            if in_flight and in_flight + len(frame) > _WINDOW_BYTES:
-                if batch:
-                    channel.sock.sendall(b"".join(batch))
-                    batch = []
-                while unanswered and in_flight + len(frame) > _WINDOW_BYTES:
-                    in_flight -= self._receive(server, unanswered, answers)
-            batch.append(frame)
-            unanswered.append((index, channel.seq, len(frame), len(w)))
-            in_flight += len(frame)
-            channel.seq += 1
-        channel.sock.sendall(b"".join(batch))
-        return unanswered
+        functions, ws = [rows[i][1] for i in chunk], [rows[i][2] for i in chunk]
+        channel.sock.sendall(encode_message(QUERY_MAGIC, channel.seq, l, functions, ws))
 
-    def _receive(self, server: int, unanswered: deque, answers: list) -> int:
-        """Read server's oldest unanswered answer into `answers`; its query's frame size.
-
-        The answer's header is checked before its body is awaited: it must
-        answer that query's seq, with that query's dimension.
-        """
-        index, seq, size, dim = unanswered.popleft()
+    def _receive(self, server: int, chunk: list, l: int, answers: list) -> None:
+        """Read the answer frame to `chunk`'s query frame into `answers`."""
+        channel = self._channels[server - 1]
+        expected = (channel.seq, len(chunk), l)
 
         def check(*head: int) -> None:
-            if head != (seq, dim):
-                raise MalformedFrame(f"unexpected reply to query {seq} at server {server}")
+            if head != expected:
+                raise MalformedFrame(f"answer header {head} from server {server}, not {expected}")
 
-        channel = self._channels[server - 1]
-        while (frame := channel.pop(check)) is None:
-            channel.fill()
-        answers[index] = frame[1]
-        return size
+        for index, answer in zip(chunk, channel.read(check)[2]):
+            answers[index] = answer
+        channel.seq += len(chunk)
 
     def close(self) -> None:
         self._closed = True

@@ -12,6 +12,8 @@ import time
 from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from psfc import runtime
 from psfc.client import run_protocol
@@ -25,9 +27,8 @@ from psfc.runtime import (
     SimTransport,
     TcpServerHost,
     TcpTransport,
-    _ANSWER_HEAD,
-    _QUERY_HEAD,
     _parse_frame,
+    _rows_per_frame,
     encode_message,
     generate_functions,
     generate_inputs,
@@ -48,8 +49,7 @@ class _Counting:
         return self.inner.query(rows)
 
 
-def _sim_and_tcp(k, n, m, l, sigma, seed=11):
-    p = DEFAULT_MODULUS
+def _sim_and_tcp(k, n, m, l, sigma, seed=11, p=DEFAULT_MODULUS):
     config = RunConfig(k=k, n=n, m=m, l=l, p=p, seed=seed)
     functions = generate_functions(k, l, p, Rng(seed).child("functions"))
     w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
@@ -99,16 +99,59 @@ def test_fallback_request_is_k_exchanges_of_k_factorial_rows(k, n, m):
     assert sizes[plan.n_blocks:] == [factorial(k)] * (k * plan.r)
 
 
+class _FrameLog:
+    """Wraps `runtime.encode_message` and records (magic, rows) per frame."""
+
+    def __init__(self, monkeypatch):
+        self.frames = []
+        encode = runtime.encode_message
+
+        def logged(magic, seq, l, functions, rows):
+            self.frames.append((magic, len(rows)))
+            return encode(magic, seq, l, functions, rows)
+
+        monkeypatch.setattr(runtime, "encode_message", logged)
+
+    def queries(self):
+        return [count for magic, count in self.frames if magic == b"PSFQ"]
+
+
+@pytest.mark.parametrize(
+    "k, n, m, sigma",
+    [
+        pytest.param(3, 3, 2, (2, 3, 1), id="chains"),
+        pytest.param(4, 3, 5, (4, 3, 2, 1), id="blocks-and-fallback"),
+        pytest.param(3, 1, 2, (3, 1, 2), id="n1"),
+    ],
+)
+def test_one_query_frame_and_one_answer_frame_per_server_per_exchange(monkeypatch, k, n, m, sigma):
+    log = _FrameLog(monkeypatch)
+    sigma = Permutation(sigma)
+    sizes = _sim_and_tcp(k, n, m, 2, sigma)
+    plan = build_plan(k, n, m, sigma)
+    # A block gives each server K - 1 rows; any other exchange is one
+    # level of a request's chains, all at one server.
+    expected = [k - 1] * n * plan.n_blocks + [plan.chains] * (len(sizes) - plan.n_blocks)
+    assert log.queries() == expected
+    assert sorted(count for magic, count in log.frames if magic == b"PSFA") == sorted(expected)
+
+
 def test_tiny_window_reads_before_sending(monkeypatch):
-    # A window of a few bytes makes the client read an answer before each
-    # further frame of a block; the run must still complete unchanged.
+    # A window of a few bytes holds no row, so every frame holds one, and
+    # the client reads each answer before it sends the next frame of the
+    # block; the run must still complete unchanged.
     monkeypatch.setattr(runtime, "_WINDOW_BYTES", 8)
+    log = _FrameLog(monkeypatch)
     sigma = Permutation((2, 5, 1, 4, 3))
     sizes = _sim_and_tcp(5, 2, 3, 16, sigma)
     assert len(sizes) == build_plan(5, 2, 3, sigma).n_blocks
+    assert log.queries() == [1] * sum(sizes)
 
 
-def test_host_dropping_mid_block_raises_channel_closed():
+def _answer_then_drop(monkeypatch, answer):
+    """Run a three-row block against a host that sends `answer` after the
+    first query frame and then drops the connection."""
+    monkeypatch.setattr(runtime, "_WINDOW_BYTES", 8)  # one row per frame
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
@@ -117,7 +160,7 @@ def test_host_dropping_mid_block_raises_channel_closed():
         conn, _ = listener.accept()
         with conn:
             conn.recv(4096)
-            conn.sendall(encode_message(_ANSWER_HEAD, (b"PSFA", 0), (1,)))
+            conn.sendall(answer)
 
     thread = threading.Thread(target=answer_once_then_drop, daemon=True)
     thread.start()
@@ -134,14 +177,27 @@ def test_host_dropping_mid_block_raises_channel_closed():
     assert time.monotonic() - start < 5  # the peer's close, not the socket timeout
 
 
+def test_host_dropping_mid_block_raises_channel_closed(monkeypatch):
+    _answer_then_drop(monkeypatch, encode_message(b"PSFA", 0, 1, (), [(1,)]))
+
+
+def test_host_dropping_mid_frame_raises_channel_closed(monkeypatch):
+    _answer_then_drop(monkeypatch, encode_message(b"PSFA", 0, 1, (), [(1,)])[:20])
+
+
 @pytest.mark.parametrize(
     "header",
     [
-        b"PSFQ" + struct.pack("<IHI", 0, 1, 1),
-        b"PSFA" + struct.pack("<II", 5, 1),
-        b"PSFA" + struct.pack("<II", 0, 2**32 - 1),
+        b"PSFQ" + struct.pack("<III", 0, 1, 1),
+        b"PSFA" + struct.pack("<III", 5, 1, 1),
+        b"PSFA" + struct.pack("<III", 0, 0, 1),
+        b"PSFA" + struct.pack("<III", 0, 2, 1),
+        b"PSFA" + struct.pack("<III", 0, 2**32 - 1, 1),
+        b"PSFA" + struct.pack("<III", 0, 1, 2),
+        b"PSFA" + struct.pack("<III", 0, 1, 2**32 - 1),
     ],
-    ids=["not-an-answer", "wrong-seq", "huge-dim"],
+    ids=["not-an-answer", "wrong-seq", "no-rows", "more-rows", "huge-count", "wrong-dim",
+         "huge-dim"],
 )
 def test_client_refuses_an_answer_header_before_its_body(header):
     # The host sends only a bad header and holds the connection open: the
@@ -175,20 +231,21 @@ def test_client_refuses_an_answer_header_before_its_body(header):
     assert elapsed < 5  # the header alone, not the 10 s socket timeout
 
 
-def _echo_host(listener):
-    """Answer each query frame with its own input, one frame at a time."""
+def _echo_host(listener, frames):
+    """Answer each query frame with its own rows, and log its row count."""
     conn, _ = listener.accept()
     with conn:
         buffered = b""
         while True:
-            while (frame := _parse_frame(buffered, _QUERY_HEAD, b"PSFQ", _accept)) is None:
+            while (frame := _parse_frame(buffered, b"PSFQ", _accept)) is None:
                 chunk = conn.recv(4096)
                 if not chunk:
                     return
                 buffered += chunk
-            (seq, _, _), payload, end = frame
+            seq, _, rows, end = frame
             buffered = buffered[end:]
-            conn.sendall(encode_message(_ANSWER_HEAD, (b"PSFA", seq), payload))
+            frames.append(len(rows))
+            conn.sendall(encode_message(b"PSFA", seq, len(rows[0]), (), rows))
 
 
 def _accept(*_fields):
@@ -197,21 +254,22 @@ def _accept(*_fields):
 
 def test_window_keeps_a_large_block_from_deadlocking(monkeypatch):
     # Socket buffers of a few KB on both ends and a block of 512 KB of
-    # frames.  If the client wrote the whole block before reading, the
-    # host would block writing answers, stop reading, and both ends would
-    # wait; a window below the buffers' capacity prevents that.
+    # rows.  If the client wrote the whole block before reading, the host
+    # would block writing answers, stop reading, and both ends would wait;
+    # frames of at most a window each, one unanswered at a time, prevent it.
     monkeypatch.setattr(runtime, "_WINDOW_BYTES", 4096)
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     listener.bind(("127.0.0.1", 0))
     listener.listen(1)
-    thread = threading.Thread(target=_echo_host, args=(listener,), daemon=True)
+    frames = []
+    thread = threading.Thread(target=_echo_host, args=(listener, frames), daemon=True)
     thread.start()
     transport = TcpTransport([listener.getsockname()])
     transport._channels[0].sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     transport._channels[0].sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-    rows = [(1, 1, tuple(range(i, i + 256))) for i in range(256)]
+    rows = [(1, 1 + i % 3, tuple(range(i, i + 16))) for i in range(4096)]
     start = time.monotonic()
     try:
         assert transport.query(rows) == [w for _, _, w in rows]
@@ -221,3 +279,35 @@ def test_window_keeps_a_large_block_from_deadlocking(monkeypatch):
         listener.close()
     assert not thread.is_alive()
     assert time.monotonic() - start < 5
+    # 31 rows of 130 body bytes fill a 4 KiB frame; the last frame holds the rest.
+    full = _rows_per_frame(16)
+    assert full == 31
+    assert frames == [full] * (4096 // full) + [4096 % full]
+
+
+# -- the full protocol over TCP, on random shapes ------------------------------------------
+
+@settings(derandomize=True, max_examples=15, deadline=None, database=None)
+@given(
+    k=st.integers(1, 5),
+    n=st.integers(1, 4),
+    m=st.integers(1, 7),
+    p=st.sampled_from((3, 2**31 - 1, 2**61 - 1)),  # tuple path and float64 kernel, 61-bit
+    l=st.integers(1, 16),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_full_protocol_over_tcp_matches_sim_and_reference(k, n, m, p, l, seed, data):
+    # Same reports, same server views and outputs equal to the reference,
+    # over TCP and over sim, on the shapes of the scheduler's property.
+    sigma = Permutation(tuple(data.draw(st.permutations(range(1, k + 1)), label="sigma")))
+    _sim_and_tcp(k, n, m, l, sigma, seed=seed, p=p)
+
+
+def test_full_protocol_over_tcp_past_the_window():
+    # A leftover request at K = 5, N = 1 gives server 1 K! = 120 rows per
+    # exchange; at L = 70 that is 67,440 query body bytes, past
+    # _WINDOW_BYTES, so each exchange is two frames a direction.
+    assert 120 * (2 + 8 * 70) > runtime._WINDOW_BYTES
+    assert _rows_per_frame(70) < 120
+    _sim_and_tcp(5, 1, 1, 70, Permutation((4, 2, 5, 1, 3)), p=2**31 - 1)

@@ -2,12 +2,14 @@
 
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psfc import runtime
 from psfc.field import DEFAULT_MODULUS, KERNEL_MIN_DIM, DimensionMismatch, mat_vec_mul
 from psfc.protocol import Permutation, RunConfig, compose_reference
 from psfc.rand import Rng
@@ -20,10 +22,10 @@ from psfc.runtime import (
     TcpServerHost,
     TcpTransport,
     UnknownFunction,
-    _ANSWER_HEAD,
-    _QUERY_HEAD,
+    _HEAD,
     _Channel,
     _parse_frame,
+    _rows_per_frame,
     encode_message,
     generate_functions,
     generate_inputs,
@@ -265,12 +267,12 @@ def test_sim_transport_closed():
 # -- wire codec -------------------------------------------------------------------------
 
 
-def _query(seq, function, payload):
-    return encode_message(_QUERY_HEAD, (b"PSFQ", seq, function), payload)
+def _query(seq, functions, rows):
+    return encode_message(b"PSFQ", seq, len(rows[0]), functions, rows)
 
 
-def _answer(seq, payload):
-    return encode_message(_ANSWER_HEAD, (b"PSFA", seq), payload)
+def _answer(seq, rows):
+    return encode_message(b"PSFA", seq, len(rows[0]), (), rows)
 
 
 def _accept(*_fields):
@@ -278,80 +280,106 @@ def _accept(*_fields):
 
 
 def test_query_frame_exact_bytes():
-    frame = _query(7, 2, (3,))
+    frame = _query(7, (2, 1), ((3, 4), (5, 6)))
     expected = (
         b"PSFQ"
         + (7).to_bytes(4, "little")
+        + (2).to_bytes(4, "little")
+        + (2).to_bytes(4, "little")
         + (2).to_bytes(2, "little")
-        + (1).to_bytes(4, "little")
-        + (3).to_bytes(8, "little")
+        + (1).to_bytes(2, "little")
+        + b"".join(x.to_bytes(8, "little") for x in (3, 4, 5, 6))
     )
     assert frame == expected
 
 
 def test_answer_frame_layout():
-    frame = _answer(1, (4, 5))
+    frame = _answer(1, ((4, 5), (6, 7), (8, 9)))
     assert frame[:4] == b"PSFA"
-    assert len(frame) == 4 + 4 + 4 + 16
+    assert frame[4:16] == struct.pack("<III", 1, 3, 2)
+    assert len(frame) == 16 + 3 * 16
 
 
 def test_codec_roundtrip_random():
     rng = Rng(3)
     for _ in range(100):
-        dim = rng.randrange(1, 5)
-        payload = tuple(rng.randrange(2**31 - 1) for _ in range(dim))
+        count, dim = rng.randrange(1, 5), rng.randrange(1, 5)
+        rows = [tuple(rng.randrange(2**31 - 1) for _ in range(dim)) for _ in range(count)]
         seq = rng.randrange(2**32)
         if rng.choice(["query", "answer"]) == "query":
-            function = rng.randrange(1, 10)
-            frame = _query(seq, function, payload)
-            parsed = _parse_frame(frame, _QUERY_HEAD, b"PSFQ", _accept)
-            assert parsed == ((seq, function, dim), payload, len(frame))
+            functions = tuple(rng.randrange(1, 10) for _ in range(count))
+            frame = _query(seq, functions, rows)
+            assert _parse_frame(frame, b"PSFQ", _accept) == (seq, functions, rows, len(frame))
         else:
-            frame = _answer(seq, payload)
-            parsed = _parse_frame(frame, _ANSWER_HEAD, b"PSFA", _accept)
-            assert parsed == ((seq, dim), payload, len(frame))
+            frame = _answer(seq, rows)
+            assert _parse_frame(frame, b"PSFA", _accept) == (seq, (), rows, len(frame))
 
 
 def test_decode_rejects_bad_magic():
     with pytest.raises(MalformedFrame):
-        _parse_frame(b"XXXX" + bytes(14), _QUERY_HEAD, b"PSFQ", _accept)
+        _parse_frame(b"XXXX" + bytes(14), b"PSFQ", _accept)
     # Each end reads one kind, so the other direction's magic is refused
     # too, and a bad first byte is refused before the rest arrives.
     with pytest.raises(MalformedFrame):
-        _parse_frame(_answer(0, (1,)), _QUERY_HEAD, b"PSFQ", _accept)
+        _parse_frame(_answer(0, ((1,),)), b"PSFQ", _accept)
     with pytest.raises(MalformedFrame):
-        _parse_frame(b"PSFQ", _ANSWER_HEAD, b"PSFA", _accept)
+        _parse_frame(b"PSFQ", b"PSFA", _accept)
     with pytest.raises(MalformedFrame):
-        _parse_frame(b"X", _ANSWER_HEAD, b"PSFA", _accept)
+        _parse_frame(b"X", b"PSFA", _accept)
+
+
+@pytest.mark.parametrize("count, dim", [(0, 1), (1, 0), (0, 0)])
+def test_decode_rejects_an_empty_frame(count, dim):
+    # A frame of no rows, or of rows of length 0, is refused on its header.
+    for magic in (b"PSFQ", b"PSFA"):
+        with pytest.raises(MalformedFrame):
+            _parse_frame(magic + struct.pack("<III", 0, count, dim), magic, _accept)
 
 
 def test_decode_rejects_truncation():
     # Every strict prefix of a frame is incomplete; the bytes after a
     # frame are the next frame's, not part of this one.
-    frame = _query(0, 1, (1, 2))
+    frame = _query(0, (1, 3), ((1, 2), (3, 4)))
     for cut in range(len(frame)):
-        assert _parse_frame(frame[:cut], _QUERY_HEAD, b"PSFQ", _accept) is None
-    parsed = _parse_frame(frame + b"\x00", _QUERY_HEAD, b"PSFQ", _accept)
-    assert parsed == ((0, 1, 2), (1, 2), len(frame))
+        assert _parse_frame(frame[:cut], b"PSFQ", _accept) is None
+    parsed = _parse_frame(frame + b"\x00", b"PSFQ", _accept)
+    assert parsed == (0, (1, 3), [(1, 2), (3, 4)], len(frame))
 
 
 def test_codec_does_not_check_canonicality():
     # Values >= p pass the codec; the server ingress rejects them.
-    frame = _query(0, 1, (2**40,))
-    assert _parse_frame(frame, _QUERY_HEAD, b"PSFQ", _accept)[1] == (2**40,)
+    frame = _query(0, (1,), ((2**40,),))
+    assert _parse_frame(frame, b"PSFQ", _accept)[2] == [(2**40,)]
+
+
+def test_rows_per_frame_fills_the_window_with_at_least_one_row(monkeypatch):
+    # The split depends on L alone: as many rows of 2 + 8L query body
+    # bytes as fit in _WINDOW_BYTES, and one row when none fits.
+    assert [_rows_per_frame(l) for l in (1, 2, 64, 4096, 8191, 8192)] == [6553, 3640, 127, 1, 1, 1]
+    monkeypatch.setattr(runtime, "_WINDOW_BYTES", 8)
+    assert _rows_per_frame(1) == 1
 
 
 # -- frame parser fuzzing ----------------------------------------------------------------
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
 U32 = st.integers(0, 2**32 - 1)
-# Per frame kind: its header struct, its magic, and its header fields
-# between the magic and L.
-KINDS = {
-    "query": (_QUERY_HEAD, b"PSFQ", st.tuples(U32, st.integers(0, 2**16 - 1))),
-    "answer": (_ANSWER_HEAD, b"PSFA", st.tuples(U32)),
-}
-PAYLOADS = st.lists(st.integers(0, 2**64 - 1), max_size=6).map(tuple)
+U64 = st.integers(0, 2**64 - 1)
+# Each frame kind's magic, and whether its body carries function indices.
+KINDS = {"query": (b"PSFQ", True), "answer": (b"PSFA", False)}
+
+
+@st.composite
+def _frames(draw, has_functions):
+    """(seq, functions, rows) of one frame: 1-4 rows of length 1-4."""
+    count, dim = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    functions = tuple(draw(st.lists(st.integers(0, 2**16 - 1), min_size=count, max_size=count)))
+    rows = draw(st.lists(st.tuples(*[U64] * dim), min_size=count, max_size=count))
+    return draw(U32), functions if has_functions else (), rows
+
+
+def _encode(magic, seq, functions, rows):
+    return encode_message(magic, seq, len(rows[0]), functions, rows)
 
 
 class _Chunks:
@@ -374,60 +402,57 @@ class _Refused(Exception):
 @PROPERTY
 @given(
     prefix=st.sampled_from([b"", b"P", b"PSF", b"PSFQ", b"PSFA"]),
-    rest=st.binary(max_size=48),
+    rest=st.binary(max_size=64),
 )
 def test_parse_frame_any_bytes_give_none_a_frame_or_malformed(prefix, rest):
     buf = prefix + rest
-    for head, magic, _ in KINDS.values():
+    for magic, _ in KINDS.values():
         try:
-            frame = _parse_frame(buf, head, magic, _accept)
+            frame = _parse_frame(buf, magic, _accept)
         except MalformedFrame:
-            assert buf[:4] != magic[:len(buf)]
+            assert buf[:4] != magic[:len(buf)] or 0 in _HEAD.unpack_from(buf)[2:]
             continue
         if frame is not None:
-            fields, payload, end = frame
-            assert encode_message(head, (magic, *fields[:-1]), payload) == buf[:end]
+            seq, functions, rows, end = frame
+            assert _encode(magic, seq, functions, rows) == buf[:end]
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPERTY
 @given(data=st.data())
 def test_channel_reads_frames_back_in_any_split(kind, data):
-    head, magic, fields = KINDS[kind]
-    sent = data.draw(st.lists(st.tuples(fields, PAYLOADS), max_size=5))
-    stream = b"".join(encode_message(head, (magic, *f), payload) for f, payload in sent)
+    magic, has_functions = KINDS[kind]
+    sent = data.draw(st.lists(_frames(has_functions), max_size=5))
+    stream = b"".join(_encode(magic, *frame) for frame in sent)
     cuts = sorted(data.draw(st.sets(st.integers(1, max(len(stream) - 1, 1)))))
     chunks = [stream[a:b] for a, b in zip([0, *cuts], [*cuts, len(stream)]) if a < b]
-    channel = _Channel(_Chunks(chunks), head, magic)
+    channel = _Channel(_Chunks(chunks), magic)
     got = []
     with pytest.raises(ChannelClosed):
         while True:
-            channel.fill()
-            while (frame := channel.pop(_accept)) is not None:
-                got.append(frame)
-    assert got == [((*f, len(payload)), payload) for f, payload in sent]
+            got.append(channel.read(_accept))
+    assert got == sent
 
 
 @pytest.mark.parametrize("kind", KINDS)
 @PROPERTY
 @given(data=st.data())
 def test_refusing_check_fires_on_the_header_alone(kind, data):
-    head, magic, fields = KINDS[kind]
-    f = data.draw(fields)
-    payload = data.draw(PAYLOADS)
-    frame = encode_message(head, (magic, *f), payload)
+    magic, has_functions = KINDS[kind]
+    seq, functions, rows = data.draw(_frames(has_functions))
+    frame = _encode(magic, seq, functions, rows)
     seen = []
 
     def refuse(*header):
         seen.append(header)
         raise _Refused
 
-    for cut in range(head.size):
-        assert _parse_frame(frame[:cut], head, magic, refuse) is None
+    for cut in range(_HEAD.size):
+        assert _parse_frame(frame[:cut], magic, refuse) is None
     assert not seen
     with pytest.raises(_Refused):
-        _parse_frame(frame[:head.size], head, magic, refuse)
-    assert seen == [(*f, len(payload))]
+        _parse_frame(frame[:_HEAD.size], magic, refuse)
+    assert seen == [(seq, len(rows), len(rows[0]))]
 
 
 # -- tcp transport ---------------------------------------------------------------------
@@ -468,7 +493,7 @@ def test_tcp_ingress_rejects_noncanonical():
     host = TcpServerHost(servers)
     raw = socket.create_connection(host.addresses[0], timeout=5)
     try:
-        raw.sendall(_query(0, 1, (7,)))  # 7 >= p
+        raw.sendall(_query(0, (1,), ((7,),)))  # 7 >= p
         assert raw.recv(64) == b""  # server drops the connection
     finally:
         raw.close()
@@ -491,23 +516,99 @@ def test_tcp_rejects_noncanonical_kernel_input():
 
 
 @pytest.mark.parametrize(
-    "seq, function, dim",
-    [(0, 9, 1), (0, 1, 2**20), (3, 1, 1)],
-    ids=["unknown-function", "wrong-dimension", "out-of-order-seq"],
+    "header",
+    [
+        b"PSFA" + struct.pack("<III", 0, 1, 1),
+        b"PSFQ" + struct.pack("<III", 3, 1, 1),
+        b"PSFQ" + struct.pack("<III", 0, 0, 1),
+        b"PSFQ" + struct.pack("<III", 0, _rows_per_frame(1) + 1, 1),
+        b"PSFQ" + struct.pack("<III", 0, 2**32 - 1, 1),
+        b"PSFQ" + struct.pack("<III", 0, 1, 2),
+        b"PSFQ" + struct.pack("<III", 0, 1, 2**20),
+    ],
+    ids=["not-a-query", "out-of-order-seq", "no-rows", "over-a-full-frame", "huge-count",
+         "wrong-dimension", "huge-dimension"],
 )
-def test_tcp_host_refuses_a_header_before_its_body(seq, function, dim):
+def test_tcp_host_refuses_a_header_before_its_body(header):
     # Only the header is sent: the host must close on it alone, without
     # waiting for (or buffering) a body.
     servers, _ = _servers(k=1, n=1, l=1, p=5)
     host = TcpServerHost(servers)
     raw = socket.create_connection(host.addresses[0], timeout=5)
     try:
-        raw.sendall(b"PSFQ" + struct.pack("<IHI", seq, function, dim))
+        raw.sendall(header)
         assert raw.recv(64) == b""
     finally:
         raw.close()
         host.close()
     assert len(servers[0].marginal) == 0
+
+
+def test_tcp_host_refuses_an_unknown_function_in_the_body():
+    # Function indices travel in the body: the server refuses the frame
+    # whole, so the good row ahead of the bad one is not recorded either.
+    servers, _ = _servers(k=1, n=1, l=1, p=5)
+    host = TcpServerHost(servers)
+    raw = socket.create_connection(host.addresses[0], timeout=5)
+    try:
+        raw.sendall(_query(0, (1, 9), ((1,), (2,))))
+        assert raw.recv(64) == b""
+    finally:
+        raw.close()
+        host.close()
+    assert len(servers[0].marginal) == 0
+
+
+def test_tcp_refuses_rows_of_unequal_length_before_sending():
+    # A frame has one L, and rows of lengths 2, 1 and 3 hold the 3 x 2
+    # elements of a frame of L = 2: the client refuses them, as the sim
+    # servers do, before it sends a byte, so the connection stays in step.
+    servers, functions = _servers(k=2, n=1, l=2, p=7, seed=5)
+    rows = [(1, 1, (1, 0)), (1, 2, (1,)), (1, 1, (0, 1, 1))]
+    with pytest.raises(DimensionMismatch):
+        SimTransport(servers).query(rows)
+    host = TcpServerHost(servers)
+    transport = TcpTransport(host.addresses)
+    try:
+        with pytest.raises(DimensionMismatch):
+            transport.query(rows)
+        assert transport.query([(1, 1, (0, 1))]) == [tuple(row[1] for row in functions[0])]
+    finally:
+        transport.close()
+        host.close()
+    assert servers[0].marginal.entries == [(1, (0, 1))]
+
+
+def test_tcp_host_close_stops_threads_with_a_client_connected():
+    # The client is still connected when the host closes: close must shut
+    # its connections down instead of waiting out each thread's join.
+    servers, _ = _servers(k=2, n=2, l=2, p=7)
+    host = TcpServerHost(servers)
+    transport = TcpTransport(host.addresses)
+    try:
+        transport.query([(1, 1, (1, 0)), (2, 2, (0, 1))])
+        start = time.monotonic()
+        host.close()
+        elapsed = time.monotonic() - start
+        assert not any(thread.is_alive() for thread in host._threads)
+        assert elapsed < 0.5
+        with pytest.raises(ChannelClosed):
+            transport.query([(1, 1, (1, 0))])
+    finally:
+        transport.close()
+
+
+def test_tcp_send_failure_names_its_server():
+    servers, _ = _servers(k=2, n=3, l=1, p=5)
+    host = TcpServerHost(servers)
+    transport = TcpTransport(host.addresses)
+    try:
+        transport._channels[1].sock.close()
+        with pytest.raises(ChannelClosed, match="server 2 connection failed"):
+            transport.query([(1, 1, (1,)), (2, 1, (2,)), (3, 2, (3,))])
+    finally:
+        transport.close()
+        host.close()
 
 
 def test_tcp_host_rejects_garbage_frame():
