@@ -34,7 +34,6 @@ from .rand import Rng
 from .scheduler import (
     DependencyViolation,
     InvalidRegime,
-    MaskLedger,
     MissingValue,
     QueryPlan,
     build_plan,

@@ -332,7 +332,10 @@ def uniformity_test(
     joint_cells = [slot_cells**s for s in slots_per_server]
     entries = len(sigmas) * 2 * sum(joint_cells)
     if entries > JOINT_ENTRY_CAP:
-        raise GuardExceeded(f"joint counts need {entries} entries (> {JOINT_ENTRY_CAP})")
+        # In words: the count itself can pass int-to-str's digit limit.
+        raise GuardExceeded(f"joint counts need over {JOINT_ENTRY_CAP} entries: {len(sigmas)}"
+                            f" orders x 2 halves x the sum over servers of (p^L)^slots,"
+                            f" p^L = {slot_cells}, slots per server {slots_per_server}")
 
     if not resample_f:
         f_batch = np.array(generate_functions(k, l, p, Rng(seed).child("functions")), dtype=np.int64)

@@ -30,7 +30,8 @@ from .audit import (
 )
 from .client import outputs_to_bytes, run_protocol
 from .field import DEFAULT_MODULUS
-from .protocol import InvalidPermutation, Permutation, RunConfig, compose_reference, random_permutation
+from .protocol import (InvalidPermutation, KTooLarge, Permutation, RunConfig, compose_reference,
+                       enumerate_permutations, random_permutation)
 from .rand import Rng
 from .runtime import (
     Server,
@@ -210,7 +211,8 @@ def cmd_audit(args) -> int:
     config = _config(args)
     seed = config.seed
     if args.trials < 2 or args.attack_trials < 1:
-        raise _UsageError("trial counts must be positive")
+        raise _UsageError("--trials must be at least 2 and --attack-trials at least 1")
+    enumerate_permutations(config.k)  # the attacker tries every order: refuse K past the guard now
 
     rows: list[dict] = []
 
@@ -347,7 +349,8 @@ def _demo(k: int, n: int, m: int, sigma: Permutation) -> bool:
 
     outputs = run_plan(
         plan, [(name,) for name in names],
-        lambda mid: ("Z*",) if mid is None else ("Z[{},{}]".format(*plan.ledger.block_slot(mid)),),
+        lambda mid: ("Z*",) if mid is None
+        else ("Z[{},{}]".format(*(v + 1 for v in divmod(mid, k - n))),),
         lambda x, z: x + z, lambda a, b: tuple(t for t in a if t not in b), query,
     )
     expected = []
@@ -387,7 +390,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except _UsageError as exc:
+    except (_UsageError, KTooLarge) as exc:  # KTooLarge: K! chains past the enumeration guard
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -7,11 +7,10 @@ records what it sent; storage, pad bookkeeping and output decoding are
 the interpreter's.  This module must not import any matrix operation; a
 test enforces that structurally.
 
-Execution is a single logical thread that sends a group at a time: a
-block's queries, or one level of a request's chains, go to the
-transport in one call, and every answer it returns is used before the
-next group's inputs are materialized, which is exactly the ordering the
-scheduler's feasibility argument requires.
+Execution is a single logical thread that sends the plan's exchanges
+one at a time, each in one transport call, and uses every answer before
+the next exchange's inputs are materialized, which is exactly the
+ordering the scheduler's feasibility argument requires.
 """
 
 from __future__ import annotations

@@ -13,8 +13,8 @@ Two interchangeable transports execute a run:
   audits.  Each run of consecutive rows for one server is one `serve`
   call.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
-  per server.  A transport call carries a group of queries (a block, or
-  one level of a request's chains), and each server's share of it goes
+  per server.  A transport call carries one exchange of the plan (a
+  block, or one level of a request's chains); each server's share goes
   as one query frame and comes back as one answer frame (more only past
   _WINDOW_BYTES of body); the host serves each frame in one `serve`
   call.  Byte-for-byte the same RunReport as the simulated path for the
@@ -87,11 +87,10 @@ class MalformedFrame(ValueError):
 class Server:
     """One honest-but-curious server: computes F_k w and records its view."""
 
-    __slots__ = ("id", "functions", "p", "l", "marginal", "_prepared")
+    __slots__ = ("id", "p", "l", "marginal", "_prepared")
 
     def __init__(self, server_id: int, functions: list[FieldMatrix], p: int):
         self.id = server_id
-        self.functions = functions
         self._prepared = [prepare_matrix(a, p) for a in functions]
         self.p = p
         self.l = len(functions[0])
@@ -99,8 +98,8 @@ class Server:
 
     def admit(self, function: int, dim: int) -> None:
         """Refuse a query for an unknown function or of the wrong length."""
-        if not 1 <= function <= len(self.functions):
-            raise UnknownFunction(f"function {function} not in [1..{len(self.functions)}]")
+        if not 1 <= function <= len(self._prepared):
+            raise UnknownFunction(f"function {function} not in [1..{len(self._prepared)}]")
         if dim != self.l:
             raise DimensionMismatch(f"input has length {dim}, expected {self.l}")
 

@@ -38,8 +38,9 @@ request costs K exchanges either way.
 
 A plan is a register program: seven flat integer columns, one entry per
 query, that hold no nested objects (see QueryPlan), so a plan of 10^5
-queries is a handful of lists for the garbage collector to scan.
-`run_plan` is the one interpreter of the columns.  It is written
+queries is a handful of lists for the garbage collector to scan.  It
+also lists its exchanges, which only the emitters decide.  `run_plan` is
+the one interpreter of the plan, an exchange at a time.  It is written
 against a value backend (how to draw a pad, add it, cancel its image,
 and ask servers), so the client (field vectors), the audit (numpy trial
 stacks), the demo (symbolic terms) and the feasibility test (block
@@ -60,7 +61,6 @@ __all__ = [
     "InvalidRegime",
     "DependencyViolation",
     "MissingValue",
-    "MaskLedger",
     "QueryPlan",
     "build_plan",
     "query_count",
@@ -97,19 +97,6 @@ _STORE, _MASKED, _IMAGE, _DROP = 0, 1, 2, 3
 
 
 @dataclass(frozen=True)
-class MaskLedger:
-    """Block b's phase-2 slot i pads with mask (b-1)(K-N) + i-1."""
-
-    slots: int  # masks per block: K - N, or 0 without blocks
-    mask_count: int
-    placeholder_count: int
-
-    def block_slot(self, mid: int) -> tuple[int, int]:
-        block, slot = divmod(mid, self.slots)
-        return block + 1, slot + 1
-
-
-@dataclass(frozen=True)
 class QueryPlan:
     """One order's plan, as columns over one register list.
 
@@ -126,11 +113,11 @@ class QueryPlan:
     n: int
     m: int
     m_prime: int
-    r: int
     n_blocks: int
     links: int  # the first chain-link register
     chains: int  # chains per request outside the blocks: K! with a fallback, else 1
-    ledger: MaskLedger
+    masks: int  # block b's phase-2 slot i pads with mask (b-1)(K-N) + i-1
+    exchanges: list[int]  # the end row of each exchange: a block each, then a chain level each
     server: list[int]
     function: list[int]
     source_kind: list[int]
@@ -163,8 +150,8 @@ class QueryPlan:
         return ("out", batch + 1, step, comp + 1)
 
 
-def _emit_blocks(cols, sigma: Permutation, n: int, m: int, m_prime: int, n_blocks: int) -> int:
-    """The n_blocks = M' + K - 1 blocks; returns the number of placeholders.
+def _emit_blocks(cols, exchanges, sigma: Permutation, n: int, m: int, m_prime: int, n_blocks: int):
+    """The n_blocks = M' + K - 1 blocks, one exchange each.
 
     Canonical in-block order: phase-1 rows server by server, then
     phase-2 rows server by server.  Each server therefore always sees
@@ -211,10 +198,11 @@ def _emit_blocks(cols, sigma: Permutation, n: int, m: int, m_prime: int, n_block
         effect += [_IMAGE] * slots
         dest += range(mid, mid + slots)
         mid += slots
-    return ph
+        exchanges.append(len(kind))
 
 
-def _emit_chains(cols, sigma: Permutation, first: int, m: int, links: int, fallback: bool) -> int:
+def _emit_chains(cols, exchanges, sigma: Permutation, first: int, m: int, links: int,
+                 fallback: bool) -> int:
     """Requests first..m-1 as chains, stepped level by level; returns the
     number of chains per request.
 
@@ -241,6 +229,7 @@ def _emit_chains(cols, sigma: Permutation, first: int, m: int, links: int, fallb
     last[mine] = _STORE
     effects = [_STORE] * (size - count) + last
     for w in range(first, m):
+        exchanges += range(len(server) + count, len(server) + size + 1, count)
         server += servers
         function += functions
         kind += [_REG] * size
@@ -272,12 +261,12 @@ def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     m_prime, r, n_blocks = _shape(k, n, m)
     links = 2 * m + (k - 1) * m_prime * (n - 1)
     cols: tuple[list[int], ...] = ([], [], [], [], [], [], [])
-    ph = _emit_blocks(cols, sigma, n, m, m_prime, n_blocks) if n_blocks else 0
+    exchanges: list[int] = []
+    _emit_blocks(cols, exchanges, sigma, n, m, m_prime, n_blocks)
     first = m - r if fallback else 0
-    chains = _emit_chains(cols, sigma, first, m, links, fallback) if first < m else 1
-    slots = k - n if n_blocks else 0
-    ledger = MaskLedger(slots, slots * n_blocks, ph)
-    return QueryPlan(k, n, m, m_prime, r, n_blocks, links, chains, ledger, *cols)
+    chains = _emit_chains(cols, exchanges, sigma, first, m, links, fallback) if first < m else 1
+    masks = (k - n) * n_blocks
+    return QueryPlan(k, n, m, m_prime, n_blocks, links, chains, masks, exchanges, *cols)
 
 
 def query_count(k: int, n: int, m: int) -> int:
@@ -328,23 +317,23 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
       sub(a, b)         a with the pad image b cancelled;
       query(rows)       the answers F_f(x) to rows [(s, f, x), ...], an
                         iterable in row order.
-    The plan runs one group at a time, each in one `query` call: the
-    n_blocks blocks of N(K-1) rows, then groups of `plan.chains` rows,
-    one level of a request's chains each.  No group reads its own
-    answers.  All inputs of a group are built before any of its answers
-    is stored, so a same-group read raises DependencyViolation, as does
-    any read of a register not yet written, or of a chain link written
-    by an earlier request.  Masks and placeholders are drawn at first
-    use, in plan order, a padded placeholder before its mask, so a
-    seeded backend sees one fixed sequence of draws.  A padded
-    answer waits until its block returns the mask's image, which comes
-    last in the block.  The interpreter owns all plan state: the
+    The plan runs one exchange of `plan.exchanges` per `query` call.
+    All inputs of an exchange are built before any of its answers is
+    stored, so a read of its own answers raises DependencyViolation, as
+    does any read of a register not yet written.  A chain link lives for
+    one exchange, the one after it is written: the links are cleared
+    once an exchange's inputs are built, so a read of an older link,
+    such as an earlier request's, raises too.  Masks and placeholders
+    are drawn at first use, in plan order, a padded placeholder before
+    its mask, so a seeded backend sees one fixed sequence of draws.  A
+    padded answer waits until its block returns the mask's image, which
+    comes last in the block.  The interpreter owns all plan state: the
     registers, masks and pending unmasks.
     """
     m = plan.m
     regs: list = [None] * (plan.links + plan.chains)
     regs[m : 2 * m] = [inputs[i] for i in range(m)]
-    masks: list = [None] * plan.ledger.mask_count
+    masks: list = [None] * plan.masks
     pending: dict = {}  # mask id -> [(register, padded answer)]
 
     def mask(mid):
@@ -355,22 +344,9 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
 
     servers, functions, kinds, sources = plan.server, plan.function, plan.source_kind, plan.source
     pads, effects, dests = plan.pad, plan.effect, plan.dest
-    total = len(servers)
-    k, links = plan.k, plan.links
-    width, chains = plan.n * (k - 1), plan.chains
-    blocks_end = plan.n_blocks * width
-    unset = [None] * chains
-    start = level = 0
-    while start < total:
-        if start < blocks_end:
-            stop = start + width
-        else:
-            stop = start + chains
-            if not level:
-                # Requests share the link registers: clear them as each
-                # request starts, so reading another request's link raises.
-                regs[links:] = unset
-            level = (level + 1) % k
+    links, unset = plan.links, [None] * plan.chains
+    start = 0
+    for stop in plan.exchanges:
         group = range(start, stop)
         start = stop
         rows = []
@@ -389,6 +365,7 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
                 x = add(x, mask(pads[i]))
             rows.append((servers[i], functions[i], x))
 
+        regs[links:] = unset
         for i, ans in zip(group, query(rows), strict=True):
             effect = effects[i]
             if effect == _STORE:

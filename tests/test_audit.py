@@ -121,6 +121,13 @@ def test_uniformity_joint_cell_guard():
         uniformity_test(5, 2, 8, 3, 1, trials=100)  # 3^48 joint cells
 
 
+def test_uniformity_guard_refuses_a_count_too_long_to_print():
+    # 3^35280 joint cells at server 1: far past int-to-str's digit limit,
+    # so the refusal states its reason in words, not the count.
+    with pytest.raises(GuardExceeded, match="slots per server"):
+        uniformity_test(7, 3, 1, 3, 1, trials=10)
+
+
 def test_uniformity_guard_counts_allocated_entries():
     # 11^6 joint cells per server, but 6 orders x 2 halves x 2 servers of
     # them: 42.5 M int64 counts (340 MB).  The guard refuses the shape

@@ -156,8 +156,37 @@ def test_audit_thresholds_are_fixed(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_audit_rejects_bad_trials():
-    assert run_cli("audit", "--trials", "1") == 2
+def test_audit_rejects_bad_trials(capsys):
+    # The message names the real bounds: two trials for a split half, one attack.
+    for flag, value in (("--trials", "1"), ("--attack-trials", "0")):
+        assert run_cli("audit", flag, value) == 2
+        assert capsys.readouterr().err == (
+            "error: --trials must be at least 2 and --attack-trials at least 1\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("run", "--k", "9", "--n", "1", "--m", "1"),
+    ("run", "--k", "9", "--n", "3", "--m", "1"),
+    ("audit", "--k", "9", "--n", "2"),
+])
+def test_k_past_the_enumeration_guard_is_a_usage_error(argv, capsys):
+    # The fallback and the attacker list all K! orders, which stops at K = 8.
+    assert run_cli(*argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "K" in captured.err and "8" in captured.err
+
+
+def test_audit_reports_the_uniformity_guard_and_finishes(capsys):
+    # 35,280 slots at server 1: the joint count has too many digits to
+    # print, so the guard must say why in words and the audit go on.
+    code = run_cli("audit", "--k", "7", "--n", "3", "--m", "1",
+                   "--trials", "10", "--attack-trials", "1")
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "input-tuple uniformity" in captured.out and "skipped (guard)" in captured.out
+    assert "slots per server" in captured.err
 
 
 def test_audit_large_k_switches_to_sampled_orders(capsys):

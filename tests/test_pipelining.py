@@ -94,9 +94,10 @@ def test_tcp_exchanges_match_sim(k, n, m, sigma):
 def test_fallback_request_is_k_exchanges_of_k_factorial_rows(k, n, m):
     sigma = Permutation.from_paper_order(range(1, k + 1))
     plan = build_plan(k, n, m, sigma)
-    assert plan.r
+    leftover = m - plan.m_prime * (n - 1)
+    assert leftover
     sizes = _sim_and_tcp(k, n, m, 2, sigma)
-    assert sizes[plan.n_blocks:] == [factorial(k)] * (k * plan.r)
+    assert sizes[plan.n_blocks:] == [factorial(k)] * (k * leftover)
 
 
 class _FrameLog:

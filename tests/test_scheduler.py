@@ -27,6 +27,7 @@ from psfc.scheduler import (
     _IMAGE,
     _MASK,
     _MASKED,
+    _PH,
     _REG,
     _STORE,
     build_plan,
@@ -37,8 +38,9 @@ from psfc.scheduler import (
 
 def _mask_id(plan, block, slot):
     """Masks are numbered block by block, K - N to a block."""
+    assert 1 <= block <= plan.n_blocks and 1 <= slot <= plan.k - plan.n
     mid = (block - 1) * (plan.k - plan.n) + slot - 1
-    assert plan.ledger.block_slot(mid) == (block, slot)
+    assert mid < plan.masks
     return mid
 
 
@@ -75,8 +77,8 @@ def test_build_blocks_regime_errors():
     # other shape runs as chains (K <= N) or wholly through the fallback.
     for k, n, m in ((2, 2, 1), (3, 1, 1), (4, 3, 1)):
         plan = build_plan(k, n, m, Permutation.identity(k))
-        assert plan.n_blocks == plan.m_prime == 0
-        assert plan.ledger.mask_count == plan.ledger.placeholder_count == 0
+        assert plan.n_blocks == plan.m_prime == plan.masks == 0
+        assert _PH not in plan.source_kind
         assert all(q.block == 0 for q in _rows(plan))
     assert all(q.server == q.function for q in _rows(build_plan(2, 2, 1, Permutation.identity(2))))
     assert all(q.server == 1 for q in _rows(build_plan(4, 3, 1, Permutation.identity(4))))
@@ -258,8 +260,8 @@ def test_plan_vectors_matches_reference_plan():
                     rows, mask_ids, ph = _reference_block_plan(sigma, k, n, m_prime)
                     assert _rows(plan) == rows, (k, n, m, sigma)
                     assert {key: _mask_id(plan, *key) for key in mask_ids} == mask_ids
-                    assert plan.ledger.mask_count == len(mask_ids)
-                    assert plan.ledger.placeholder_count == ph
+                    assert plan.masks == len(mask_ids)
+                    assert plan.source_kind.count(_PH) == ph
 
 
 # -- chain scheme ---------------------------------------------------------------
@@ -426,18 +428,29 @@ def test_feasibility_check_rejects_same_block_reads():
 def test_run_plan_sends_a_block_per_call():
     # Blocks go whole, N(K-1) rows a call; then each request outside the
     # blocks goes in K calls, one level of its chains each: one row for
-    # K <= N, K! rows for the fallback.
-    for k, n, m in ((3, 3, 2), (4, 3, 4), (4, 3, 5), (3, 1, 2)):
-        plan = build_plan(k, n, m, Permutation.identity(k))
-        sizes = []
+    # K <= N, K! rows for the fallback.  The plan lists those exchanges,
+    # and run_plan makes one query call per entry.
+    for k in range(1, 6):
+        orders = enumerate_permutations(k)
+        for n in range(1, 5):
+            for m in range(1, 6):
+                batches = m // (n - 1) if k > n > 1 else 0
+                n_blocks = batches + k - 1 if batches else 0
+                chains, requests = (1, m) if k <= n else (factorial(k), m - batches * (n - 1))
+                expected = [n * (k - 1)] * n_blocks + [chains] * (k * requests)
+                for sigma in orders[:: 17 if k == 5 else 1]:
+                    plan = build_plan(k, n, m, sigma)
+                    ends = plan.exchanges
+                    assert all(a < b for a, b in zip(ends, ends[1:])) and ends[-1] == len(plan)
+                    assert [b - a for a, b in zip([0] + ends, ends)] == expected, (k, n, m, sigma)
+                    sizes = []
 
-        def query(rows):
-            sizes.append(len(rows))
-            return [0] * len(rows)
+                    def query(rows):
+                        sizes.append(len(rows))
+                        return [0] * len(rows)
 
-        run_plan(plan, [0] * plan.m, lambda _mid: 0, max, max, query)
-        chains, requests = (1, m) if k <= n else (factorial(k), plan.r)
-        assert sizes == [n * (k - 1)] * plan.n_blocks + [chains] * (k * requests)
+                    run_plan(plan, [0] * m, lambda _mid: 0, max, max, query)
+                    assert sizes == expected
 
 
 def test_run_plan_rejects_a_read_within_a_fallback_level():
@@ -486,7 +499,7 @@ def test_mask_usage_exactly_n_queries_per_block():
                 usage.setdefault(q.expr[2], []).append(q.block)
             elif q.expr[0] == "mask":
                 usage.setdefault(q.expr[1], []).append(q.block)
-        assert len(usage) == plan.ledger.mask_count == 5 * 1  # blocks x (K - N)
+        assert len(usage) == plan.masks == 5 * 1  # blocks x (K - N)
         for block in range(1, 6):
             assert usage[_mask_id(plan, block, 1)] == [block] * 3  # N queries
 
@@ -500,7 +513,7 @@ def test_placeholders_never_reused():
                 if expr and expr[0] == "ph":
                     assert expr[1] not in seen
                     seen.add(expr[1])
-        assert len(seen) == plan.ledger.placeholder_count
+        assert len(seen) == plan.source_kind.count(_PH)
 
 
 def test_task_completion_follows_block_diagonal():
@@ -557,7 +570,8 @@ def test_task_outputs_written_exactly_once():
 def test_mixed_regime_with_leftovers():
     # K=4, N=3, M=5: M'=2 batches plus r=1 leftover through the fallback.
     plan = build_plan(4, 3, 5, Permutation.identity(4))
-    assert plan.m_prime == 2 and plan.r == 1
+    assert plan.m_prime == 2
+    assert len(plan.exchanges) == 5 + 4  # the blocks, then the leftover's K levels
     assert len(plan) == (2 + 3) * 9 + 1 * 4 * factorial(4)
     tail = [q for q in _rows(plan) if q.block == 0]
     assert len(tail) == 4 * factorial(4)
