@@ -40,8 +40,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .client import RunReport, run_protocol
 from .field import DEFAULT_MODULUS, FieldMatrix, FieldVector, mat_vec_mul, rank, sample_uniform_vector
@@ -55,6 +54,9 @@ from .protocol import (
 from .rand import Rng
 from .runtime import Server, SimTransport, generate_functions, generate_inputs, marginal_fingerprint
 from .scheduler import QueryPlan, build_plan, rate_bounds, run_plan
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "GuardExceeded",
@@ -234,12 +236,14 @@ def _residues(p: int, l: int) -> np.ndarray:
     under a thousand entries.  A negative v reads from the end of the
     table, as numpy indexing does, so a lookup needs no offset.
     """
+    import numpy as np
     lo, hi = 1 - p, max(l * (p - 1) ** 2, 2 * (p - 1))
     return np.roll(np.arange(lo, hi + 1, dtype=np.int64) % p, lo)
 
 
 def _singular(mats: np.ndarray, p: int) -> np.ndarray:
     """Which matrices of a (..., L, L) stack of residues are singular mod p, for L <= 3."""
+    import numpy as np
     l = mats.shape[-1]
     if l == 1:
         return mats[..., 0, 0] == 0  # canonical entries
@@ -266,6 +270,7 @@ def _sample_invertible_batch(k: int, l: int, p: int, t: int, nprng) -> np.ndarra
     a loop that re-tests the whole stack every round, so the generator
     stream and the result are identical to it.
     """
+    import numpy as np
     mats = nprng.integers(0, p, size=(k, t, l, l), dtype=np.int64)
     flat = mats.reshape(k * t, l, l)  # a view: writes land in `mats`
     redo = np.flatnonzero(_singular(flat, p))
@@ -285,6 +290,7 @@ def _batch_eval(plan: QueryPlan, f_batch, w_batch, draw, p: int) -> list[list[np
     mod p by lookup in `_residues`.  Returns, per server, the list of
     input arrays in arrival order.
     """
+    import numpy as np
     per_server: list[list[np.ndarray]] = [[] for _ in range(plan.n)]
     mod = _residues(p, w_batch.shape[-1])
 
@@ -301,7 +307,7 @@ def _batch_eval(plan: QueryPlan, f_batch, w_batch, draw, p: int) -> list[list[np
 
 def _tv(a: np.ndarray, b: np.ndarray) -> float:
     """Total variation distance between the laws of two count arrays."""
-    return float(0.5 * np.abs(a / a.sum() - b / b.sum()).sum())
+    return float(0.5 * abs(a / a.sum() - b / b.sum()).sum())
 
 
 def uniformity_test(
@@ -320,6 +326,9 @@ def uniformity_test(
     seeded sample of SAMPLED_SIGMA_COUNT orders is used and the result
     says so.  Trials run in chunks of UNIFORMITY_CHUNK.
     """
+    import numpy as np
+    from scipy.stats import chi2 as chi2_dist
+
     slot_cells = p**l
     if slot_cells > 32:
         raise GuardExceeded(f"p^L = {slot_cells} > 32: cells are not enumerable")
@@ -360,8 +369,6 @@ def uniformity_test(
                 half = t // 2
                 joint[srv][si, 0] += np.bincount(code[:half], minlength=joint_cells[srv])
                 joint[srv][si, 1] += np.bincount(code[half:], minlength=joint_cells[srv])
-
-    from scipy.stats import chi2 as chi2_dist
 
     labels = [str(s) for s in sigmas]
     totals = [counts.sum(axis=1) for counts in joint]

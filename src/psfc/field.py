@@ -20,19 +20,21 @@ exactly, whatever order or fused multiply-adds the BLAS uses.  `rank`
 row-reduces int64 arrays under the same conditions (products of residues
 are below 2^62).  Below KERNEL_MIN_DIM numpy's per-call cost outweighs
 the gain, and from 2^31 on the exactness bound fails, so those cases keep
-tuples.  One vector's product is a tuple of ints on either path.
+tuples.  One vector's product is a tuple of ints on either path.  numpy
+loads on the first prepared array or int64 rank, so runs on tuples never load it.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence, TypeAlias
 
-import numpy as np
-
-from .rand import Rng
+if TYPE_CHECKING:  # annotations only: numpy loads where an array is made
+    import numpy as np
+    from .rand import Rng
 
 __all__ = [
     "DEFAULT_MODULUS",
@@ -54,7 +56,7 @@ __all__ = [
 
 FieldVector = tuple[int, ...]
 FieldMatrix = tuple[tuple[int, ...], ...]
-PreparedMatrix = FieldMatrix | np.ndarray
+PreparedMatrix: TypeAlias = "FieldMatrix | np.ndarray"
 
 DEFAULT_MODULUS = 2**31 - 1
 MAX_MODULUS = 2**61  # exclusive upper bound for a supported modulus
@@ -178,6 +180,7 @@ def prepare_matrix(a: FieldMatrix, p: int) -> PreparedMatrix:
     columns are limb j of `a`'s transpose, most significant first.
     """
     if _kernel_applies(len(a), p):
+        import numpy as np
         b, n = _limb_split(len(a), p)
         t = np.array(a, dtype=np.int64).T
         limbs = [(t >> (b * j)) & ((1 << b) - 1) for j in reversed(range(n))]
@@ -189,8 +192,8 @@ def mat_vec_mul(a: PreparedMatrix, w, p: int) -> FieldVector | np.ndarray:
     """Matrix-vector product over GF(p), of a tuple or prepared matrix.
 
     On a prepared array, `w` must be canonical and may be a 2-D stack of
-    vectors; then so is the result."""
-    if isinstance(a, np.ndarray):
+    vectors; then so is the result.  No array exists before numpy loads."""
+    if type(a) is not tuple and (np := sys.modules.get("numpy")) and isinstance(a, np.ndarray):
         x = np.asarray(w, dtype=np.float64)
         if x.shape[-1] != len(a):
             raise DimensionMismatch(f"matrix takes length {len(a)}, not {x.shape[-1]}")
@@ -220,7 +223,7 @@ def rank(vectors: Sequence[FieldVector], p: int) -> int:
         if len(v) != dim:
             raise DimensionMismatch("vectors have mixed dimensions")
     if _kernel_applies(dim, p):
-        return _rank_int64(np.array(vectors, dtype=np.int64), p)
+        return _rank_int64(vectors, p)
     return _rank_python(vectors, p)
 
 
@@ -248,9 +251,10 @@ def _rank_python(vectors: Sequence[FieldVector], p: int) -> int:
     return r
 
 
-def _rank_int64(a: np.ndarray, p: int) -> int:
-    """Forward elimination on rows reduced mod p; products stay below 2^62."""
-    a = a % p
+def _rank_int64(vectors, p: int) -> int:
+    """Forward elimination on int64 rows reduced mod p; products stay below 2^62."""
+    import numpy as np
+    a = np.array(vectors, dtype=np.int64) % p
     n, dim = a.shape
     r = 0
     for col in range(dim):
@@ -274,9 +278,12 @@ def _rank_int64(a: np.ndarray, p: int) -> int:
 
 
 def sample_uniform_vector(l: int, p: int, rng: Rng) -> FieldVector:
-    """An i.i.d. uniform vector in GF(p)^l; deterministic given the rng state."""
-    randrange = rng.randrange
-    return tuple(randrange(p) for _ in range(l))
+    """Uniform in GF(p)^l: getrandbits(p.bit_length()) redrawn while >= p, as randrange(p)
+    on CPython 3.10-3.11; a round draws only what is missing, so the stream is the same."""
+    elements: list[int] = []
+    while len(elements) < l:
+        elements += filter(p.__gt__, map(rng.getrandbits, [p.bit_length()] * (l - len(elements))))
+    return tuple(elements)
 
 
 def sample_invertible_matrix(l: int, p: int, rng: Rng) -> FieldMatrix:
@@ -287,7 +294,8 @@ def sample_invertible_matrix(l: int, p: int, rng: Rng) -> FieldMatrix:
     ~71% even at p=2), so hitting it is an internal error.
     """
     for _ in range(INVERTIBLE_REDRAW_CAP):
-        m = tuple(tuple(rng.randrange(p) for _ in range(l)) for _ in range(l))
+        entries = sample_uniform_vector(l * l, p, rng)  # row-major
+        m = tuple(entries[i : i + l] for i in range(0, l * l, l))
         if rank(m, p) == l:
             return m
     raise SamplingExhausted(

@@ -24,14 +24,14 @@ __all__ = ["Rng"]
 class Rng:
     """A seeded random.Random with stable child-stream derivation."""
 
-    __slots__ = ("seed", "_r", "randrange", "random", "choice", "shuffle")
+    __slots__ = ("seed", "_r", "randrange", "getrandbits", "choice", "shuffle")
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._r = random.Random(self.seed)
         # Bound methods cached as attributes: these sit on hot paths.
         self.randrange = self._r.randrange
-        self.random = self._r.random
+        self.getrandbits = self._r.getrandbits
         self.choice = self._r.choice
         self.shuffle = self._r.shuffle
 

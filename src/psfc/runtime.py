@@ -37,8 +37,6 @@ import struct
 import threading
 from itertools import chain
 
-import numpy as np
-
 from .field import (
     DimensionMismatch,
     FieldMatrix,
@@ -87,11 +85,12 @@ class MalformedFrame(ValueError):
 class Server:
     """One honest-but-curious server: computes F_k w and records its view."""
 
-    __slots__ = ("id", "p", "l", "marginal", "_prepared")
+    __slots__ = ("id", "p", "l", "marginal", "_prepared", "_stacked")
 
     def __init__(self, server_id: int, functions: list[FieldMatrix], p: int):
         self.id = server_id
         self._prepared = [prepare_matrix(a, p) for a in functions]
+        self._stacked = self._prepared[0] is not functions[0]  # prepare_matrix made arrays
         self.p = p
         self.l = len(functions[0])
         self.marginal = MarginalQueryList(server=server_id)
@@ -111,8 +110,8 @@ class Server:
         by row; on prepared arrays it is one stack, checked by one numpy
         reduction, with one `mat_vec_mul` call per function.
         """
-        p, l, prepared = self.p, self.l, self._prepared
-        k, stacked = len(prepared), isinstance(prepared[0], np.ndarray)
+        p, l, prepared, stacked = self.p, self.l, self._prepared, self._stacked
+        k = len(prepared)
         answers = []
         for function, w in queries:
             if not (0 < function <= k and len(w) == l):
@@ -123,6 +122,7 @@ class Server:
                         raise NonCanonicalElement(f"input element {x} outside [0, {p})")
                 answers.append(mat_vec_mul(prepared[function - 1], w, p))
         if stacked and queries:
+            import numpy as np
             functions, ws = zip(*queries)
             try:  # numpy refuses an element below 0 or from 2^64 on
                 x = np.array(ws, dtype=np.uint64)
@@ -247,6 +247,7 @@ def _parse_frame(buf, magic: bytes, check):
 
 
 _RECV_CHUNK = 1 << 16
+_SOCKET_TIMEOUT_S = 10.0  # the most a client's connect, or one send or receive, may wait
 # Body bytes of a full query frame.  A server's rows in one exchange go as
 # frames of as many rows as fit, and at least one; the client keeps one
 # frame unanswered per connection, so a block of large rows cannot fill
@@ -380,10 +381,14 @@ class TcpTransport:
 
     def __init__(self, addresses: list[tuple[str, int]]):
         self._channels: list[_Channel] = []
+        timeval = struct.pack("ll", *divmod(round(_SOCKET_TIMEOUT_S * 1e6), 10**6))
         try:
             for host, port in addresses:
-                sock = socket.create_connection((host, port), timeout=10.0)
+                sock = socket.create_connection((host, port), timeout=_SOCKET_TIMEOUT_S)
                 self._channels.append(_Channel(sock, ANSWER_MAGIC))
+                sock.settimeout(None)  # blocking: the kernel keeps the deadline, with no poll
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         except OSError as exc:
             self.close()
             raise ChannelClosed(f"cannot connect: {exc}") from exc

@@ -303,3 +303,50 @@ def test_console_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("K,N,M,D,R")
+
+
+# Each step runs in one fresh interpreter, in order, and must leave numpy
+# unloaded: below L = 9 no server makes an array, and nothing else needs one.
+NUMPY_FREE_STEPS = r"""
+import sys
+
+
+def check(step):
+    assert "numpy" not in sys.modules, f"{step} loaded numpy"
+
+
+import psfc
+check("import psfc")
+import psfc.cli
+check("import psfc.cli")
+for transport in ("sim", "tcp"):
+    argv = ["run", "--k", "4", "--n", "2", "--m", "3", "--l", "2", "--transport", transport]
+    assert psfc.cli.main(argv) == 0
+    check(f"psfc run over {transport}")
+assert psfc.cli.main(["demo", "example1"]) == 0
+check("psfc demo example1")
+# The narrow-tcp and mixed-sim-p61 benchmark set-ups: instances, servers, TCP ends.
+for k, n, m, p, transport in ((4, 2, 3000, 2**31 - 1, "tcp"), (5, 3, 8001, 2**61 - 1, "sim")):
+    root = psfc.Rng(1)
+    functions = psfc.generate_functions(k, 2, p, root.child("functions"))
+    psfc.generate_inputs(m, 2, p, root.child("inputs"))
+    servers = [psfc.Server(i + 1, functions, p) for i in range(n)]
+    if transport == "tcp":
+        host = psfc.TcpServerHost(servers)
+        psfc.TcpTransport(host.addresses).close()
+        host.close()
+    check(f"the K={k} M={m} set-up over {transport}")
+"""
+
+
+def test_tuple_paths_never_load_numpy():
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_STEPS], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_kernel_sized_run_loads_numpy():
+    step = ("import sys\nfrom psfc.cli import main\n"
+            "assert main(['run', '--k', '4', '--n', '2', '--m', '3', '--l', '16']) == 0\n"
+            "assert 'numpy' in sys.modules")
+    proc = subprocess.run([sys.executable, "-c", step], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -8,6 +8,7 @@ which is their reference.
 """
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -286,6 +287,34 @@ def test_sample_uniform_vector_frequency():
     draws = [sample_uniform_vector(1, 2, rng)[0] for _ in range(20_000)]
     freq = sum(draws) / len(draws)
     assert abs(freq - 0.5) < 0.02
+
+
+@PROPERTY
+@given(
+    p=st.sampled_from([2, 3, 5, 2**31 - 1, 2**32 - 5, 2**61 - 1]),
+    count=st.integers(0, 70),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_sample_uniform_vector_is_the_randrange_stream(p, count, seed):
+    # The sampler's definition: randrange(p)'s stream on CPython 3.10 and 3.11,
+    # drawn in rounds, so it must end in the same generator state too.
+    rng, reference = Rng(seed), random.Random(seed)
+    expected = tuple(reference.randrange(p) for _ in range(count))
+    assert sample_uniform_vector(count, p, rng) == expected
+    assert rng._r.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("l", [1, 2, 9, 64])
+def test_sample_invertible_matrix_equals_per_element_draws(l, p):
+    # The reference draws each candidate's entries one randrange at a time.
+    rng, reference = Rng(l * p), random.Random(l * p)
+    while True:
+        m = tuple(tuple(reference.randrange(p) for _ in range(l)) for _ in range(l))
+        if _rank_python(m, p) == l:
+            break
+    assert sample_invertible_matrix(l, p, rng) == m
+    assert rng._r.getstate() == reference.getstate()
 
 
 def test_sample_invertible_always_full_rank():

@@ -1,8 +1,9 @@
 """Permutations, parsing conventions, and the composition oracle."""
 
+import sys
+
 import pytest
 
-from psfc import field
 from psfc.field import (
     is_prime,
     mat_vec_mul,
@@ -153,7 +154,8 @@ def test_compose_matches_direct_matrix_chain():
 
 def test_compose_reference_stays_pure_python(monkeypatch):
     # The oracle must not share the servers' float64 kernel: at a size where
-    # servers use it, compose_reference runs with numpy unreachable.
+    # servers use it, compose_reference runs with numpy unreachable, since
+    # every `import numpy` and sys.modules lookup finds this stub instead.
     class NoNumpy:
         ndarray = type("NotAnArray", (), {})
 
@@ -166,7 +168,7 @@ def test_compose_reference_stays_pure_python(monkeypatch):
     w = sample_uniform_vector(l, p, rng)
     sigma = Permutation((2, 3, 1))
     expected = compose_reference(functions, sigma, w, p)
-    monkeypatch.setattr(field, "np", NoNumpy())
+    monkeypatch.setitem(sys.modules, "numpy", NoNumpy())
     assert compose_reference(functions, sigma, w, p) == expected
 
 

@@ -611,6 +611,23 @@ def test_tcp_send_failure_names_its_server():
         host.close()
 
 
+def test_tcp_client_times_out_on_a_silent_host(monkeypatch):
+    # The host accepts and never answers: the client's blocking receive
+    # gives up at the socket deadline and names the server.
+    monkeypatch.setattr(runtime, "_SOCKET_TIMEOUT_S", 0.2)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        transport = TcpTransport([listener.getsockname()])
+        conn, _ = listener.accept()
+        try:
+            start = time.monotonic()
+            with pytest.raises(ChannelClosed, match="server 1 connection failed"):
+                transport.query([(1, 1, (1, 2))])
+            assert time.monotonic() - start < 1.0
+        finally:
+            transport.close()
+            conn.close()
+
+
 def test_tcp_host_rejects_garbage_frame():
     servers, _ = _servers(k=1, n=1, l=1, p=5)
     host = TcpServerHost(servers)
