@@ -513,6 +513,8 @@ def attack_campaign(
     """
     if scheme not in ("real", "naive"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    if trials < 1:
+        raise ValueError("need at least 1 trial")
     p = DEFAULT_MODULUS
     root = Rng(seed).child(f"attack:{scheme}:{k}:{n}")
     hits = [0] * n
@@ -607,6 +609,8 @@ def rank_decay_experiment(
     The analytic union bound is (p^M - 1) / (p^L (p - 1)); the check
     allows three binomial standard errors of slack at the bound.
     """
+    if trials < 1:
+        raise ValueError("need at least 1 trial")
     if m > l:
         return RankDecayResult(
             l=l, m=m, p=p, trials=trials, empirical=1.0,

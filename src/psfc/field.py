@@ -1,27 +1,28 @@
 """Prime-field arithmetic and small dense linear algebra over GF(p).
 
-Values are plain Python ints kept in canonical form (reduced into
-[0, p) at every operation boundary), vectors are tuples of ints, and
-matrices are tuples of row tuples.  Python's arbitrary-precision ints
-make that path overflow-free for any supported modulus.  Tuples are
-immutable, so they are safe to share across threads.
+Values are Python ints in canonical form (reduced into [0, p) at every
+operation boundary), vectors are tuples of ints and matrices tuples of
+row tuples: overflow-free for any supported modulus, and safe to share
+across threads.
 
-A server multiplies by the same few matrices many times, so it converts
-each one once with `prepare_matrix`.  When p < 2^31 and L is at least
-KERNEL_MIN_DIM, the prepared matrix is a float64 array of the transposed
+A server converts each matrix once with `prepare_matrix`.  When p < 2^31
+and L >= KERNEL_MIN_DIM, that is a float64 array of the transposed
 matrix's b-bit limbs, and `mat_vec_mul` multiplies a vector, or a stack
 of them, by every limb in one BLAS product, then reduces mod p once per
 limb, after whole-row sums (delayed reduction, after Dumas, Giorgi and
 Pernet, "Dense linear algebra over word-size prime fields: the FFLAS and
 FFPACK packages", ACM TOMS 35(3), 2008).  b is the widest limb with
 L (2^31 - 1)(2^b - 1) < 2^53 (16 bits up to L = 64), so every partial
-sum of canonical elements times limbs is an integer a double holds
-exactly, whatever order or fused multiply-adds the BLAS uses.  `rank`
-row-reduces int64 arrays under the same conditions (products of residues
-are below 2^62).  Below KERNEL_MIN_DIM numpy's per-call cost outweighs
-the gain, and from 2^31 on the exactness bound fails, so those cases keep
-tuples.  One vector's product is a tuple of ints on either path.  numpy
-loads on the first prepared array or int64 rank, so runs on tuples never load it.
+sum is an integer a double holds exactly, whatever order or fused
+multiply-adds the BLAS uses.  Smaller L, where numpy's per-call cost
+outweighs the gain, and p >= 2^31 keep tuples; one vector's product is a
+tuple of ints on either path.
+
+`echelon` is the one row reduction; `rank` is its basis's length.  It
+works on int64 arrays (products of residues stay below 2^62) when
+p < 2^31 and the input has at least KERNEL_MIN_DIM^2 entries, as every
+square matrix the kernel prepares has; short wide inputs stay Python
+ints.  numpy loads with the first array, so tuple runs never load it.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "prepare_matrix",
     "mat_vec_mul",
     "rank",
+    "echelon",
     "sample_uniform_vector",
     "sample_invertible_matrix",
 ]
@@ -215,63 +217,56 @@ def mat_vec_mul(a: PreparedMatrix, w, p: int) -> FieldVector | np.ndarray:
 
 
 def rank(vectors: Sequence[FieldVector], p: int) -> int:
-    """Rank of the span of `vectors` over GF(p), by Gaussian elimination."""
-    if not vectors:
-        return 0
-    dim = len(vectors[0])
-    for v in vectors:
-        if len(v) != dim:
-            raise DimensionMismatch("vectors have mixed dimensions")
-    if _kernel_applies(dim, p):
-        return _rank_int64(vectors, p)
-    return _rank_python(vectors, p)
+    """Rank of the span of `vectors` over GF(p): the length of its echelon basis."""
+    return len(echelon(vectors, p))
 
 
-def _rank_python(vectors: Sequence[FieldVector], p: int) -> int:
-    rows = [list(v) for v in vectors]
+def echelon(vectors: Sequence[FieldVector], p: int) -> FieldMatrix:
+    """Reduced row-echelon basis of the span of `vectors` over GF(p), by Gauss-Jordan:
+    per column, the first unused row nonzero there is scaled to a leading 1 and
+    clears the column in every other row.  Equal spans have equal bases."""
+    if len(set(map(len, vectors))) > 1:
+        raise DimensionMismatch("vectors have mixed dimensions")
+    if p < KERNEL_MAX_MODULUS and sum(map(len, vectors)) >= KERNEL_MIN_DIM**2:
+        return _echelon_int64(vectors, p)
+    return _echelon_python(vectors, p) if vectors else ()
+
+
+def _echelon_python(vectors, p: int) -> FieldMatrix:
+    rows = list(vectors)
     r = 0
     for col in range(len(rows[0])):
-        pivot = None
         for i in range(r, len(rows)):
             if rows[i][col] % p:
-                pivot = i
                 break
-        if pivot is None:
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = ff_inv(rows[r][col] % p, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % p:
-                f = rows[i][col] % p
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        inv = ff_inv(rows[i][col], p)
+        rows[i], rows[r] = rows[r], tuple([x * inv % p for x in rows[i]])
+        for j, other in enumerate(rows):
+            if j != r and (f := other[col] % p):
+                rows[j] = tuple([(x - f * y) % p for x, y in zip(other, rows[r])])
         r += 1
         if r == len(rows):
             break
-    return r
+    return tuple(rows[:r])
 
 
-def _rank_int64(vectors, p: int) -> int:
-    """Forward elimination on int64 rows reduced mod p; products stay below 2^62."""
+def _echelon_int64(vectors, p: int) -> FieldMatrix:
     import numpy as np
     a = np.array(vectors, dtype=np.int64) % p
-    n, dim = a.shape
     r = 0
-    for col in range(dim):
+    for col in range(a.shape[1]):
         nonzero = np.flatnonzero(a[r:, col])
         if not nonzero.size:
             continue
-        pivot = r + int(nonzero[0])
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        a[r, col:] = a[r, col:] * ff_inv(int(a[r, col]), p) % p
-        below = a[r + 1 :, col:]
-        below -= below[:, :1] * a[r, col:]
-        below %= p
+        a[[r, r + nonzero[0]]] = a[[r + nonzero[0], r]]
+        row = a[r, col:] * ff_inv(int(a[r, col]), p) % p
+        # Rows from r on are zero left of col, so only columns from col change.
+        a[:, col:] = (a[:, col:] - a[:, col : col + 1] * row) % p
+        a[r, col:] = row
         r += 1
-        if r == n:
-            break
-    return r
+    return tuple(map(tuple, a[:r].tolist()))
 
 
 # -- sampling ----------------------------------------------------------------

@@ -7,10 +7,10 @@ one consumer never perturbs another.  Child derivation is a stable hash
 of (seed, label), so streams are reproducible across processes and
 machines.
 
-The generator is NOT cryptographically secure.  The privacy target here
-is distributional uniformity, not unpredictability against a bounded
-adversary; swap in an OS-entropy source by constructing Rng from
-os.urandom-derived seeds if that ever matters.
+The generator (MT19937) is NOT cryptographically secure: its whole state
+can be recovered from 624 consecutive 32-bit outputs, whatever the seed,
+so seeding from os.urandom would not make its draws unpredictable.  The
+privacy target here is distributional uniformity, not unpredictability.
 """
 
 from __future__ import annotations

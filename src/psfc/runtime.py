@@ -167,8 +167,9 @@ def generate_functions(k: int, l: int, p: int, rng: Rng) -> list[FieldMatrix]:
 
 
 def generate_inputs(m: int, l: int, p: int, rng: Rng) -> list[FieldVector]:
-    """M independent uniform input vectors, in request order."""
-    return [sample_uniform_vector(l, p, rng) for _ in range(m)]
+    """M independent uniform input vectors, in request order, cut from one draw."""
+    elements = sample_uniform_vector(m * l, p, rng)
+    return [elements[i * l : (i + 1) * l] for i in range(m)]
 
 
 # -- simulated transport -------------------------------------------------------

@@ -508,6 +508,13 @@ def test_attacker_k1_trivial():
     assert sigma_attack(marginal, functions, 5, Rng(25)) == Permutation((1,))
 
 
+@pytest.mark.parametrize("scheme", ["real", "naive"])
+@pytest.mark.parametrize("trials", [0, -1])
+def test_attack_campaign_refuses_fewer_than_one_trial(trials, scheme):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        attack_campaign(3, 2, trials=trials, scheme=scheme)
+
+
 def test_naive_schedule_leaks_to_server_one():
     res = attack_campaign(3, 2, trials=300, seed=26, scheme="naive")
     assert res.per_server_rate[0] > 0.95
@@ -631,3 +638,10 @@ def test_rank_decay_bound_configs():
 def test_rank_decay_m_exceeds_l():
     res = rank_decay_experiment(2, 3, 5, trials=10, seed=34)
     assert res.certain and res.empirical == 1.0 and res.ok
+
+
+@pytest.mark.parametrize("l, m", [(10, 3), (2, 3)])  # M > L too, where the result is certain
+@pytest.mark.parametrize("trials", [0, -1])
+def test_rank_decay_refuses_fewer_than_one_trial(trials, l, m):
+    with pytest.raises(ValueError, match="at least 1 trial"):
+        rank_decay_experiment(l, m, 2, trials=trials)

@@ -3,8 +3,11 @@
 Derived expectations are computed by independent oracles kept inside
 this file: a minor-expansion rank, an exhaustive GL(1, p) enumeration,
 and direct axiom checks over random samples.  The float64 mat-vec
-kernel and the int64 rank are checked against the pure-Python path,
-which is their reference.
+kernel is checked against the pure-Python path, which is its reference.
+`echelon` has two representations of one Gauss-Jordan elimination,
+Python ints and int64 arrays (for p < 2^31 and inputs of at least
+KERNEL_MIN_DIM^2 entries); the tests force each in turn, check both
+against the minor oracle, and require byte-identical bases.
 """
 
 import itertools
@@ -15,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from psfc import field
 from psfc.field import (
     DEFAULT_MODULUS,
     KERNEL_MAX_DIM,
@@ -22,9 +26,10 @@ from psfc.field import (
     DimensionMismatch,
     InversionOfZero,
     PrimeModulus,
+    _echelon_int64,
+    _echelon_python,
     _limb_split,
-    _rank_int64,
-    _rank_python,
+    echelon,
     ff_inv,
     is_prime,
     mat_vec_mul,
@@ -41,6 +46,7 @@ PRIMES = [2, 3, 5, 7, DEFAULT_MODULUS]
 # Fixed seed and bounded example counts keep these tests deterministic and fast.
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 KERNEL_PRIMES = (2, 3, 2**31 - 1)
+ECHELON_PRIMES = (2, 3, 5, 2**31 - 1)
 
 
 # -- primality and modulus validation -----------------------------------------
@@ -174,7 +180,7 @@ def test_rank_agrees_with_minor_oracle_exhaustive_l2_p2():
         vectors = (entries[:2], entries[2:])
         expected = _rank_by_minors(vectors, 2)
         assert rank(vectors, 2) == expected
-        assert _rank_int64(np.array(vectors, dtype=np.int64), 2) == expected
+        assert len(_echelon_python(vectors, 2)) == len(_echelon_int64(vectors, 2)) == expected
 
 
 def test_rank_agrees_with_minor_oracle_sampled():
@@ -185,12 +191,41 @@ def test_rank_agrees_with_minor_oracle_sampled():
                 vectors = [sample_uniform_vector(l, p, rng) for _ in range(l)]
                 expected = _rank_by_minors(vectors, p)
                 assert rank(vectors, p) == expected
-                assert _rank_int64(np.array(vectors, dtype=np.int64), p) == expected
+                assert len(_echelon_python(vectors, p)) == expected
+                assert len(_echelon_int64(vectors, p)) == expected
 
 
 def test_rank_mixed_dimensions():
     with pytest.raises(DimensionMismatch):
         rank(((1, 2), (1, 2, 3)), 5)
+    with pytest.raises(DimensionMismatch):
+        echelon([(1,) * 81, (1,) * 80], 5)
+
+
+def test_echelon_examples():
+    assert echelon(((2, 4, 1), (1, 2, 0)), 5) == ((1, 2, 0), (0, 0, 1))
+    assert echelon(((0, 0), (0, 3)), 7) == ((0, 1),)
+    assert echelon(((6, 8), (-1, 5)), 5) == ((1, 0), (0, 1))  # residues of any int
+    assert echelon((), 5) == () and echelon(((), ()), 5) == ()
+
+
+@pytest.mark.parametrize(
+    "rows, dim, p, int64",
+    [
+        (3, 10, 2, False),  # the rank-decay shapes are short and wide
+        (2, 8, 5, False),
+        (8, 10, 2**31 - 1, False),  # 80 entries, one short of KERNEL_MIN_DIM^2
+        (9, 9, 2**31 - 1, True),  # every square matrix the mat-vec kernel prepares
+        (64, 64, 2, True),
+        (1, 81, 3, True),
+        (64, 64, 2**61 - 1, False),  # products of residues would pass 2^63
+    ],
+)
+def test_echelon_size_rule(monkeypatch, rows, dim, p, int64):
+    calls = []
+    monkeypatch.setattr(field, "_echelon_int64", lambda v, p: calls.append(p) or ())
+    echelon([(1,) * dim] * rows, p)
+    assert bool(calls) == int64
 
 
 # -- the exact kernels against the pure-Python path -------------------------------------
@@ -251,26 +286,49 @@ def test_prepare_matrix_keeps_tuples_above_int64_bound(p, l):
     assert prepare_matrix(a, p) is a
 
 
-@PROPERTY
-@given(
-    p=st.sampled_from(KERNEL_PRIMES),
+def _deficient(p, rows, dim, deficit, seed, worst):
+    """Rows past `rows - deficit` are combinations of earlier ones, so
+    singular inputs are common, not only at p = 2."""
+    vectors = [list(v) for v in _matrix(rows, dim, p, seed, p - 1 if worst else None)]
+    rng = Rng(seed + 1)
+    for i in range(max(1, rows - deficit), rows):
+        c = [rng.randrange(p) for _ in range(i)]
+        vectors[i] = [sum(c[j] * vectors[j][col] for j in range(i)) % p for col in range(dim)]
+    return vectors
+
+
+DEFICIENT = dict(
+    p=st.sampled_from(ECHELON_PRIMES),
     rows=st.integers(1, 64),
     dim=st.integers(1, 64),
     deficit=st.integers(0, 8),
     seed=st.integers(0, 2**32),
     worst=st.booleans(),
 )
-def test_rank_int64_matches_python_path(p, rows, dim, deficit, seed, worst):
-    # Rows past `rows - deficit` are combinations of earlier ones, so
-    # singular inputs are common, not only at p = 2.
-    vectors = [list(v) for v in _matrix(rows, dim, p, seed, p - 1 if worst else None)]
-    rng = Rng(seed + 1)
-    for i in range(max(1, rows - deficit), rows):
-        c = [rng.randrange(p) for _ in range(i)]
-        vectors[i] = [sum(c[j] * vectors[j][col] for j in range(i)) % p for col in range(dim)]
-    expected = _rank_python(vectors, p)
-    assert _rank_int64(np.array(vectors, dtype=np.int64), p) == expected
-    assert rank(vectors, p) == expected
+
+
+@PROPERTY
+@given(**DEFICIENT)
+def test_echelon_int64_matches_python_path(p, rows, dim, deficit, seed, worst):
+    vectors = _deficient(p, rows, dim, deficit, seed, worst)
+    basis = _echelon_python(vectors, p)
+    assert _echelon_int64(vectors, p) == basis
+    assert echelon(vectors, p) == basis
+    assert rank(vectors, p) == len(basis)
+    assert all(type(x) is int for row in basis for x in row)
+
+
+@PROPERTY
+@given(**DEFICIENT)
+def test_echelon_is_a_canonical_basis(p, rows, dim, deficit, seed, worst):
+    vectors = _deficient(p, rows, dim, deficit, seed, worst)
+    basis = echelon(vectors, p)
+    assert echelon(basis, p) == basis  # idempotent
+    assert rank(vectors + [list(b) for b in basis], p) == len(basis)  # inside the span
+    # Another basis of the same span, from an invertible recombination of the rows.
+    g = sample_invertible_matrix(rows, p, Rng(seed + 2))
+    mixed = [[sum(c * v[col] for c, v in zip(gi, vectors)) % p for col in range(dim)] for gi in g]
+    assert echelon(mixed, p) == basis
 
 
 # -- sampling ---------------------------------------------------------------------
@@ -311,7 +369,7 @@ def test_sample_invertible_matrix_equals_per_element_draws(l, p):
     rng, reference = Rng(l * p), random.Random(l * p)
     while True:
         m = tuple(tuple(reference.randrange(p) for _ in range(l)) for _ in range(l))
-        if _rank_python(m, p) == l:
+        if len(_echelon_python(m, p)) == l:
             break
     assert sample_invertible_matrix(l, p, rng) == m
     assert rng._r.getstate() == reference.getstate()

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from psfc import runtime
-from psfc.field import DEFAULT_MODULUS, KERNEL_MIN_DIM, DimensionMismatch, mat_vec_mul
+from psfc.field import (
+    DEFAULT_MODULUS,
+    KERNEL_MIN_DIM,
+    DimensionMismatch,
+    mat_vec_mul,
+    sample_uniform_vector,
+)
 from psfc.protocol import Permutation, RunConfig, compose_reference
 from psfc.rand import Rng
 from psfc.runtime import (
@@ -203,6 +209,16 @@ def test_sim_transport_serves_each_run_in_one_call():
     answers = SimTransport(servers).query(rows)
     assert [s.calls for s in servers] == [[2, 1], [1]]
     assert answers == [mat_vec_mul(functions[f - 1], w, 5) for _, f, w in rows]
+
+
+@pytest.mark.parametrize("m, l, p", [(1, 1, 2), (5, 2, 3), (8001, 2, 2**61 - 1), (3, 64, DEFAULT_MODULUS)])
+def test_generate_inputs_equals_one_draw_per_input(m, l, p):
+    # One draw of M*L elements, sliced: the same elements, in order, and the
+    # same generator state as M draws of L.
+    rng, reference = Rng(m + l), Rng(m + l)
+    expected = [sample_uniform_vector(l, p, reference) for _ in range(m)]
+    assert generate_inputs(m, l, p, rng) == expected
+    assert rng._r.getstate() == reference._r.getstate()
 
 
 # -- fingerprints ------------------------------------------------------------------
