@@ -21,20 +21,12 @@ import sys
 import time
 
 from psfc.audit import attack_campaign, rank_decay_experiment, uniformity_test
-from psfc.cli import main
+from psfc.cli import _instance, main
 from psfc.client import run_protocol
 from psfc.field import DEFAULT_MODULUS, sample_invertible_matrix
 from psfc.protocol import RunConfig, random_permutation
 from psfc.rand import Rng
-from psfc.runtime import (
-    Server,
-    SimTransport,
-    TcpServerHost,
-    TcpTransport,
-    generate_functions,
-    generate_inputs,
-    marginal_to_json,
-)
+from psfc.runtime import SimTransport, TcpServerHost, TcpTransport, marginal_to_json
 
 GOLDEN = pathlib.Path(__file__).with_name("golden.json")
 # All artifacts take about 2 s on a 2-vCPU machine; the budget leaves room for slower runners.
@@ -64,11 +56,8 @@ def _figures(result) -> str:
 def _run(k, n, m, l, transport):
     """The report and captured views of one seeded run, as `psfc run` makes them."""
     config = RunConfig(k=k, n=n, m=m, l=l, p=DEFAULT_MODULUS, seed=1)
-    rng = Rng(config.seed)
-    functions = generate_functions(k, l, config.p, rng.child("functions"))
-    w = generate_inputs(m, l, config.p, rng.child("inputs"))
-    servers = [Server(i + 1, functions, config.p) for i in range(n)]
-    sigma = random_permutation(k, rng.child("sigma"))
+    _, w, servers = _instance(config)
+    sigma = random_permutation(k, Rng(config.seed).child("sigma"))
     host = None
     if transport == "sim":
         channel = SimTransport(servers)
