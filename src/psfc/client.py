@@ -15,15 +15,15 @@ ordering the scheduler's feasibility argument requires.
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import compress, count
 
 from .field import FieldVector, vec_add, vec_sub
-from .protocol import Permutation, RunConfig
+from .protocol import Permutation, RunConfig, json_array
 from .rand import Rng
 from .scheduler import build_plan, run_plan
 
@@ -49,7 +49,9 @@ class RunReport:
 
     `sigma` is the internal step map (position k holds the function
     applied at step k); JSON renders it in display order.  The rate is
-    kept exact as a reduced fraction (numerator, denominator).
+    kept exact as a reduced fraction (numerator, denominator).  Queries
+    are three columns in send order, `server` and `function` (the plan's
+    lists) and `inputs`; `sent`, `transcript` and `marginals()` view them.
     """
 
     k: int
@@ -63,19 +65,27 @@ class RunReport:
     d_k: list[int]
     rate: tuple[int, int]
     outputs: list[FieldVector]
-    sent: list[tuple[int, int, FieldVector]]  # (server, function, input), in send order
+    server: list[int]
+    function: list[int]
+    inputs: list[FieldVector]
+
+    @property
+    def sent(self) -> list[tuple[int, int, FieldVector]]:
+        """(server, function, input) of each query, in send order."""
+        return list(zip(self.server, self.function, self.inputs))
 
     @property
     def transcript(self) -> list[tuple[int, int, int]]:
         """(seq, server, function) of each query, in send order."""
-        return [(seq, server, function) for seq, (server, function, _) in enumerate(self.sent)]
+        return list(zip(count(), self.server, self.function))
+
+    def _view(self, server: int):
+        """(function, input) of each query sent to `server`, in arrival order."""
+        return compress(zip(self.function, self.inputs), map(server.__eq__, self.server))
 
     def marginals(self) -> dict[int, list[tuple[int, FieldVector]]]:
         """Client-side projection of each server's view, in arrival order."""
-        per_server: dict[int, list[tuple[int, FieldVector]]] = {s: [] for s in range(1, self.n + 1)}
-        for server, function, x in self.sent:
-            per_server[server].append((function, x))
-        return per_server
+        return {s: list(self._view(s)) for s in range(1, self.n + 1)}
 
     @property
     def rate_float(self) -> float:
@@ -84,23 +94,21 @@ class RunReport:
     def to_json(self) -> str:
         """Canonical JSON: key-sorted, no whitespace, ints only.
 
-        Two runs are considered identical iff these bytes match.
+        Two runs are considered identical iff these bytes match.  Written from
+        the columns, as json.dumps(doc, sort_keys=True, separators=(",", ":")).
         """
-        doc = {
-            "config": {"k": self.k, "n": self.n, "m": self.m, "l": self.l,
-                       "p": self.p, "seed": self.seed},
-            "sigma_display": list(reversed(self.sigma)),
-            "d": self.d,
-            "d_k": self.d_k,
-            "rate": {"num": self.rate[0], "den": self.rate[1]},
-            "outputs": [list(v) for v in self.outputs],
-            "transcript": [list(t) for t in self.transcript],
-            "marginals": {
-                str(server): [[function, list(vec)] for function, vec in entries]
-                for server, entries in self.marginals().items()
-            },
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        transcript = ",".join(map("[%d,%d,%d]".__mod__, zip(count(), self.server, self.function)))
+        marginals = ",".join(
+            f'"{s}":[' + ",".join([f"[{f},{json_array(x)}]" for f, x in self._view(s)]) + "]"
+            for s in sorted(range(1, self.n + 1), key=str)
+        )
+        return (
+            f'{{"config":{{"k":{self.k},"l":{self.l},"m":{self.m},"n":{self.n},"p":{self.p},'
+            f'"seed":{self.seed}}},"d":{self.d},"d_k":{json_array(self.d_k)},'
+            f'"marginals":{{{marginals}}},"outputs":[{",".join(map(json_array, self.outputs))}],'
+            f'"rate":{{"den":{self.rate[1]},"num":{self.rate[0]}}},'
+            f'"sigma_display":{json_array(reversed(self.sigma))},"transcript":[{transcript}]}}'
+        )
 
 
 def run_protocol(
@@ -118,25 +126,26 @@ def run_protocol(
     plan = build_plan(k, n, m, sigma)
     randrange = Rng(config.seed).child("client").randrange
     l_range = range(l)
-    sent: list[tuple[int, int, FieldVector]] = []  # (server, function, input), in send order
+    inputs: list[FieldVector] = []  # in send order
     transport_query = transport.query
 
     def draw(_mid):
         return tuple([randrange(p) for _ in l_range])
 
     def query(rows):
-        sent.extend(rows)
+        inputs.extend([x for _, _, x in rows])
         return transport_query(rows)
 
     outputs = run_plan(plan, w_vectors, draw, partial(vec_add, p=p), partial(unmask, p=p), query)
 
-    per_function = Counter(function for _, function, _ in sent)
+    per_function = Counter(plan.function)
     d_k = [per_function[function] for function in range(1, k + 1)]
-    d = len(sent)
+    d = len(inputs)
     ratio = Fraction(k * m, d)
     report = RunReport(
         k=k, n=n, m=m, l=l, p=p, seed=config.seed, sigma=sigma.mapping,
-        d=d, d_k=d_k, rate=(ratio.numerator, ratio.denominator), outputs=outputs, sent=sent,
+        d=d, d_k=d_k, rate=(ratio.numerator, ratio.denominator), outputs=outputs,
+        server=plan.server, function=plan.function, inputs=inputs,
     )
     return outputs, report
 

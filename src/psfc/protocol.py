@@ -11,7 +11,7 @@ off-by-one churn when translating between the two.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .field import FieldMatrix, FieldVector, PrimeModulus, mat_vec_mul
@@ -27,6 +27,7 @@ __all__ = [
     "compose_reference",
     "MarginalQueryList",
     "RunConfig",
+    "json_array",
 ]
 
 MAX_ENUMERABLE_K = 8
@@ -124,15 +125,28 @@ def compose_reference(
 # -- protocol records ---------------------------------------------------------
 
 
-@dataclass
 class MarginalQueryList:
-    """One server's entire view: (function, input) pairs in arrival order."""
+    """One server's entire view, in arrival order, as two columns;
+    `entries` is the (function, input) list built from them."""
 
-    server: int
-    entries: list[tuple[int, FieldVector]] = field(default_factory=list)
+    __slots__ = ("server", "functions", "inputs")
+
+    def __init__(self, server: int, entries=()):
+        self.server = server
+        self.functions: list[int] = [function for function, _ in entries]
+        self.inputs: list[FieldVector] = [w for _, w in entries]
+
+    @property
+    def entries(self) -> list[tuple[int, FieldVector]]:
+        return list(zip(self.functions, self.inputs))
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.functions)
+
+
+def json_array(values) -> str:
+    """`values` as the JSON array json.dumps writes with no whitespace."""
+    return "[" + ",".join(map(str, values)) + "]"
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,6 @@ body is awaited.  Every frame is built by `encode_message`.
 
 from __future__ import annotations
 
-import json
 import socket
 import struct
 import threading
@@ -46,7 +45,7 @@ from .field import (
     sample_invertible_matrix,
     sample_uniform_vector,
 )
-from .protocol import MarginalQueryList
+from .protocol import MarginalQueryList, json_array
 from .rand import Rng
 
 __all__ = [
@@ -112,6 +111,7 @@ class Server:
         """
         p, l, prepared, stacked = self.p, self.l, self._prepared, self._stacked
         k = len(prepared)
+        functions, ws = zip(*queries) if queries else ((), ())
         answers = []
         for function, w in queries:
             if not (0 < function <= k and len(w) == l):
@@ -123,7 +123,6 @@ class Server:
                 answers.append(mat_vec_mul(prepared[function - 1], w, p))
         if stacked and queries:
             import numpy as np
-            functions, ws = zip(*queries)
             try:  # numpy refuses an element below 0 or from 2^64 on
                 x = np.array(ws, dtype=np.uint64)
             except OverflowError:
@@ -137,7 +136,8 @@ class Server:
                 rows = x[index] if len(index) < len(queries) else x
                 for i, row in zip(index, mat_vec_mul(prepared[function - 1], rows, p).tolist()):
                     answers[i] = tuple(row)
-        self.marginal.entries.extend(queries)
+        self.marginal.functions += functions
+        self.marginal.inputs += ws
         return answers
 
 
@@ -147,15 +147,16 @@ def marginal_fingerprint(server: Server) -> tuple[int, ...]:
     This is the object whose invariance across composition orders
     certifies the structural half of privacy.
     """
-    return tuple(function for function, _ in server.marginal.entries)
+    return tuple(server.marginal.functions)
 
 
 def marginal_to_json(server: Server) -> str:
-    doc = {
-        "server": server.id,
-        "entries": [{"function": f, "input": list(w)} for f, w in server.marginal.entries],
-    }
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    """{"entries": [{"function", "input"}, ...], "server"} from the view's
+    columns, as json.dumps(doc, sort_keys=True, separators=(",", ":"))."""
+    view = server.marginal
+    entries = ",".join([f'{{"function":{f},"input":{json_array(w)}}}'
+                        for f, w in zip(view.functions, view.inputs)])
+    return f'{{"entries":[{entries}],"server":{server.id}}}'
 
 
 # -- instance generation -------------------------------------------------------

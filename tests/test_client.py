@@ -7,15 +7,18 @@ composition oracle, never against the protocol's own data flow.
 import ast
 import inspect
 import json
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from psfc import client as client_module
 from psfc.client import outputs_to_bytes, run_protocol, unmask
 from psfc.field import DEFAULT_MODULUS, DimensionMismatch, mat_vec_mul, sample_invertible_matrix, sample_uniform_vector, vec_add
 from psfc.protocol import Permutation, RunConfig, compose_reference, enumerate_permutations
 from psfc.rand import Rng
-from psfc.runtime import Server, SimTransport, generate_functions, generate_inputs
+from psfc.runtime import Server, SimTransport, generate_functions, generate_inputs, marginal_to_json
 from psfc.scheduler import query_count
 
 
@@ -178,6 +181,82 @@ def test_report_marginals_match_server_view():
     marginals = report.marginals()
     for server in servers:
         assert marginals[server.id] == server.marginal.entries
+
+
+# -- canonical JSON, written from the columns --------------------------------------------
+
+
+def _canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def _report_doc(report) -> dict:
+    """The run report as a document, built from the (server, function,
+    input) triples: the oracle for `RunReport.to_json`."""
+    marginals = {str(s): [] for s in range(1, report.n + 1)}
+    for server, function, x in report.sent:
+        marginals[str(server)].append([function, list(x)])
+    return {
+        "config": {"k": report.k, "n": report.n, "m": report.m, "l": report.l,
+                   "p": report.p, "seed": report.seed},
+        "sigma_display": list(reversed(report.sigma)),
+        "d": report.d,
+        "d_k": report.d_k,
+        "rate": {"num": report.rate[0], "den": report.rate[1]},
+        "outputs": [list(v) for v in report.outputs],
+        "transcript": [[seq, server, function] for seq, (server, function, _) in enumerate(report.sent)],
+        "marginals": marginals,
+    }
+
+
+def _marginal_doc(server) -> dict:
+    """One server's view as a document: the oracle for `marginal_to_json`."""
+    return {
+        "server": server.id,
+        "entries": [{"function": f, "input": list(w)} for f, w in server.marginal.entries],
+    }
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(
+    sigma=st.integers(1, 5).flatmap(lambda k: st.permutations(range(1, k + 1))),
+    n=st.integers(1, 12),
+    m=st.integers(1, 6),
+    l=st.integers(1, 3),
+    p=st.sampled_from((2, 3, 2**31 - 1, 2**61 - 1)),
+    seed=st.integers(0, 2**32),
+)
+@example(sigma=[2, 3, 1], n=11, m=2, l=2, p=2**61 - 1, seed=0)  # "10" sorts before "2"
+def test_json_written_from_columns_equals_json_dumps_of_the_documents(sigma, n, m, l, p, seed):
+    config, functions, w = _instance(len(sigma), n, m, l, p, seed)
+    servers = [Server(i + 1, functions, p) for i in range(n)]
+    _, report = run_protocol(config, Permutation(tuple(sigma)), w, SimTransport(servers))
+    assert report.to_json() == _canonical(_report_doc(report))
+    for server in servers:
+        assert marginal_to_json(server) == _canonical(_marginal_doc(server))
+
+
+# The most tracemalloc may see at its peak over run_protocol and to_json,
+# in bytes per query, at (K, N, M, L, p) = (5, 3, 2001, 2, 2^61-1).  With
+# a tuple per query in the report and in each server's view, and to_json
+# building a nested document, the peak was 848; with columns it is ~340.
+MEMORY_BUDGET_PER_QUERY = 500
+
+
+def test_run_and_report_stay_within_the_memory_budget():
+    config, functions, w = _instance(5, 3, 2001, 2, 2**61 - 1, seed=3)
+    servers = [Server(i + 1, functions, config.p) for i in range(3)]
+    transport = SimTransport(servers)
+    sigma = Permutation.parse("2,5,1,4,3")
+    tracemalloc.start()
+    try:
+        _, report = run_protocol(config, sigma, w, transport)
+        report.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.d == query_count(5, 3, 2001) == 12648
+    assert peak / report.d <= MEMORY_BUDGET_PER_QUERY, f"{peak / report.d:.0f} bytes per query"
 
 
 def test_outputs_binary_format():
