@@ -137,10 +137,10 @@ class _ExchangeLog:
         self.inner = inner
         self.sizes: dict[int, list[int]] = {server: [] for server in range(1, n + 1)}
 
-    def query(self, rows):
-        for server, count in Counter(server for server, _, _ in rows).items():
+    def query(self, servers, functions, xs):
+        for server, count in Counter(servers).items():
             self.sizes[server].append(count)
-        return self.inner.query(rows)
+        return self.inner.query(servers, functions, xs)
 
 
 def fingerprint_invariance(
@@ -294,10 +294,10 @@ def _batch_eval(plan: QueryPlan, f_batch, w_batch, draw, p: int) -> list[list[np
     per_server: list[list[np.ndarray]] = [[] for _ in range(plan.n)]
     mod = _residues(p, w_batch.shape[-1])
 
-    def query(rows):
+    def query(servers, functions, xs):
         # A generator, so that each answer is used before the next one is
         # computed and a block's answers are never all held at once.
-        for server, function, w in rows:
+        for server, function, w in zip(servers, functions, xs):
             per_server[server - 1].append(w)
             yield mod[np.einsum("...ij,...j->...i", f_batch[function - 1], w)]
 
@@ -477,7 +477,7 @@ def naive_chain_run(
     prev = w
     n = len(servers)
     for j, func in enumerate(sigma.mapping, start=1):
-        (prev,) = servers[(j - 1) % n].serve([(func, prev)])
+        (prev,) = servers[(j - 1) % n].serve([func], [prev])
     return prev
 
 

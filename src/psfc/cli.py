@@ -340,12 +340,12 @@ def _demo(k: int, n: int, m: int, sigma: Permutation) -> bool:
     sent = []  # (block, server, function, text), in send order
     calls = 0
 
-    def query(rows):
+    def query(servers, functions, xs):
         nonlocal calls
         calls += 1
         block = calls if calls <= plan.n_blocks else 0
-        sent.extend((block, srv, function, " + ".join(value)) for srv, function, value in rows)
-        return [tuple(f"F{function}({term})" for term in value) for _, function, value in rows]
+        sent.extend((block, s, f, " + ".join(x)) for s, f, x in zip(servers, functions, xs))
+        return [tuple(f"F{f}({term})" for term in x) for f, x in zip(functions, xs)]
 
     outputs = run_plan(
         plan, [(name,) for name in names],

@@ -51,7 +51,7 @@ class RunReport:
     applied at step k); JSON renders it in display order.  The rate is
     kept exact as a reduced fraction (numerator, denominator).  Queries
     are three columns in send order, `server` and `function` (the plan's
-    lists) and `inputs`; `sent`, `transcript` and `marginals()` view them.
+    lists) and `inputs`; `transcript` views them.
     """
 
     k: int
@@ -70,11 +70,6 @@ class RunReport:
     inputs: list[FieldVector]
 
     @property
-    def sent(self) -> list[tuple[int, int, FieldVector]]:
-        """(server, function, input) of each query, in send order."""
-        return list(zip(self.server, self.function, self.inputs))
-
-    @property
     def transcript(self) -> list[tuple[int, int, int]]:
         """(seq, server, function) of each query, in send order."""
         return list(zip(count(), self.server, self.function))
@@ -82,10 +77,6 @@ class RunReport:
     def _view(self, server: int):
         """(function, input) of each query sent to `server`, in arrival order."""
         return compress(zip(self.function, self.inputs), map(server.__eq__, self.server))
-
-    def marginals(self) -> dict[int, list[tuple[int, FieldVector]]]:
-        """Client-side projection of each server's view, in arrival order."""
-        return {s: list(self._view(s)) for s in range(1, self.n + 1)}
 
     @property
     def rate_float(self) -> float:
@@ -132,9 +123,9 @@ def run_protocol(
     def draw(_mid):
         return tuple([randrange(p) for _ in l_range])
 
-    def query(rows):
-        inputs.extend([x for _, _, x in rows])
-        return transport_query(rows)
+    def query(servers, functions, xs):
+        inputs.extend(xs)
+        return transport_query(servers, functions, xs)
 
     outputs = run_plan(plan, w_vectors, draw, partial(vec_add, p=p), partial(unmask, p=p), query)
 

@@ -7,16 +7,19 @@ ever placed on the wire: a query frame carries only its first row's
 per-connection sequence number, its row count, L, and each row's
 (function index, input vector).
 
-Two interchangeable transports execute a run:
+Two interchangeable transports execute a run.  A transport call carries
+one exchange of the plan (a block, or one level of a request's chains)
+as three columns, `query(servers, functions, xs)`, and answers its rows
+in order; a server is asked for two, `serve(functions, ws)`.  Columns of
+unequal length are refused before anything is sent or recorded.
 
 * SimTransport: in-process, synchronous.  The default for tests and
   audits.  Each run of consecutive rows for one server is one `serve`
-  call.
+  call, on slices of the columns.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
-  per server.  A transport call carries one exchange of the plan (a
-  block, or one level of a request's chains); each server's share goes
-  as one query frame and comes back as one answer frame (more only past
-  _WINDOW_BYTES of body); the host serves each frame in one `serve`
+  per server.  Each server's share of an exchange goes as one query
+  frame and comes back as one answer frame (more only past _WINDOW_BYTES
+  of body); the host serves each frame's two columns in one `serve`
   call.  Byte-for-byte the same RunReport as the simulated path for the
   same (config, order, seed).
 
@@ -101,19 +104,20 @@ class Server:
         if dim != self.l:
             raise DimensionMismatch(f"input has length {dim}, expected {self.l}")
 
-    def serve(self, queries: list[tuple[int, FieldVector]]) -> list[FieldVector]:
-        """Answer a batch of (function, w) queries, in order.
+    def serve(self, functions, ws) -> list[FieldVector]:
+        """Answer F_functions[i] ws[i] for each row i of two columns, in order.
 
         All of it is checked before any is recorded or returned, so a refused
         batch leaves the marginal list unchanged.  Tuple matrices take it row
         by row; on prepared arrays it is one stack, checked by one numpy
         reduction, with one `mat_vec_mul` call per function.
         """
+        if len(functions) != len(ws):  # zip would drop the extra rows without a word
+            raise ValueError(f"{len(functions)} functions for {len(ws)} inputs")
         p, l, prepared, stacked = self.p, self.l, self._prepared, self._stacked
         k = len(prepared)
-        functions, ws = zip(*queries) if queries else ((), ())
         answers = []
-        for function, w in queries:
+        for function, w in zip(functions, ws):
             if not (0 < function <= k and len(w) == l):
                 self.admit(function, len(w))
             if not stacked:
@@ -121,7 +125,7 @@ class Server:
                     if not 0 <= x < p:
                         raise NonCanonicalElement(f"input element {x} outside [0, {p})")
                 answers.append(mat_vec_mul(prepared[function - 1], w, p))
-        if stacked and queries:
+        if stacked and ws:
             import numpy as np
             try:  # numpy refuses an element below 0 or from 2^64 on
                 x = np.array(ws, dtype=np.uint64)
@@ -130,10 +134,10 @@ class Server:
             if x is None or x.max() >= p:
                 bad = next(e for w in ws for e in w if not 0 <= e < p)
                 raise NonCanonicalElement(f"input element {bad} outside [0, {p})")
-            answers = [None] * len(queries)
+            answers = [None] * len(ws)
             for function in set(functions):
                 index = [i for i, f in enumerate(functions) if f == function]
-                rows = x[index] if len(index) < len(queries) else x
+                rows = x[index] if len(index) < len(ws) else x
                 for i, row in zip(index, mat_vec_mul(prepared[function - 1], rows, p).tolist()):
                     answers[i] = tuple(row)
         self.marginal.functions += functions
@@ -183,20 +187,20 @@ class SimTransport:
         self.servers = servers
         self._closed = False
 
-    def query(self, rows) -> list[FieldVector]:
-        """Answers to rows [(server, function, w), ...], in row order."""
+    def query(self, servers, functions, xs) -> list[FieldVector]:
+        """Answers to an exchange given as columns, row i asking server
+        servers[i] for F_functions[i] xs[i], in row order."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        servers = self.servers
+        if not len(servers) == len(functions) == len(xs):  # slices would drop rows silently
+            raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
         answers: list[FieldVector] = []
-        run: list = []
-        for server, function, w in rows:
-            if run and server != current:
-                answers += servers[current - 1].serve(run)
-                run = []
-            current = server
-            run.append((function, w))
-        return answers + servers[current - 1].serve(run) if run else answers
+        start, end = 0, len(servers)
+        for stop in range(1, end + 1):
+            if stop == end or servers[stop] != servers[start]:  # the end of a run
+                answers += self.servers[servers[start] - 1].serve(functions[start:stop], xs[start:stop])
+                start = stop
+        return answers
 
     def close(self) -> None:
         self._closed = True
@@ -346,7 +350,7 @@ class TcpServerHost:
                 channel = _Channel(conn, QUERY_MAGIC)
                 while not self._closed:
                     seq, functions, ws = channel.read(check)
-                    answers = server.serve(list(zip(functions, ws)))
+                    answers = server.serve(functions, ws)
                     conn.sendall(encode_message(ANSWER_MAGIC, seq, l, (), answers))
                     channel.seq += len(ws)
             except (OSError, MalformedFrame, UnknownFunction, NonCanonicalElement):
@@ -396,18 +400,20 @@ class TcpTransport:
             raise ChannelClosed(f"cannot connect: {exc}") from exc
         self._closed = False
 
-    def query(self, rows) -> list[FieldVector]:
-        """Answers to rows [(server, function, w), ...], in row order; every
-        w of one call has the same length L."""
+    def query(self, servers, functions, xs) -> list[FieldVector]:
+        """Answers to an exchange given as columns, as SimTransport.query;
+        every x of one call has the same length L."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        l = len(rows[0][2]) if rows else 0
+        if not len(servers) == len(functions) == len(xs):  # slices would drop rows silently
+            raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
+        l = len(xs[0]) if xs else 0
         shares: dict[int, list] = {}
-        for index, (server, _, w) in enumerate(rows):
-            if len(w) != l:  # a frame has one L: refuse before anything is sent
-                raise DimensionMismatch(f"input has length {len(w)}, expected {l}")
+        for index, (server, x) in enumerate(zip(servers, xs)):
+            if len(x) != l:  # a frame has one L: refuse before anything is sent
+                raise DimensionMismatch(f"input has length {len(x)}, expected {l}")
             shares.setdefault(server, []).append(index)
-        answers: list = [None] * len(rows)
+        answers: list = [None] * len(xs)
         size = _rows_per_frame(l)
         frames = []
         server = 0
@@ -415,21 +421,21 @@ class TcpTransport:
             for server, indices in shares.items():
                 chunks = [indices[i:i + size] for i in range(0, len(indices), size)]
                 frames.append((server, chunks))
-                self._send(server, rows, chunks[0], l)
+                self._send(server, functions, xs, chunks[0], l)
             for server, chunks in frames:
                 for at, chunk in enumerate(chunks):
                     if at:
-                        self._send(server, rows, chunk, l)
+                        self._send(server, functions, xs, chunk, l)
                     self._receive(server, chunk, l, answers)
         except OSError as exc:
             raise ChannelClosed(f"server {server} connection failed: {exc}") from exc
         return answers
 
-    def _send(self, server: int, rows, chunk: list, l: int) -> None:
+    def _send(self, server: int, functions, xs, chunk: list, l: int) -> None:
         """Send the rows at indices `chunk` to `server` as one query frame."""
         channel = self._channels[server - 1]
-        functions, ws = [rows[i][1] for i in chunk], [rows[i][2] for i in chunk]
-        channel.sock.sendall(encode_message(QUERY_MAGIC, channel.seq, l, functions, ws))
+        functions, xs = [functions[i] for i in chunk], [xs[i] for i in chunk]
+        channel.sock.sendall(encode_message(QUERY_MAGIC, channel.seq, l, functions, xs))
 
     def _receive(self, server: int, chunk: list, l: int, answers: list) -> None:
         """Read the answer frame to `chunk`'s query frame into `answers`."""

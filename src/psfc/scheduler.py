@@ -315,8 +315,10 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
                         placeholder when mid is None;
       add(x, z)         x padded with mask z;
       sub(a, b)         a with the pad image b cancelled;
-      query(rows)       the answers F_f(x) to rows [(s, f, x), ...], an
-                        iterable in row order.
+      query(servers, functions, xs)  the answers F_f(x) to one exchange,
+                        an iterable in row order; its rows come as columns:
+                        plan.server[start:stop], plan.function[start:stop]
+                        and the list of inputs built for it.
     The plan runs one exchange of `plan.exchanges` per `query` call.
     All inputs of an exchange are built before any of its answers is
     stored, so a read of its own answers raises DependencyViolation, as
@@ -345,11 +347,9 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     servers, functions, kinds, sources = plan.server, plan.function, plan.source_kind, plan.source
     pads, effects, dests = plan.pad, plan.effect, plan.dest
     links, unset = plan.links, [None] * plan.chains
-    start = 0
-    for stop in plan.exchanges:
+    for start, stop in zip([0, *plan.exchanges], plan.exchanges):
         group = range(start, stop)
-        start = stop
-        rows = []
+        xs = []
         for i in group:
             kind = kinds[i]
             if kind == _REG:
@@ -363,10 +363,10 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
                 x = mask(sources[i])
             if pads[i] >= 0:
                 x = add(x, mask(pads[i]))
-            rows.append((servers[i], functions[i], x))
+            xs.append(x)
 
         regs[links:] = unset
-        for i, ans in zip(group, query(rows), strict=True):
+        for i, ans in zip(group, query(servers[start:stop], functions[start:stop], xs), strict=True):
             effect = effects[i]
             if effect == _STORE:
                 regs[dests[i]] = ans

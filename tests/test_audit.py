@@ -81,8 +81,9 @@ def test_exchange_size_check_fires_on_order_dependent_exchanges(monkeypatch):
         def __init__(self, inner):
             self.inner = inner
 
-        def query(self, rows):
-            return [a for row in rows for a in self.inner.query([row])]
+        def query(self, servers, functions, xs):
+            return [a for i in range(len(xs))
+                    for a in self.inner.query(servers[i:i + 1], functions[i:i + 1], xs[i:i + 1])]
 
     def leaky_run(config, sigma, w, transport):
         if sigma != Permutation.identity(config.k):
@@ -266,8 +267,8 @@ def _batch_eval_mod_p(plan, f_batch, w_batch, draw, p):
     """The reference evaluator: every value reduced by `% p`."""
     per_server = [[] for _ in range(plan.n)]
 
-    def query(rows):
-        for server, function, w in rows:
+    def query(servers, functions, xs):
+        for server, function, w in zip(servers, functions, xs):
             per_server[server - 1].append(w)
             yield np.einsum("...ij,...j->...i", f_batch[function - 1], w) % p
 

@@ -170,7 +170,13 @@ def test_report_queries_reconstruct_triples():
     sigma = Permutation.from_paper_order((2, 1))
     _, report = _run(config, functions, w, sigma)
     assert report.transcript == [(0, 1, 1), (1, 2, 2)]
-    assert [x for _, _, x in report.sent] == [w[0], mat_vec_mul(functions[0], w[0], 5)]
+    assert report.inputs == [w[0], mat_vec_mul(functions[0], w[0], 5)]
+
+
+def _projection(report, server: int) -> list:
+    """The client's record of what `server` was sent, as (function, input)
+    in send order, from the report's columns."""
+    return [(f, x) for s, f, x in zip(report.server, report.function, report.inputs) if s == server]
 
 
 def test_report_marginals_match_server_view():
@@ -178,9 +184,8 @@ def test_report_marginals_match_server_view():
     sigma = Permutation.from_paper_order((1, 3, 2))
     servers = [Server(i + 1, functions, 5) for i in range(2)]
     _, report = run_protocol(config, sigma, w, SimTransport(servers))
-    marginals = report.marginals()
     for server in servers:
-        assert marginals[server.id] == server.marginal.entries
+        assert _projection(report, server.id) == server.marginal.entries
 
 
 # -- canonical JSON, written from the columns --------------------------------------------
@@ -192,10 +197,9 @@ def _canonical(doc) -> str:
 
 def _report_doc(report) -> dict:
     """The run report as a document, built from the (server, function,
-    input) triples: the oracle for `RunReport.to_json`."""
-    marginals = {str(s): [] for s in range(1, report.n + 1)}
-    for server, function, x in report.sent:
-        marginals[str(server)].append([function, list(x)])
+    input) columns: the oracle for `RunReport.to_json`."""
+    marginals = {str(s): [[f, list(x)] for f, x in _projection(report, s)]
+                 for s in range(1, report.n + 1)}
     return {
         "config": {"k": report.k, "n": report.n, "m": report.m, "l": report.l,
                    "p": report.p, "seed": report.seed},
@@ -204,7 +208,7 @@ def _report_doc(report) -> dict:
         "d_k": report.d_k,
         "rate": {"num": report.rate[0], "den": report.rate[1]},
         "outputs": [list(v) for v in report.outputs],
-        "transcript": [[seq, server, function] for seq, (server, function, _) in enumerate(report.sent)],
+        "transcript": [[seq, s, f] for seq, (s, f) in enumerate(zip(report.server, report.function))],
         "marginals": marginals,
     }
 

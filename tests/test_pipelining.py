@@ -44,9 +44,9 @@ class _Counting:
         self.inner = inner
         self.sizes = []
 
-    def query(self, rows):
-        self.sizes.append(len(rows))
-        return self.inner.query(rows)
+    def query(self, servers, functions, xs):
+        self.sizes.append(len(xs))
+        return self.inner.query(servers, functions, xs)
 
 
 def _sim_and_tcp(k, n, m, l, sigma, seed=11, p=DEFAULT_MODULUS):
@@ -169,7 +169,7 @@ def _answer_then_drop(monkeypatch, answer):
     start = time.monotonic()
     try:
         with pytest.raises(ChannelClosed):
-            transport.query([(1, 1, (0,)), (1, 2, (1,)), (1, 3, (2,))])
+            transport.query([1, 1, 1], [1, 2, 3], [(0,), (1,), (2,)])
     finally:
         transport.close()
         thread.join(timeout=5)
@@ -221,7 +221,7 @@ def test_client_refuses_an_answer_header_before_its_body(header):
     start = time.monotonic()
     try:
         with pytest.raises(MalformedFrame):
-            transport.query([(1, 1, (0,))])
+            transport.query([1], [1], [(0,)])
         elapsed = time.monotonic() - start
     finally:
         release.set()
@@ -270,10 +270,10 @@ def test_window_keeps_a_large_block_from_deadlocking(monkeypatch):
     transport = TcpTransport([listener.getsockname()])
     transport._channels[0].sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
     transport._channels[0].sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-    rows = [(1, 1 + i % 3, tuple(range(i, i + 16))) for i in range(4096)]
+    xs = [tuple(range(i, i + 16)) for i in range(4096)]
     start = time.monotonic()
     try:
-        assert transport.query(rows) == [w for _, _, w in rows]
+        assert transport.query([1] * 4096, [1 + i % 3 for i in range(4096)], xs) == xs
     finally:
         transport.close()
         thread.join(timeout=5)

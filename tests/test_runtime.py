@@ -51,18 +51,18 @@ def _servers(k=3, n=2, l=1, p=5, seed=0):
 
 def test_serve_identity_function():
     server = Server(1, [((1, 0), (0, 1))], 5)
-    assert server.serve([(1, (3, 4))]) == [(3, 4)]
+    assert server.serve([1], [(3, 4)]) == [(3, 4)]
 
 
 def test_serve_scalar_example():
     server = Server(1, [((2,),), ((3,),)], 5)
-    assert server.serve([(2, (4,)), (1, (4,))]) == [(2,), (3,)]  # 3*4, 2*4 mod 5
+    assert server.serve([2, 1], [(4,), (4,)]) == [(2,), (3,)]  # 3*4, 2*4 mod 5
 
 
 def test_serve_appends_one_marginal_entry():
     server = Server(1, [((1,),)], 5)
     assert len(server.marginal) == 0
-    server.serve([(1, (2,))])
+    server.serve([1], [(2,)])
     assert len(server.marginal) == 1
     assert server.marginal.entries[0] == (1, (2,))
 
@@ -70,15 +70,15 @@ def test_serve_appends_one_marginal_entry():
 def test_serve_unknown_function():
     server = Server(1, [((1,),)], 5)
     with pytest.raises(UnknownFunction):
-        server.serve([(2, (1,))])
+        server.serve([2], [(1,)])
     with pytest.raises(UnknownFunction):
-        server.serve([(0, (1,))])
+        server.serve([0], [(1,)])
 
 
 def test_serve_dimension_check():
     server = Server(1, [((1, 0), (0, 1))], 5)
     with pytest.raises(DimensionMismatch):
-        server.serve([(1, (1,))])
+        server.serve([1], [(1,)])
 
 
 @pytest.mark.parametrize("l", [2, 16])  # the tuple path and the float64 kernel
@@ -87,9 +87,9 @@ def test_serve_rejects_noncanonical_elements(l):
     server = Server(1, generate_functions(1, l, p, Rng(1)), p)
     for bad in ((2**62,) * l, (p,) + (0,) * (l - 1), (0,) * (l - 1) + (-1,)):
         with pytest.raises(NonCanonicalElement):
-            server.serve([(1, bad)])
+            server.serve([1], [bad])
         with pytest.raises(NonCanonicalElement):
-            SimTransport([server]).query([(1, 1, bad)])
+            SimTransport([server]).query([1], [1], [bad])
     assert len(server.marginal) == 0
 
 
@@ -103,13 +103,13 @@ def test_refused_batch_records_nothing(last, error):
     # answered, so rows ahead of the bad last row leave no trace either.
     servers, _ = _servers(k=2, n=1, l=1, p=5)
     server = servers[0]
-    server.serve([(2, (4,))])
+    server.serve([2], [(4,)])
     before = list(server.marginal.entries)
-    batch = [(1, (1,)), (2, (3,)), last]
+    functions, ws = [1, 2, last[0]], [(1,), (3,), last[1]]
     with pytest.raises(error):
-        server.serve(batch)
+        server.serve(functions, ws)
     with pytest.raises(error):
-        SimTransport([server]).query([(1, function, w) for function, w in batch])
+        SimTransport([server]).query([1] * 3, functions, ws)
     assert server.marginal.entries == before
 
 
@@ -137,6 +137,11 @@ def _batches(k, l, p, max_size):
     return st.lists(st.tuples(st.integers(1, k), _vectors(l, p)), max_size=max_size)
 
 
+def _columns(batch):
+    """A batch of (function, w) pairs as serve's two columns."""
+    return [f for f, _ in batch], [w for _, w in batch]
+
+
 @BATCHES
 @given(
     data=st.data(),
@@ -149,9 +154,9 @@ def test_served_batch_equals_row_by_row_products(data, p, l, k, seed):
     functions = _uniform_functions(k, l, p, seed)
     server = Server(1, functions, p)
     assert isinstance(server._prepared[0], np.ndarray) == (l >= KERNEL_MIN_DIM and p < 2**31)
-    assert server.serve([]) == [] and len(server.marginal) == 0
+    assert server.serve([], []) == [] and len(server.marginal) == 0
     batch = data.draw(_batches(k, l, p, max_size=12))
-    answers = server.serve(batch)
+    answers = server.serve(*_columns(batch))
     assert answers == [mat_vec_mul(functions[f - 1], w, p) for f, w in batch]
     assert all(type(x) is int for answer in answers for x in answer)
     assert server.marginal.entries == batch
@@ -170,7 +175,7 @@ def test_refused_batch_raises_its_typed_error(data, p, l, k, fault):
     # numpy, through serve and through the sim transport, and no trace.
     functions = _uniform_functions(k, l, p, 7)
     server = Server(1, functions, p)
-    server.serve([(1, (0,) * l)])
+    server.serve([1], [(0,) * l])
     before = list(server.marginal.entries)
     batch = data.draw(_batches(k, l, p, max_size=6))
     function, w = data.draw(st.integers(1, k)), data.draw(_vectors(l, p))
@@ -184,9 +189,9 @@ def test_refused_batch_raises_its_typed_error(data, p, l, k, fault):
         w, error = w[:at] + (bad,) + w[at + 1 :], NonCanonicalElement
     batch.insert(data.draw(st.integers(0, len(batch))), (function, w))
     with pytest.raises(error):
-        server.serve(batch)
+        server.serve(*_columns(batch))
     with pytest.raises(error):
-        SimTransport([server]).query([(1, f, v) for f, v in batch])
+        SimTransport([server]).query([1] * len(batch), *_columns(batch))
     assert server.marginal.entries == before
 
 
@@ -195,9 +200,9 @@ class _CallLog(Server):
 
     __slots__ = ("calls",)
 
-    def serve(self, queries):
-        self.calls.append(len(queries))
-        return super().serve(queries)
+    def serve(self, functions, ws):
+        self.calls.append(len(ws))
+        return super().serve(functions, ws)
 
 
 def test_sim_transport_serves_each_run_in_one_call():
@@ -205,10 +210,10 @@ def test_sim_transport_serves_each_run_in_one_call():
     servers = [_CallLog(i + 1, functions, 5) for i in range(2)]
     for server in servers:
         server.calls = []
-    rows = [(1, 1, (1,)), (1, 2, (2,)), (2, 1, (3,)), (1, 1, (4,))]
-    answers = SimTransport(servers).query(rows)
+    fs, xs = [1, 2, 1, 1], [(1,), (2,), (3,), (4,)]
+    answers = SimTransport(servers).query([1, 1, 2, 1], fs, xs)
     assert [s.calls for s in servers] == [[2, 1], [1]]
-    assert answers == [mat_vec_mul(functions[f - 1], w, 5) for _, f, w in rows]
+    assert answers == [mat_vec_mul(functions[f - 1], x, 5) for f, x in zip(fs, xs)]
 
 
 @pytest.mark.parametrize("m, l, p", [(1, 1, 2), (5, 2, 3), (8001, 2, 2**61 - 1), (3, 64, DEFAULT_MODULUS)])
@@ -227,7 +232,7 @@ def test_generate_inputs_equals_one_draw_per_input(m, l, p):
 def test_fingerprint_projection():
     server = Server(1, [((1,),), ((1,),)], 5)
     assert marginal_fingerprint(server) == ()
-    server.serve([(2, (1,)), (1, (0,))])
+    server.serve([2, 1], [(1,), (0,)])
     assert marginal_fingerprint(server) == (2, 1)
 
 
@@ -254,7 +259,7 @@ def test_fingerprint_k4_n3_pattern():
 
 def test_marginal_to_json():
     server = Server(2, [((1,),)], 5)
-    server.serve([(1, (3,))])
+    server.serve([1], [(3,)])
     assert marginal_to_json(server) == '{"entries":[{"function":1,"input":[3]}],"server":2}'
 
 
@@ -264,7 +269,7 @@ def test_marginal_to_json():
 def test_sim_transport_fifo_per_server():
     servers, functions = _servers(k=2, n=2, l=1, p=5)
     transport = SimTransport(servers)
-    answers = transport.query([(1, 1, (1,)), (2, 2, (2,)), (1, 2, (3,))])
+    answers = transport.query([1, 2, 1], [1, 2, 2], [(1,), (2,), (3,)])
     assert answers == [mat_vec_mul(functions[0], (1,), 5), mat_vec_mul(functions[1], (2,), 5),
                        mat_vec_mul(functions[1], (3,), 5)]
     assert [f for f, _ in servers[0].marginal.entries] == [1, 2]
@@ -277,7 +282,7 @@ def test_sim_transport_closed():
     transport = SimTransport(servers)
     transport.close()
     with pytest.raises(ChannelClosed):
-        transport.query([(1, 1, (0,))])
+        transport.query([1], [1], [(0,)])
 
 
 # -- wire codec -------------------------------------------------------------------------
@@ -479,14 +484,14 @@ def test_tcp_transport_round_trip():
     host = TcpServerHost(servers)
     transport = TcpTransport(host.addresses)
     try:
-        answers = transport.query([(1, 1, (1, 0)), (2, 1, (0, 1)), (1, 2, (0, 1))])
+        answers = transport.query([1, 2, 1], [1, 1, 2], [(1, 0), (0, 1), (0, 1)])
         assert answers == [
             tuple(row[0] for row in functions[0]),
             tuple(row[1] for row in functions[0]),
             tuple(row[1] for row in functions[1]),
         ]
         # The next exchange continues each connection's seq numbering.
-        assert transport.query([(1, 1, (0, 1))]) == [tuple(row[1] for row in functions[0])]
+        assert transport.query([1], [1], [(0, 1)]) == [tuple(row[1] for row in functions[0])]
     finally:
         transport.close()
         host.close()
@@ -500,7 +505,7 @@ def test_tcp_transport_closed_raises():
     transport = TcpTransport(host.addresses)
     transport.close()
     with pytest.raises(ChannelClosed):
-        transport.query([(1, 1, (0,))])
+        transport.query([1], [1], [(0,)])
     host.close()
 
 
@@ -524,7 +529,7 @@ def test_tcp_rejects_noncanonical_kernel_input():
     transport = TcpTransport(host.addresses)
     try:
         with pytest.raises(ChannelClosed):
-            transport.query([(1, 1, (2**62,) * 16)])
+            transport.query([1], [1], [(2**62,) * 16])
     finally:
         transport.close()
         host.close()
@@ -580,15 +585,15 @@ def test_tcp_refuses_rows_of_unequal_length_before_sending():
     # elements of a frame of L = 2: the client refuses them, as the sim
     # servers do, before it sends a byte, so the connection stays in step.
     servers, functions = _servers(k=2, n=1, l=2, p=7, seed=5)
-    rows = [(1, 1, (1, 0)), (1, 2, (1,)), (1, 1, (0, 1, 1))]
+    exchange = [1, 1, 1], [1, 2, 1], [(1, 0), (1,), (0, 1, 1)]
     with pytest.raises(DimensionMismatch):
-        SimTransport(servers).query(rows)
+        SimTransport(servers).query(*exchange)
     host = TcpServerHost(servers)
     transport = TcpTransport(host.addresses)
     try:
         with pytest.raises(DimensionMismatch):
-            transport.query(rows)
-        assert transport.query([(1, 1, (0, 1))]) == [tuple(row[1] for row in functions[0])]
+            transport.query(*exchange)
+        assert transport.query([1], [1], [(0, 1)]) == [tuple(row[1] for row in functions[0])]
     finally:
         transport.close()
         host.close()
@@ -602,14 +607,14 @@ def test_tcp_host_close_stops_threads_with_a_client_connected():
     host = TcpServerHost(servers)
     transport = TcpTransport(host.addresses)
     try:
-        transport.query([(1, 1, (1, 0)), (2, 2, (0, 1))])
+        transport.query([1, 2], [1, 2], [(1, 0), (0, 1)])
         start = time.monotonic()
         host.close()
         elapsed = time.monotonic() - start
         assert not any(thread.is_alive() for thread in host._threads)
         assert elapsed < 0.5
         with pytest.raises(ChannelClosed):
-            transport.query([(1, 1, (1, 0))])
+            transport.query([1], [1], [(1, 0)])
     finally:
         transport.close()
 
@@ -621,7 +626,7 @@ def test_tcp_send_failure_names_its_server():
     try:
         transport._channels[1].sock.close()
         with pytest.raises(ChannelClosed, match="server 2 connection failed"):
-            transport.query([(1, 1, (1,)), (2, 1, (2,)), (3, 2, (3,))])
+            transport.query([1, 2, 3], [1, 1, 2], [(1,), (2,), (3,)])
     finally:
         transport.close()
         host.close()
@@ -637,7 +642,7 @@ def test_tcp_client_times_out_on_a_silent_host(monkeypatch):
         try:
             start = time.monotonic()
             with pytest.raises(ChannelClosed, match="server 1 connection failed"):
-                transport.query([(1, 1, (1, 2))])
+                transport.query([1], [1], [(1, 2)])
             assert time.monotonic() - start < 1.0
         finally:
             transport.close()
@@ -661,6 +666,87 @@ def test_tcp_host_rejects_garbage_frame():
         host.close()
 
 
+# -- exchanges as columns, on both transports ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry, short",
+    [("serve", 0), ("serve", 1), ("sim", 0), ("sim", 1), ("sim", 2),
+     ("tcp", 0), ("tcp", 1), ("tcp", 2)],
+)
+def test_columns_of_unequal_length_are_refused(entry, short):
+    # zip and slices would drop the unmatched rows without a word, so each
+    # entry point refuses columns of unequal length (here column `short`
+    # is one row short) before it sends or records anything.
+    servers, functions = _servers(k=2, n=2, l=2, p=7, seed=5)
+    for server in servers:
+        server.serve([2], [(1, 1)])
+    before = [list(server.marginal.entries) for server in servers]
+    columns = [[1, 2, 1], [1, 2, 2], [(1, 0), (0, 1), (1, 1)]]
+    follow = [[1], [1], [(0, 1)]]
+    host = TcpServerHost(servers) if entry == "tcp" else None
+    transport = TcpTransport(host.addresses) if host else SimTransport(servers)
+    query = transport.query
+    if entry == "serve":
+        columns, follow, query = columns[1:], follow[1:], servers[0].serve
+    columns[short] = columns[short][:-1]
+    try:
+        with pytest.raises(ValueError) as refused:
+            query(*columns)
+        assert refused.type is ValueError  # not a typed error of a row's own
+        assert [server.marginal.entries for server in servers] == before
+        # Nothing went out: the next exchange is answered in step.
+        assert query(*follow) == [tuple(row[1] for row in functions[0])]
+    finally:
+        transport.close()
+        if host:
+            host.close()
+    assert [server.marginal.entries for server in servers] == [before[0] + [(1, (0, 1))], before[1]]
+
+
+@st.composite
+def _exchange(draw, n, k, l, p):
+    """One exchange no plan makes, as (servers, functions, xs) columns:
+    0-8 rows, each for any server and any function, so one server's rows
+    can come in interleaved runs."""
+    rows = draw(st.lists(st.tuples(st.integers(1, n), st.integers(1, k), _vectors(l, p)),
+                         max_size=8))
+    return [s for s, _, _ in rows], [f for _, f, _ in rows], [x for _, _, x in rows]
+
+
+# Each example starts a TCP host and connects to it: 3 x 10 examples take
+# about 0.4 s on a 2-vCPU machine, within a 5 s budget for this test.
+@pytest.mark.parametrize(
+    "l, p", [(1, 3), (2, 2**61 - 1), (KERNEL_MIN_DIM, DEFAULT_MODULUS)],
+    ids=["tuple-p3", "tuple-p61", "kernel"],
+)
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_both_transports_answer_any_exchange_row_by_row(l, p, data, n, k, seed):
+    functions = _uniform_functions(k, l, p, seed)
+    exchanges = [data.draw(_exchange(n, k, l, p)) for _ in range(data.draw(st.integers(1, 3)))]
+    if n >= 2:  # server 1's rows in two runs around server 2's
+        exchanges.append(([1, 2, 1], [1, k, 1], [(0,) * l, (1,) * l, (p - 1,) * l]))
+    sim_servers = [Server(i + 1, functions, p) for i in range(n)]
+    tcp_servers = [Server(i + 1, functions, p) for i in range(n)]
+    assert sim_servers[0]._stacked == (l >= KERNEL_MIN_DIM and p < 2**31)
+    host = TcpServerHost(tcp_servers)
+    sim, tcp = SimTransport(sim_servers), TcpTransport(host.addresses)
+    try:
+        for servers, fs, xs in exchanges:
+            expected = [mat_vec_mul(functions[f - 1], x, p) for f, x in zip(fs, xs)]
+            assert sim.query(servers, fs, xs) == expected
+            assert tcp.query(servers, fs, xs) == expected
+    finally:
+        tcp.close()
+        host.close()
+    for server in range(1, n + 1):
+        rows = [(f, x) for servers, fs, xs in exchanges
+                for s, f, x in zip(servers, fs, xs) if s == server]
+        assert sim_servers[server - 1].marginal.entries == rows
+        assert tcp_servers[server - 1].marginal.entries == rows
+
+
 # -- the float64 kernel behind both transports -------------------------------------------
 
 
@@ -671,8 +757,8 @@ class _Recording:
         self.inner = inner
         self.answers = []
 
-    def query(self, rows):
-        answers = self.inner.query(rows)
+    def query(self, servers, functions, xs):
+        answers = self.inner.query(servers, functions, xs)
         self.answers.extend(answers)
         return answers
 

@@ -391,9 +391,9 @@ def check_feasibility(plan: QueryPlan) -> None:
     """
     blocks = iter(q.block for q in _rows(plan))
 
-    def query(rows):
+    def query(_servers, _functions, xs):
         answers = []
-        for _, _, value in rows:
+        for value in xs:
             block = next(blocks)
             if block:
                 assert value < block, f"block {block} reads a value of block {value}"
@@ -443,14 +443,17 @@ def test_run_plan_sends_a_block_per_call():
                     ends = plan.exchanges
                     assert all(a < b for a, b in zip(ends, ends[1:])) and ends[-1] == len(plan)
                     assert [b - a for a, b in zip([0] + ends, ends)] == expected, (k, n, m, sigma)
-                    sizes = []
+                    sent = []
 
-                    def query(rows):
-                        sizes.append(len(rows))
-                        return [0] * len(rows)
+                    def query(servers, functions, xs):
+                        sent.append((servers, functions, len(xs)))
+                        return [0] * len(xs)
 
                     run_plan(plan, [0] * m, lambda _mid: 0, max, max, query)
-                    assert sizes == expected
+                    # Each call's columns are the plan's own, sliced.
+                    assert sent == [(plan.server[a:b], plan.function[a:b], b - a)
+                                    for a, b in zip([0] + ends, ends)]
+                    assert [size for _, _, size in sent] == expected
 
 
 def test_run_plan_rejects_a_read_within_a_fallback_level():
