@@ -12,7 +12,6 @@ from .field import (
     DEFAULT_MODULUS,
     DimensionMismatch,
     InversionOfZero,
-    PrimeModulus,
     mat_vec_mul,
     rank,
     sample_invertible_matrix,

@@ -28,7 +28,6 @@ ints.  numpy loads with the first array, so tuple runs never load it.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 from typing import TYPE_CHECKING, Sequence, TypeAlias
@@ -40,7 +39,6 @@ if TYPE_CHECKING:  # annotations only: numpy loads where an array is made
 __all__ = [
     "DEFAULT_MODULUS",
     "MAX_MODULUS",
-    "PrimeModulus",
     "InversionOfZero",
     "DimensionMismatch",
     "SamplingExhausted",
@@ -119,25 +117,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A validated prime modulus p with 2 <= p < 2^61."""
-
-    p: int
-
-    def __post_init__(self):
-        if not isinstance(self.p, int) or not (2 <= self.p < MAX_MODULUS):
-            raise ValueError(f"modulus must be an integer in [2, 2^61): got {self.p!r}")
-        if not is_prime(self.p):
-            raise ValueError(f"modulus must be prime: got {self.p}")
-
-    def __int__(self) -> int:
-        return self.p
-
-    def __index__(self) -> int:
-        return self.p
 
 
 # -- scalar operations -------------------------------------------------------

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .field import FieldMatrix, FieldVector, PrimeModulus, mat_vec_mul
+from .field import MAX_MODULUS, FieldMatrix, FieldVector, is_prime, mat_vec_mul
 from .rand import Rng
 
 __all__ = [
@@ -163,4 +163,7 @@ class RunConfig:
     def __post_init__(self):
         if self.k < 1 or self.n < 1 or self.m < 1 or self.l < 1:
             raise ValueError("k, n, m, l must all be >= 1")
-        PrimeModulus(self.p)
+        if not isinstance(self.p, int) or not (2 <= self.p < MAX_MODULUS):
+            raise ValueError(f"modulus must be an integer in [2, 2^61): got {self.p!r}")
+        if not is_prime(self.p):
+            raise ValueError(f"modulus must be prime: got {self.p}")

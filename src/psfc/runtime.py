@@ -10,18 +10,19 @@ per-connection sequence number, its row count, L, and each row's
 Two interchangeable transports execute a run.  A transport call carries
 one exchange of the plan (a block, or one level of a request's chains)
 as three columns, `query(servers, functions, xs)`, and answers its rows
-in order; a server is asked for two, `serve(functions, ws)`.  Columns of
-unequal length are refused before anything is sent or recorded.
+in order; a server is asked for two, `serve(functions, ws)`.  Unequal
+columns, or a server outside [1..N], are refused before any row is served.
 
 * SimTransport: in-process, synchronous.  The default for tests and
   audits.  Each run of consecutive rows for one server is one `serve`
-  call, on slices of the columns.
+  call, on slices of the columns, and is all or nothing on its own.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
   per server.  Each server's share of an exchange goes as one query
   frame and comes back as one answer frame (more only past _WINDOW_BYTES
   of body); the host serves each frame's two columns in one `serve`
-  call.  Byte-for-byte the same RunReport as the simulated path for the
-  same (config, order, seed).
+  call.  An exchange of rows of unequal L is refused before it is sent;
+  one that fails part-way closes the transport.  Byte-for-byte the same
+  RunReport as the simulated path for the same (config, order, seed).
 
 A frame is a header (magic, the per-connection seq of its first row, its
 row count, L), then for queries one function index per row, then the
@@ -97,20 +98,13 @@ class Server:
         self.l = len(functions[0])
         self.marginal = MarginalQueryList(server=server_id)
 
-    def admit(self, function: int, dim: int) -> None:
-        """Refuse a query for an unknown function or of the wrong length."""
-        if not 1 <= function <= len(self._prepared):
-            raise UnknownFunction(f"function {function} not in [1..{len(self._prepared)}]")
-        if dim != self.l:
-            raise DimensionMismatch(f"input has length {dim}, expected {self.l}")
-
     def serve(self, functions, ws) -> list[FieldVector]:
         """Answer F_functions[i] ws[i] for each row i of two columns, in order.
 
         All of it is checked before any is recorded or returned, so a refused
         batch leaves the marginal list unchanged.  Tuple matrices take it row
         by row; on prepared arrays it is one stack, checked by one numpy
-        reduction, with one `mat_vec_mul` call per function.
+        reduction, with one `mat_vec_mul` call per run of rows of one function.
         """
         if len(functions) != len(ws):  # zip would drop the extra rows without a word
             raise ValueError(f"{len(functions)} functions for {len(ws)} inputs")
@@ -118,8 +112,10 @@ class Server:
         k = len(prepared)
         answers = []
         for function, w in zip(functions, ws):
-            if not (0 < function <= k and len(w) == l):
-                self.admit(function, len(w))
+            if not (0 < function <= k and len(w) == l):  # the one comparison a served row costs
+                if not 0 < function <= k:
+                    raise UnknownFunction(f"function {function} not in [1..{k}]")
+                raise DimensionMismatch(f"input has length {len(w)}, expected {l}")
             if not stacked:
                 for x in w:
                     if not 0 <= x < p:
@@ -134,12 +130,12 @@ class Server:
             if x is None or x.max() >= p:
                 bad = next(e for w in ws for e in w if not 0 <= e < p)
                 raise NonCanonicalElement(f"input element {bad} outside [0, {p})")
-            answers = [None] * len(ws)
-            for function in set(functions):
-                index = [i for i, f in enumerate(functions) if f == function]
-                rows = x[index] if len(index) < len(ws) else x
-                for i, row in zip(index, mat_vec_mul(prepared[function - 1], rows, p).tolist()):
-                    answers[i] = tuple(row)
+            start, end = 0, len(ws)
+            for stop in range(1, end + 1):
+                if stop == end or functions[stop] != functions[start]:  # the end of a run
+                    out = mat_vec_mul(prepared[functions[start] - 1], x[start:stop], p)  # a view
+                    answers += map(tuple, out.tolist())
+                    start = stop
         self.marginal.functions += functions
         self.marginal.inputs += ws
         return answers
@@ -177,7 +173,16 @@ def generate_inputs(m: int, l: int, p: int, rng: Rng) -> list[FieldVector]:
     return [elements[i * l : (i + 1) * l] for i in range(m)]
 
 
-# -- simulated transport -------------------------------------------------------
+# -- exchanges, and the simulated transport ------------------------------------
+
+
+def _check_exchange(servers, functions, xs, n: int) -> None:
+    """Refuse columns of unequal length, which slices would cut without a
+    word, and a server outside [1..n], whose index could reach another's view."""
+    if not len(servers) == len(functions) == len(xs):
+        raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
+    if servers and not (0 < min(servers) and max(servers) <= n):
+        raise ValueError(f"servers {min(servers)}..{max(servers)} not all in [1..{n}]")
 
 
 class SimTransport:
@@ -192,8 +197,7 @@ class SimTransport:
         servers[i] for F_functions[i] xs[i], in row order."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        if not len(servers) == len(functions) == len(xs):  # slices would drop rows silently
-            raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
+        _check_exchange(servers, functions, xs, len(self.servers))
         answers: list[FieldVector] = []
         start, end = 0, len(servers)
         for stop in range(1, end + 1):
@@ -321,10 +325,7 @@ class TcpServerHost:
         self._closed = False
         self.addresses: list[tuple[str, int]] = []
         for server in servers:
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listener.bind((host, 0))
-            listener.listen(1)
+            listener = socket.create_server((host, 0), backlog=1)
             self._listeners.append(listener)
             self.addresses.append(listener.getsockname())
             thread = threading.Thread(
@@ -405,8 +406,7 @@ class TcpTransport:
         every x of one call has the same length L."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        if not len(servers) == len(functions) == len(xs):  # slices would drop rows silently
-            raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
+        _check_exchange(servers, functions, xs, len(self._channels))
         l = len(xs[0]) if xs else 0
         shares: dict[int, list] = {}
         for index, (server, x) in enumerate(zip(servers, xs)):
@@ -415,20 +415,21 @@ class TcpTransport:
             shares.setdefault(server, []).append(index)
         answers: list = [None] * len(xs)
         size = _rows_per_frame(l)
-        frames = []
-        server = 0
+        frames = [(server, [indices[i:i + size] for i in range(0, len(indices), size)])
+                  for server, indices in shares.items()]
         try:
-            for server, indices in shares.items():
-                chunks = [indices[i:i + size] for i in range(0, len(indices), size)]
-                frames.append((server, chunks))
+            for server, chunks in frames:
                 self._send(server, functions, xs, chunks[0], l)
             for server, chunks in frames:
                 for at, chunk in enumerate(chunks):
                     if at:
                         self._send(server, functions, xs, chunk, l)
                     self._receive(server, chunk, l, answers)
-        except OSError as exc:
-            raise ChannelClosed(f"server {server} connection failed: {exc}") from exc
+        except BaseException as exc:
+            self.close()  # a connection may be out of step: its late answers must reach no call
+            if isinstance(exc, OSError):
+                raise ChannelClosed(f"server {server} connection failed: {exc}") from exc
+            raise
         return answers
 
     def _send(self, server: int, functions, xs, chunk: list, l: int) -> None:

@@ -25,7 +25,6 @@ from psfc.field import (
     KERNEL_MIN_DIM,
     DimensionMismatch,
     InversionOfZero,
-    PrimeModulus,
     _echelon_int64,
     _echelon_python,
     _limb_split,
@@ -49,7 +48,7 @@ KERNEL_PRIMES = (2, 3, 2**31 - 1)
 ECHELON_PRIMES = (2, 3, 5, 2**31 - 1)
 
 
-# -- primality and modulus validation -----------------------------------------
+# -- primality -----------------------------------------------------------------
 
 
 def test_is_prime_small():
@@ -63,17 +62,6 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**31)
     assert not is_prime((2**31 - 1) * 3)
-
-
-def test_prime_modulus_accepts_primes():
-    for p in PRIMES:
-        assert int(PrimeModulus(p)) == p
-
-
-def test_prime_modulus_rejects_bad_values():
-    for bad in (0, 1, 4, 9, 2**61, 2**62 + 1, -7):
-        with pytest.raises(ValueError):
-            PrimeModulus(bad)
 
 
 # -- scalar ops -----------------------------------------------------------------

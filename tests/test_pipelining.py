@@ -223,6 +223,8 @@ def test_client_refuses_an_answer_header_before_its_body(header):
         with pytest.raises(MalformedFrame):
             transport.query([1], [1], [(0,)])
         elapsed = time.monotonic() - start
+        with pytest.raises(ChannelClosed, match="transport is closed"):  # out of step
+            transport.query([1], [1], [(0,)])
     finally:
         release.set()
         transport.close()

@@ -669,19 +669,14 @@ def test_tcp_host_rejects_garbage_frame():
 # -- exchanges as columns, on both transports ------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "entry, short",
-    [("serve", 0), ("serve", 1), ("sim", 0), ("sim", 1), ("sim", 2),
-     ("tcp", 0), ("tcp", 1), ("tcp", 2)],
-)
-def test_columns_of_unequal_length_are_refused(entry, short):
-    # zip and slices would drop the unmatched rows without a word, so each
-    # entry point refuses columns of unequal length (here column `short`
-    # is one row short) before it sends or records anything.
+def _assert_refused_in_step(entry, short=None, server=None):
+    """Break an exchange (column `short` one row short, or its last row for
+    `server`), and check that `entry` refuses it with a plain ValueError
+    before it sends or records anything, and then answers the next one."""
     servers, functions = _servers(k=2, n=2, l=2, p=7, seed=5)
-    for server in servers:
-        server.serve([2], [(1, 1)])
-    before = [list(server.marginal.entries) for server in servers]
+    for each in servers:
+        each.serve([2], [(1, 1)])
+    before = [list(each.marginal.entries) for each in servers]
     columns = [[1, 2, 1], [1, 2, 2], [(1, 0), (0, 1), (1, 1)]]
     follow = [[1], [1], [(0, 1)]]
     host = TcpServerHost(servers) if entry == "tcp" else None
@@ -689,19 +684,65 @@ def test_columns_of_unequal_length_are_refused(entry, short):
     query = transport.query
     if entry == "serve":
         columns, follow, query = columns[1:], follow[1:], servers[0].serve
-    columns[short] = columns[short][:-1]
+    if short is None:
+        columns[0][-1] = server
+    else:
+        columns[short] = columns[short][:-1]
     try:
         with pytest.raises(ValueError) as refused:
             query(*columns)
         assert refused.type is ValueError  # not a typed error of a row's own
-        assert [server.marginal.entries for server in servers] == before
+        assert [each.marginal.entries for each in servers] == before
         # Nothing went out: the next exchange is answered in step.
         assert query(*follow) == [tuple(row[1] for row in functions[0])]
     finally:
         transport.close()
         if host:
             host.close()
-    assert [server.marginal.entries for server in servers] == [before[0] + [(1, (0, 1))], before[1]]
+    assert [each.marginal.entries for each in servers] == [before[0] + [(1, (0, 1))], before[1]]
+
+
+@pytest.mark.parametrize(
+    "entry, short",
+    [("serve", 0), ("serve", 1), ("sim", 0), ("sim", 1), ("sim", 2),
+     ("tcp", 0), ("tcp", 1), ("tcp", 2)],
+)
+def test_columns_of_unequal_length_are_refused(entry, short):
+    # zip and slices would drop the unmatched rows without a word.
+    _assert_refused_in_step(entry, short=short)
+
+
+@pytest.mark.parametrize("entry", ["sim", "tcp"])
+@pytest.mark.parametrize("server", [0, -1, 3])
+def test_servers_outside_one_to_n_are_refused(entry, server):
+    # At N = 2, server 0 or -1 indexes server 2's or server 1's list
+    # entry from the end, and server 3 none; over TCP the rows for servers
+    # 1 and 2 come first, so a late refusal would leave bytes on the wire.
+    _assert_refused_in_step(entry, server=server)
+
+
+@pytest.mark.parametrize(
+    "exchange, error",
+    [(([2, 1], [9, 2], [(1, 1), (1, 1)]), ChannelClosed),  # server 2 refuses function 9
+     (([1, 2], [2, 1], [(1, 1), (-1, 1)]), struct.error)],  # server 2's frame cannot be built
+    ids=["refused", "unencodable"],
+)
+def test_tcp_exchange_failing_part_way_closes_the_transport(exchange, error):
+    # Server 1 was sent F_2 (1, 1) = (2, 3) before the exchange failed at
+    # server 2.  That answer must never be read as the answer to a later
+    # call: the transport closes on the failure.
+    identity, diagonal = ((1, 0), (0, 1)), ((2, 0), (0, 3))
+    servers = [Server(i, [identity, diagonal], 7) for i in (1, 2)]
+    host = TcpServerHost(servers)
+    transport = TcpTransport(host.addresses)
+    try:
+        with pytest.raises(error):
+            transport.query(*exchange)
+        with pytest.raises(ChannelClosed, match="transport is closed"):
+            transport.query([1], [1], [(5, 5)])
+    finally:
+        transport.close()
+        host.close()
 
 
 @st.composite
