@@ -39,6 +39,7 @@ from psfc.field import (
     vec_add,
     vec_sub,
 )
+from psfc.protocol import RunConfig
 from psfc.rand import Rng
 
 PRIMES = [2, 3, 5, 7, DEFAULT_MODULUS]
@@ -48,7 +49,7 @@ KERNEL_PRIMES = (2, 3, 2**31 - 1)
 ECHELON_PRIMES = (2, 3, 5, 2**31 - 1)
 
 
-# -- primality -----------------------------------------------------------------
+# -- primality and modulus validation -----------------------------------------
 
 
 def test_is_prime_small():
@@ -62,6 +63,21 @@ def test_is_prime_large():
     assert is_prime(2**61 - 1)
     assert not is_prime(2**31)
     assert not is_prime((2**31 - 1) * 3)
+
+
+# The modulus is checked where it enters, in RunConfig, with is_prime and
+# the MAX_MODULUS bound.
+
+
+def test_prime_modulus_accepts_primes():
+    for p in (*PRIMES, 2**61 - 1):
+        assert RunConfig(k=2, n=2, m=1, l=1, p=p).p == p
+
+
+def test_prime_modulus_rejects_bad_values():
+    for bad in (0, 1, 4, 9, 2**61, 2**62 + 1, -7):
+        with pytest.raises(ValueError, match="modulus must be"):
+            RunConfig(k=2, n=2, m=1, l=1, p=bad)
 
 
 # -- scalar ops -----------------------------------------------------------------
