@@ -104,7 +104,7 @@ class Server:
         All of it is checked before any is recorded or returned, so a refused
         batch leaves the marginal list unchanged.  Tuple matrices take it row
         by row; on prepared arrays it is one stack, checked by one numpy
-        reduction, with one `mat_vec_mul` call per run of rows of one function.
+        reduction, with one `mat_vec_mul` call per function.
         """
         if len(functions) != len(ws):  # zip would drop the extra rows without a word
             raise ValueError(f"{len(functions)} functions for {len(ws)} inputs")
@@ -130,12 +130,12 @@ class Server:
             if x is None or x.max() >= p:
                 bad = next(e for w in ws for e in w if not 0 <= e < p)
                 raise NonCanonicalElement(f"input element {bad} outside [0, {p})")
-            start, end = 0, len(ws)
-            for stop in range(1, end + 1):
-                if stop == end or functions[stop] != functions[start]:  # the end of a run
-                    out = mat_vec_mul(prepared[functions[start] - 1], x[start:stop], p)  # a view
-                    answers += map(tuple, out.tolist())
-                    start = stop
+            answers = [None] * len(ws)
+            for function in set(functions):  # not per run: fallback levels interleave functions
+                index = [i for i, f in enumerate(functions) if f == function]
+                rows = x[index] if len(index) < len(ws) else x
+                for i, row in zip(index, mat_vec_mul(prepared[function - 1], rows, p).tolist()):
+                    answers[i] = tuple(row)
         self.marginal.functions += functions
         self.marginal.inputs += ws
         return answers
