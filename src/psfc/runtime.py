@@ -11,7 +11,8 @@ Two interchangeable transports execute a run.  A transport call carries
 one exchange of the plan (a block, or one level of a request's chains)
 as three columns, `query(servers, functions, xs)`, and answers its rows
 in order; a server is asked for two, `serve(functions, ws)`.  Unequal
-columns, or a server outside [1..N], are refused before any row is served.
+columns, a server outside [1..N], or rows of more than one L are refused
+before any row is served, on either transport.
 
 * SimTransport: in-process, synchronous.  The default for tests and
   audits.  Each run of consecutive rows for one server is one `serve`
@@ -20,9 +21,9 @@ columns, or a server outside [1..N], are refused before any row is served.
   per server.  Each server's share of an exchange goes as one query
   frame and comes back as one answer frame (more only past _WINDOW_BYTES
   of body); the host serves each frame's two columns in one `serve`
-  call.  An exchange of rows of unequal L is refused before it is sent;
-  one that fails part-way closes the transport.  Byte-for-byte the same
-  RunReport as the simulated path for the same (config, order, seed).
+  call.  A row no frame can hold raises a server's typed error; an
+  exchange that fails part-way closes the transport.  Byte-for-byte the
+  same RunReport as the simulated path for the same (config, order, seed).
 
 A frame is a header (magic, the per-connection seq of its first row, its
 row count, L), then for queries one function index per row, then the
@@ -178,11 +179,14 @@ def generate_inputs(m: int, l: int, p: int, rng: Rng) -> list[FieldVector]:
 
 def _check_exchange(servers, functions, xs, n: int) -> None:
     """Refuse columns of unequal length, which slices would cut without a
-    word, and a server outside [1..n], whose index could reach another's view."""
+    word, a server outside [1..n], whose index could reach another's view,
+    and rows of more than one L, which no frame can carry."""
     if not len(servers) == len(functions) == len(xs):
         raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
     if servers and not (0 < min(servers) and max(servers) <= n):
         raise ValueError(f"servers {min(servers)}..{max(servers)} not all in [1..{n}]")
+    if len(lengths := set(map(len, xs))) > 1:
+        raise DimensionMismatch(f"rows of lengths {sorted(lengths)} in one exchange")
 
 
 class SimTransport:
@@ -402,16 +406,13 @@ class TcpTransport:
         self._closed = False
 
     def query(self, servers, functions, xs) -> list[FieldVector]:
-        """Answers to an exchange given as columns, as SimTransport.query;
-        every x of one call has the same length L."""
+        """Answers to an exchange given as columns, as SimTransport.query."""
         if self._closed:
             raise ChannelClosed("transport is closed")
         _check_exchange(servers, functions, xs, len(self._channels))
         l = len(xs[0]) if xs else 0
         shares: dict[int, list] = {}
-        for index, (server, x) in enumerate(zip(servers, xs)):
-            if len(x) != l:  # a frame has one L: refuse before anything is sent
-                raise DimensionMismatch(f"input has length {len(x)}, expected {l}")
+        for index, server in enumerate(servers):
             shares.setdefault(server, []).append(index)
         answers: list = [None] * len(xs)
         size = _rows_per_frame(l)
@@ -433,10 +434,21 @@ class TcpTransport:
         return answers
 
     def _send(self, server: int, functions, xs, chunk: list, l: int) -> None:
-        """Send the rows at indices `chunk` to `server` as one query frame."""
+        """Send the rows at indices `chunk` to `server` as one query frame; a
+        row no frame can hold raises the typed error a server would."""
         channel = self._channels[server - 1]
         functions, xs = [functions[i] for i in chunk], [xs[i] for i in chunk]
-        channel.sock.sendall(encode_message(QUERY_MAGIC, channel.seq, l, functions, xs))
+        try:
+            frame = encode_message(QUERY_MAGIC, channel.seq, l, functions, xs)
+        except struct.error:
+            for function in functions:
+                if not 0 <= function < 1 << 16:
+                    raise UnknownFunction(f"function {function} does not fit a u16") from None
+            for x in chain.from_iterable(xs):
+                if not 0 <= x < 1 << 64:
+                    raise NonCanonicalElement(f"input element {x} does not fit a u64") from None
+            raise
+        channel.sock.sendall(frame)
 
     def _receive(self, server: int, chunk: list, l: int, answers: list) -> None:
         """Read the answer frame to `chunk`'s query frame into `answers`."""

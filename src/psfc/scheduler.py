@@ -36,17 +36,18 @@ Chains and the fallback share one shape: a request's chains are
 stepped level by level, step t of every chain in one exchange, so a
 request costs K exchanges either way.
 
-A plan is a register program: seven flat integer columns, one entry per
+A plan is a register program: five flat integer columns, one entry per
 query, that hold no nested objects (see QueryPlan), so a plan of 10^5
-queries is a handful of lists for the garbage collector to scan.  It
-also lists its exchanges, which only the emitters decide.  `run_plan` is
-the one interpreter of the plan, an exchange at a time.  It is written
-against a value backend (how to draw a pad, add it, cancel its image,
-and ask servers), so the client (field vectors), the audit (numpy trial
-stacks), the demo (symbolic terms) and the feasibility test (block
-numbers) all execute the same plan the same way.  Nothing
-order-dependent ever reaches a server except the input values
-themselves, which are distributed identically for every order.
+queries is a handful of lists for the garbage collector to scan.  A
+row's `source`, `pad` and `dest` say both what it is sent and what
+becomes of its answer.  The plan also lists its exchanges, which only
+the emitters decide.  `run_plan` is the one interpreter of the plan, an
+exchange at a time.  It is written against a value backend (how to draw
+a pad, add it, cancel its image, and ask servers), so the client (field
+vectors), the audit (numpy trial stacks), the demo (symbolic terms) and
+the feasibility test (block numbers) all execute the same plan the same
+way.  Nothing order-dependent ever reaches a server except the input
+values themselves, which are distributed identically for every order.
 """
 
 from __future__ import annotations
@@ -81,19 +82,14 @@ class MissingValue(RuntimeError):
     """Decoding found an unresolved output (a bug)."""
 
 
-# Source kinds (what the client sends):
-#   _REG     register `source`
-#   _MASK    the bare mask Z[source]
-#   _PH      placeholder `source`: a fresh uniform vector, drawn once
-# and, when pad >= 0, that value padded with the mask Z[pad].
-# Effects (what the client does with the answer):
-#   _STORE   store it in register `dest`
-#   _MASKED  a padded image: store it in `dest` once the image of Z[pad]
-#            is cancelled from it
-#   _IMAGE   it is the pad image of mask `dest`
-#   _DROP    camouflage answer, discarded (dest = -1)
-_REG, _MASK, _PH = 0, 1, 2
-_STORE, _MASKED, _IMAGE, _DROP = 0, 1, 2, 3
+# What a row sends: register `source` when source >= 0, a fresh uniform
+# placeholder when source is _FRESH, and the bare mask Z[pad] when source
+# is _MASK; a register or placeholder is padded with Z[pad] when pad >= 0.
+# What becomes of its answer: a row with dest >= 0 stores it in register
+# `dest`, once the image of Z[pad] is cancelled from it when padded; a
+# _MASK row's answer is the image of Z[pad]; any other answer is camouflage
+# and is dropped.
+_FRESH, _MASK = -1, -2
 
 
 @dataclass(frozen=True)
@@ -106,7 +102,9 @@ class QueryPlan:
     a request outside the blocks (`chains` of them).  A block task's
     step-K output is its request's output register, so the last step
     writes straight into place.  Column i of every list describes query
-    i (see the source kinds and effects above).
+    i: its server, its function, and the `source`, `pad` and `dest` that
+    say what it is sent and where its answer goes (see _FRESH and _MASK
+    above).
     """
 
     k: int
@@ -120,10 +118,8 @@ class QueryPlan:
     exchanges: list[int]  # the end row of each exchange: a block each, then a chain level each
     server: list[int]
     function: list[int]
-    source_kind: list[int]
     source: list[int]
     pad: list[int]
-    effect: list[int]
     dest: list[int]
 
     def __len__(self) -> int:
@@ -159,7 +155,7 @@ def _emit_blocks(cols, exchanges, sigma: Permutation, n: int, m: int, m_prime: i
     which depends only on (K, N): the function assignment is identical
     for every composition order.
     """
-    server, function, kind, source, pad, effect, dest = cols
+    server, function, source, pad, dest = cols
     k = sigma.size
     width, slots = n - 1, k - n
     phase1 = [srv for srv in range(1, n + 1) for _ in range(width)]
@@ -175,30 +171,23 @@ def _emit_blocks(cols, exchanges, sigma: Permutation, n: int, m: int, m_prime: i
     # base[s] + (batch-1)(N-1) + comp-1 is the register of a task's
     # step-s output: s = 0 names the raw input, s = K the output.
     base = [m] + [2 * m + s * m_prime * width for s in range(k - 1)] + [0]
-    ph = mid = 0
+    mid = 0
     for b in range(1, n_blocks + 1):
         for step, comp, i in tasks:
             batch = b - step + 1
             pad.append(i if i < 0 else mid + i)
             if 1 <= batch <= m_prime:
                 at = (batch - 1) * width + comp - 1
-                kind.append(_REG)
                 source.append(base[step - 1] + at)
-                effect.append(_STORE if i < 0 else _MASKED)
                 dest.append(base[step] + at)
             else:
-                kind.append(_PH)
-                source.append(ph)
-                ph += 1
-                effect.append(_DROP)
+                source.append(_FRESH)
                 dest.append(-1)
-        kind += [_MASK] * slots
-        source += range(mid, mid + slots)
-        pad += [-1] * slots
-        effect += [_IMAGE] * slots
-        dest += range(mid, mid + slots)
+        source += [_MASK] * slots
+        pad += range(mid, mid + slots)
+        dest += [-1] * slots
         mid += slots
-        exchanges.append(len(kind))
+        exchanges.append(len(source))
 
 
 def _emit_chains(cols, exchanges, sigma: Permutation, first: int, m: int, links: int,
@@ -217,7 +206,7 @@ def _emit_chains(cols, exchanges, sigma: Permutation, first: int, m: int, links:
     another.  Only the chain equal to sigma stores its last answer, in
     the request's output register; the others end in a dropped answer.
     """
-    server, function, kind, source, pad, effect, dest = cols
+    server, function, source, pad, dest = cols
     k = sigma.size
     chains = [c.mapping for c in enumerate_permutations(k)] if fallback else [sigma.mapping]
     count, mine = len(chains), chains.index(sigma.mapping)
@@ -225,17 +214,12 @@ def _emit_chains(cols, exchanges, sigma: Permutation, first: int, m: int, links:
     size = count * k
     servers = [1] * size if fallback else functions
     link = list(range(links, links + count))
-    last = [_DROP] * count
-    last[mine] = _STORE
-    effects = [_STORE] * (size - count) + last
     for w in range(first, m):
         exchanges += range(len(server) + count, len(server) + size + 1, count)
         server += servers
         function += functions
-        kind += [_REG] * size
         source += [m + w] * count + link * (k - 1)
         pad += [-1] * size
-        effect += effects
         dest += link * (k - 1) + [-1] * mine + [w] + [-1] * (count - 1 - mine)
     return count
 
@@ -260,7 +244,7 @@ def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     fallback = k > n
     m_prime, r, n_blocks = _shape(k, n, m)
     links = 2 * m + (k - 1) * m_prime * (n - 1)
-    cols: tuple[list[int], ...] = ([], [], [], [], [], [], [])
+    cols: tuple[list[int], ...] = ([], [], [], [], [])
     exchanges: list[int] = []
     _emit_blocks(cols, exchanges, sigma, n, m, m_prime, n_blocks)
     first = m - r if fallback else 0
@@ -327,9 +311,12 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     once an exchange's inputs are built, so a read of an older link,
     such as an earlier request's, raises too.  Masks and placeholders
     are drawn at first use, in plan order, a padded placeholder before
-    its mask, so a seeded backend sees one fixed sequence of draws.  A
-    padded answer waits until its block returns the mask's image, which
-    comes last in the block.  The interpreter owns all plan state: the
+    its mask, so a seeded backend sees one fixed sequence of draws.  An
+    answer goes where its row's `dest` says: into that register, or, from
+    a bare-mask row, to cancel the mask's image from the padded answers
+    waiting on it; a padded answer waits until its block returns that
+    image, which comes last in the block.  Any other answer is dropped.
+    The interpreter owns all plan state: the
     registers, masks and pending unmasks.
     """
     m = plan.m
@@ -344,38 +331,36 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
             z = masks[mid] = draw(mid)
         return z
 
-    servers, functions, kinds, sources = plan.server, plan.function, plan.source_kind, plan.source
-    pads, effects, dests = plan.pad, plan.effect, plan.dest
+    servers, functions = plan.server, plan.function
+    sources, pads, dests = plan.source, plan.pad, plan.dest
     links, unset = plan.links, [None] * plan.chains
     for start, stop in zip([0, *plan.exchanges], plan.exchanges):
         group = range(start, stop)
         xs = []
         for i in group:
-            kind = kinds[i]
-            if kind == _REG:
-                x = regs[sources[i]]
-                if x is None:
-                    name = plan.register_name(sources[i])
-                    raise DependencyViolation(f"{name} is referenced before it is resolved")
-            elif kind == _PH:
-                x = draw(None)
-            else:
-                x = mask(sources[i])
-            if pads[i] >= 0:
-                x = add(x, mask(pads[i]))
+            source, pad = sources[i], pads[i]
+            if source == _MASK:
+                xs.append(mask(pad))
+                continue
+            x = draw(None) if source == _FRESH else regs[source]
+            if x is None:
+                name = plan.register_name(source)
+                raise DependencyViolation(f"{name} is referenced before it is resolved")
+            if pad >= 0:
+                x = add(x, mask(pad))
             xs.append(x)
 
         regs[links:] = unset
         for i, ans in zip(group, query(servers[start:stop], functions[start:stop], xs), strict=True):
-            effect = effects[i]
-            if effect == _STORE:
-                regs[dests[i]] = ans
-            elif effect == _MASKED:
-                pending.setdefault(pads[i], []).append((dests[i], ans))
-            elif effect == _IMAGE:
-                for dest, masked in pending.pop(dests[i], ()):
-                    regs[dest] = sub(masked, ans)
-            # _DROP: camouflage answer, nothing to do
+            dest, pad = dests[i], pads[i]
+            if dest >= 0:
+                if pad < 0:
+                    regs[dest] = ans
+                else:  # a padded image: stored once its mask's image is back
+                    pending.setdefault(pad, []).append((dest, ans))
+            elif sources[i] == _MASK:
+                for reg, masked in pending.pop(pad, ()):
+                    regs[reg] = sub(masked, ans)
 
     outputs = regs[:m]
     missing = [i for i, value in enumerate(outputs) if value is None]

@@ -670,28 +670,33 @@ def test_tcp_host_rejects_garbage_frame():
 
 
 def _assert_refused_in_step(entry, short=None, server=None):
-    """Break an exchange (column `short` one row short, or its last row for
-    `server`), and check that `entry` refuses it with a plain ValueError
-    before it sends or records anything, and then answers the next one."""
+    """Break an exchange (column `short` one row short, its last row for
+    `server`, or, given neither, rows of lengths 2 and 1), and check that
+    `entry` refuses it before it sends or records anything, and then
+    answers the next one.  A broken column or server is a plain
+    ValueError, rows of two lengths a DimensionMismatch."""
     servers, functions = _servers(k=2, n=2, l=2, p=7, seed=5)
     for each in servers:
         each.serve([2], [(1, 1)])
     before = [list(each.marginal.entries) for each in servers]
     columns = [[1, 2, 1], [1, 2, 2], [(1, 0), (0, 1), (1, 1)]]
+    error = ValueError  # not a typed error of a row's own
+    if short is None and server is None:
+        columns, error = [[1, 2], [1, 1], [(1, 0), (1,)]], DimensionMismatch
     follow = [[1], [1], [(0, 1)]]
     host = TcpServerHost(servers) if entry == "tcp" else None
     transport = TcpTransport(host.addresses) if host else SimTransport(servers)
     query = transport.query
     if entry == "serve":
         columns, follow, query = columns[1:], follow[1:], servers[0].serve
-    if short is None:
-        columns[0][-1] = server
-    else:
+    if short is not None:
         columns[short] = columns[short][:-1]
+    elif server is not None:
+        columns[0][-1] = server
     try:
         with pytest.raises(ValueError) as refused:
             query(*columns)
-        assert refused.type is ValueError  # not a typed error of a row's own
+        assert refused.type is error
         assert [each.marginal.entries for each in servers] == before
         # Nothing went out: the next exchange is answered in step.
         assert query(*follow) == [tuple(row[1] for row in functions[0])]
@@ -721,11 +726,40 @@ def test_servers_outside_one_to_n_are_refused(entry, server):
     _assert_refused_in_step(entry, server=server)
 
 
+@pytest.mark.parametrize("entry", ["serve", "sim", "tcp"])
+def test_rows_of_two_lengths_are_refused(entry):
+    # A frame has one L, so both transports refuse an exchange of two
+    # before any row is served: sim would otherwise record server 1's run.
+    _assert_refused_in_step(entry)
+
+
+@pytest.mark.parametrize("entry", ["sim", "tcp"])
+@pytest.mark.parametrize(
+    "exchange, error",
+    [(([1], [1], [(-1, 0)]), NonCanonicalElement),
+     (([1], [1], [(2**64, 0)]), NonCanonicalElement),
+     (([1], [70000], [(1, 0)]), UnknownFunction)],
+    ids=["negative", "past-u64", "past-u16"],
+)
+def test_rows_no_frame_can_hold_raise_the_typed_error(entry, exchange, error):
+    # TCP cannot encode these rows; it raises what a sim server raises.
+    servers, _ = _servers(k=1, n=1, l=2, p=7)
+    host = TcpServerHost(servers) if entry == "tcp" else None
+    transport = TcpTransport(host.addresses) if host else SimTransport(servers)
+    try:
+        with pytest.raises(error):
+            transport.query(*exchange)
+    finally:
+        transport.close()
+        if host:
+            host.close()
+    assert len(servers[0].marginal) == 0
+
+
 @pytest.mark.parametrize(
     "exchange, error",
     [(([2, 1], [9, 2], [(1, 1), (1, 1)]), ChannelClosed),  # server 2 refuses function 9
-     # Server 2's frame cannot be built; which error says so is not this test's concern.
-     (([1, 2], [2, 1], [(1, 1), (-1, 1)]), (struct.error, NonCanonicalElement))],
+     (([1, 2], [2, 1], [(1, 1), (-1, 1)]), NonCanonicalElement)],  # server 2's frame cannot be built
     ids=["refused", "unencodable"],
 )
 def test_tcp_exchange_failing_part_way_closes_the_transport(exchange, error):

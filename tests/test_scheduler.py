@@ -7,6 +7,7 @@ per-server function-column summary of that scheme.
 
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 from itertools import permutations
 from math import factorial
@@ -24,12 +25,8 @@ from psfc.scheduler import (
     DependencyViolation,
     InvalidRegime,
     QueryPlan,
-    _IMAGE,
+    _FRESH,
     _MASK,
-    _MASKED,
-    _PH,
-    _REG,
-    _STORE,
     build_plan,
     query_count,
     run_plan,
@@ -78,7 +75,7 @@ def test_build_blocks_regime_errors():
     for k, n, m in ((2, 2, 1), (3, 1, 1), (4, 3, 1)):
         plan = build_plan(k, n, m, Permutation.identity(k))
         assert plan.n_blocks == plan.m_prime == plan.masks == 0
-        assert _PH not in plan.source_kind
+        assert _FRESH not in plan.source
         assert all(q.block == 0 for q in _rows(plan))
     assert all(q.server == q.function for q in _rows(build_plan(2, 2, 1, Permutation.identity(2))))
     assert all(q.server == 1 for q in _rows(build_plan(4, 3, 1, Permutation.identity(4))))
@@ -166,22 +163,26 @@ class PlannedQuery(NamedTuple):
 
 
 def _rows(plan) -> list[PlannedQuery]:
-    """The plan's columns as readable rows, in plan order."""
+    """The plan's columns as readable rows, in plan order, with the
+    placeholders numbered in row order."""
     name = plan.register_name
     width = plan.n * (plan.k - 1)
-    rows = []
-    columns = zip(plan.server, plan.function, plan.source_kind, plan.source,
-                  plan.pad, plan.effect, plan.dest)
-    for i, (server, function, kind, source, pad, effect, dest) in enumerate(columns):
-        expr = name(source) if kind == _REG else ("mask" if kind == _MASK else "ph", source)
-        if pad >= 0:
-            expr = ("xor", expr, pad)
-        if effect == _STORE:
-            done = name(dest)
-        elif effect == _MASKED:
-            done = ("masked",) + name(dest)[1:] + (pad,)
+    rows, ph = [], 0
+    columns = zip(plan.server, plan.function, plan.source, plan.pad, plan.dest)
+    for i, (server, function, source, pad, dest) in enumerate(columns):
+        if source == _MASK:
+            expr, done = ("mask", pad), ("img", pad)
         else:
-            done = ("img", dest) if effect == _IMAGE else ("drop",)
+            if source == _FRESH:
+                expr, ph = ("ph", ph), ph + 1
+            else:
+                expr = name(source)
+            if pad >= 0:
+                expr = ("xor", expr, pad)
+            if dest < 0:
+                done = ("drop",)
+            else:
+                done = name(dest) if pad < 0 else ("masked",) + name(dest)[1:] + (pad,)
         block = i // width + 1 if i < plan.n_blocks * width else 0
         rows.append(PlannedQuery(server, function, expr, done, block))
     return rows
@@ -261,7 +262,7 @@ def test_plan_vectors_matches_reference_plan():
                     assert _rows(plan) == rows, (k, n, m, sigma)
                     assert {key: _mask_id(plan, *key) for key in mask_ids} == mask_ids
                     assert plan.masks == len(mask_ids)
-                    assert plan.source_kind.count(_PH) == ph
+                    assert plan.source.count(_FRESH) == ph
 
 
 # -- chain scheme ---------------------------------------------------------------
@@ -508,15 +509,30 @@ def test_mask_usage_exactly_n_queries_per_block():
 
 
 def test_placeholders_never_reused():
+    # The plan does not number its placeholders: run_plan draws one for
+    # each placeholder row.  A value is a tuple of terms, and every server
+    # answers with its input, so each row sent shows the draws in it.
     for sigma in enumerate_permutations(4):
         plan = build_plan(4, 3, 2, sigma)
-        seen = set()
-        for q in _rows(plan):
-            for expr in (q.expr, q.expr[1] if q.expr[0] == "xor" else None):
-                if expr and expr[0] == "ph":
-                    assert expr[1] not in seen
-                    seen.add(expr[1])
-        assert len(seen) == plan.source_kind.count(_PH)
+        draws, sent = [], []
+
+        def draw(mid):
+            if mid is not None:
+                return (("mask", mid),)
+            draws.append(("ph", len(draws)))
+            return (draws[-1],)
+
+        def query(_servers, _functions, xs):
+            sent.extend(xs)
+            return xs
+
+        run_plan(plan, [(("w", i),) for i in range(plan.m)], draw, lambda x, z: x + z,
+                 lambda a, b: tuple(t for t in a if t not in b), query)
+        placeholders = [i for i, source in enumerate(plan.source) if source == _FRESH]
+        fresh = [[t for t in sent[i] if t[0] == "ph"] for i in placeholders]
+        assert all(len(terms) == 1 for terms in fresh)
+        assert sorted(terms[0] for terms in fresh) == draws
+        assert len(draws) == len(placeholders)
 
 
 def test_task_completion_follows_block_diagonal():
@@ -593,6 +609,24 @@ def test_plan_build_allocates_no_per_query_objects():
     plan = build_plan(5, 3, 8001, sigma)
     assert len(plan) == query_count(5, 3, 8001)
     assert len(gc.get_objects()) - before < 1_000
+
+
+# The most tracemalloc may see held by one plan, in bytes per query, at
+# (K, N, M) = (5, 3, 2001).  With seven columns the plan held 133; with
+# five, 112.
+PLAN_BUDGET_PER_QUERY = 120
+
+
+def test_plan_stays_within_the_memory_budget():
+    sigma = Permutation((3, 5, 1, 4, 2))
+    tracemalloc.start()
+    try:
+        plan = build_plan(5, 3, 2001, sigma)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan) == query_count(5, 3, 2001) == 12648
+    assert held / len(plan) <= PLAN_BUDGET_PER_QUERY, f"{held / len(plan):.1f} bytes per query"
 
 
 FIELDS = [(3, 1), (2**31 - 1, 12), (2**61 - 1, 2)]  # tuple path, float64 kernel, 61-bit
