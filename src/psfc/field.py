@@ -5,18 +5,16 @@ operation boundary), vectors are tuples of ints and matrices tuples of
 row tuples: overflow-free for any supported modulus, and safe to share
 across threads.
 
-A server converts each matrix once with `prepare_matrix`.  When p < 2^31
-and L >= KERNEL_MIN_DIM, that is a float64 array of the transposed
-matrix's b-bit limbs, and `mat_vec_mul` multiplies a vector, or a stack
-of them, by every limb in one BLAS product, then reduces mod p once per
-limb, after whole-row sums (delayed reduction, after Dumas, Giorgi and
-Pernet, "Dense linear algebra over word-size prime fields: the FFLAS and
-FFPACK packages", ACM TOMS 35(3), 2008).  b is the widest limb with
-L (2^31 - 1)(2^b - 1) < 2^53 (16 bits up to L = 64), so every partial
-sum is an integer a double holds exactly, whatever order or fused
-multiply-adds the BLAS uses.  Smaller L, where numpy's per-call cost
-outweighs the gain, and p >= 2^31 keep tuples; one vector's product is a
-tuple of ints on either path.
+Servers multiply through one of two kernels.  Below L = KERNEL_MIN_DIM,
+`row_kernel(L)` answers a batch in one loop of L unrolled sums a row,
+compiled once per L.  When p < 2^31 and L >= KERNEL_MIN_DIM,
+`prepare_matrix` makes a float64 array of the transposed matrix's b-bit
+limbs, and `mat_vec_mul` multiplies a vector, or a stack of them, by
+every limb in one BLAS product, then reduces mod p once per limb, after
+whole-row sums (delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS
+35(3), 2008).  b is the widest limb with L (2^31 - 1)(2^b - 1) < 2^53,
+so every partial sum is an integer a double holds exactly, whatever
+order the BLAS sums in.  Larger L at p >= 2^31 keep tuples.
 
 `echelon` is the one row reduction; `rank` is its basis's length.  It
 works on int64 arrays (products of residues stay below 2^62) when
@@ -48,6 +46,7 @@ __all__ = [
     "vec_sub",
     "prepare_matrix",
     "mat_vec_mul",
+    "row_kernel",
     "rank",
     "echelon",
     "sample_uniform_vector",
@@ -144,10 +143,6 @@ def vec_sub(u: FieldVector, v: FieldVector, p: int) -> FieldVector:
     return tuple([(a - b) % p for a, b in zip(u, v)])
 
 
-def _kernel_applies(l: int, p: int) -> bool:
-    return p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= l < KERNEL_MAX_DIM
-
-
 def _limb_split(l: int, p: int) -> tuple[int, int]:
     """(b, n): the widest b with l (2^31 - 1)(2^b - 1) < 2^53, and n b-bit limbs < p."""
     b = 53 - 31 - (l - 1).bit_length()
@@ -160,7 +155,7 @@ def prepare_matrix(a: FieldMatrix, p: int) -> PreparedMatrix:
     Where the exact kernel applies, an (L x nL) float64 array whose j-th L
     columns are limb j of `a`'s transpose, most significant first.
     """
-    if _kernel_applies(len(a), p):
+    if p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= len(a) < KERNEL_MAX_DIM:
         import numpy as np
         b, n = _limb_split(len(a), p)
         t = np.array(a, dtype=np.int64).T
@@ -193,6 +188,28 @@ def mat_vec_mul(a: PreparedMatrix, w, p: int) -> FieldVector | np.ndarray:
     for row in a:
         out.append(sum(map(mul, row, w)) % p)
     return tuple(out)
+
+
+@lru_cache(maxsize=KERNEL_MIN_DIM)  # servers build it for L < KERNEL_MIN_DIM only
+def row_kernel(l: int):
+    """`kernel(matrices, functions, ws, p)`: [matrices[f] w mod p for each row
+    (f, w)] in one loop with no call a row, or None at a row with an unknown f,
+    another length or an element outside [0, p); its source depends on L alone."""
+    w = [f"w{j}" for j in range(l)]
+    a = [[f"a{i}_{j}" for j in range(l)] for i in range(l)]
+    namespace: dict = {}
+    exec(f"""def kernel(matrices, functions, ws, p):
+    out = []
+    try:  # a KeyError is an unknown function, a ValueError a row of another length
+        for f, ({', '.join(w)},) in zip(functions, ws):
+            if not ({' and '.join(f'0 <= {x} < p' for x in w)}):
+                return None
+            ({''.join(f"({', '.join(r)},), " for r in a)}) = matrices[f]
+            out.append(({''.join(f"({' + '.join(map('{} * {}'.format, r, w))}) % p, " for r in a)}))
+    except (KeyError, ValueError):
+        return None
+    return out""", namespace)
+    return namespace["kernel"]
 
 
 def rank(vectors: Sequence[FieldVector], p: int) -> int:

@@ -10,28 +10,27 @@ per-connection sequence number, its row count, L, and each row's
 Two interchangeable transports execute a run.  A transport call carries
 one exchange of the plan (a block, or one level of a request's chains)
 as three columns, `query(servers, functions, xs)`, and answers its rows
-in order; a server is asked for two, `serve(functions, ws)`.  Unequal
-columns, a server outside [1..N], or rows of more than one L are refused
-before any row is served, on either transport.
+in order.  Both split it by `_shares`, after refusing unequal columns, a
+server outside [1..N] or rows of more than one L: each server's share,
+in plan order, is one `serve(functions, ws)` call, all or nothing, by the
+routine the server picked from (L, p): a compiled row kernel, the float64
+kernel, or a checked loop over the rows.
 
-* SimTransport: in-process, synchronous.  The default for tests and
-  audits.  Each run of consecutive rows for one server is one `serve`
-  call, on slices of the columns, and is all or nothing on its own.
+* SimTransport: in-process, synchronous; the default for tests and audits.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
-  per server.  Each server's share of an exchange goes as one query
-  frame and comes back as one answer frame (more only past _WINDOW_BYTES
-  of body); the host serves each frame's two columns in one `serve`
-  call.  A row no frame can hold raises a server's typed error; an
-  exchange that fails part-way closes the transport.  Byte-for-byte the
-  same RunReport as the simulated path for the same (config, order, seed).
+  per server.  A share goes as one query frame and comes back as one
+  answer frame (more only past _WINDOW_BYTES of body).  A row no frame
+  can hold raises a server's typed error; an exchange that fails
+  part-way closes the transport.  Byte-for-byte the same RunReport as
+  the simulated path for the same (config, order, seed).
 
 A frame is a header (magic, the per-connection seq of its first row, its
 row count, L), then for queries one function index per row, then the
-rows' elements.  Each direction carries one frame kind.  Each end reads
-its kind through one `_Channel` (socket, receive buffer, next sequence
-number) and one pure parser, `_parse_frame`, which refuses any other
-magic on its first bytes and lets the reader check a header before the
-body is awaited.  Every frame is built by `encode_message`.
+rows' elements.  Each end reads its one frame kind through a `_Channel`
+(socket with a send and receive deadline, receive buffer, next seq) and
+one pure parser, `_parse_frame`, which refuses any other magic on its
+first bytes and lets the reader check a header before the body is
+awaited.  Every frame is built by `encode_message`.
 """
 
 from __future__ import annotations
@@ -42,11 +41,13 @@ import threading
 from itertools import chain
 
 from .field import (
+    KERNEL_MIN_DIM,
     DimensionMismatch,
     FieldMatrix,
     FieldVector,
     mat_vec_mul,
     prepare_matrix,
+    row_kernel,
     sample_invertible_matrix,
     sample_uniform_vector,
 )
@@ -89,57 +90,62 @@ class MalformedFrame(ValueError):
 class Server:
     """One honest-but-curious server: computes F_k w and records its view."""
 
-    __slots__ = ("id", "p", "l", "marginal", "_prepared", "_stacked")
+    __slots__ = ("id", "p", "l", "marginal", "_matrices", "_product")
 
     def __init__(self, server_id: int, functions: list[FieldMatrix], p: int):
         self.id = server_id
-        self._prepared = [prepare_matrix(a, p) for a in functions]
-        self._stacked = self._prepared[0] is not functions[0]  # prepare_matrix made arrays
         self.p = p
         self.l = len(functions[0])
+        self._matrices = {f: prepare_matrix(a, p) for f, a in enumerate(functions, 1)}
+        # The row kernel, the float64 kernel on arrays, or none: tuples at p >= 2^31.
+        self._product = (row_kernel(self.l) if self.l < KERNEL_MIN_DIM
+                         else _serve_stacked if self._matrices[1] is not functions[0] else None)
         self.marginal = MarginalQueryList(server=server_id)
 
     def serve(self, functions, ws) -> list[FieldVector]:
         """Answer F_functions[i] ws[i] for each row i of two columns, in order.
 
-        All of it is checked before any is recorded or returned, so a refused
-        batch leaves the marginal list unchanged.  Tuple matrices take it row
-        by row; on prepared arrays it is one stack, checked by one numpy
-        reduction, with one `mat_vec_mul` call per function.
+        All of it is checked before any is recorded or returned.  The batch
+        routine admits and answers it whole, or returns None; then the rows
+        are checked and multiplied in turn, and a bad one raises its typed error.
         """
         if len(functions) != len(ws):  # zip would drop the extra rows without a word
             raise ValueError(f"{len(functions)} functions for {len(ws)} inputs")
-        p, l, prepared, stacked = self.p, self.l, self._prepared, self._stacked
-        k = len(prepared)
-        answers = []
-        for function, w in zip(functions, ws):
-            if not (0 < function <= k and len(w) == l):  # the one comparison a served row costs
-                if not 0 < function <= k:
-                    raise UnknownFunction(f"function {function} not in [1..{k}]")
-                raise DimensionMismatch(f"input has length {len(w)}, expected {l}")
-            if not stacked:
+        p, matrices = self.p, self._matrices
+        answers = self._product and self._product(matrices, functions, ws, p)
+        if answers is None:
+            answers = []
+            for function, w in zip(functions, ws):
+                if (matrix := matrices.get(function)) is None:  # 0 and -1 too, not the last ones
+                    raise UnknownFunction(f"function {function} not in [1..{len(matrices)}]")
+                if len(w) != self.l:
+                    raise DimensionMismatch(f"input has length {len(w)}, expected {self.l}")
                 for x in w:
                     if not 0 <= x < p:
                         raise NonCanonicalElement(f"input element {x} outside [0, {p})")
-                answers.append(mat_vec_mul(prepared[function - 1], w, p))
-        if stacked and ws:
-            import numpy as np
-            try:  # numpy refuses an element below 0 or from 2^64 on
-                x = np.array(ws, dtype=np.uint64)
-            except OverflowError:
-                x = None
-            if x is None or x.max() >= p:
-                bad = next(e for w in ws for e in w if not 0 <= e < p)
-                raise NonCanonicalElement(f"input element {bad} outside [0, {p})")
-            answers = [None] * len(ws)
-            for function in set(functions):  # not per run: fallback levels interleave functions
-                index = [i for i, f in enumerate(functions) if f == function]
-                rows = x[index] if len(index) < len(ws) else x
-                for i, row in zip(index, mat_vec_mul(prepared[function - 1], rows, p).tolist()):
-                    answers[i] = tuple(row)
+                answers.append(mat_vec_mul(matrix, w, p))
         self.marginal.functions += functions
         self.marginal.inputs += ws
         return answers
+
+
+def _serve_stacked(matrices, functions, ws, p):
+    """A batch on float64 arrays, admitted as one uint64 stack by one numpy
+    reduction (None if refused), with one `mat_vec_mul` call per function."""
+    import numpy as np
+    try:  # numpy refuses an element below 0 or from 2^64 on, and rows of two lengths
+        x = np.array(ws, dtype=np.uint64)
+    except (OverflowError, ValueError):
+        return None
+    if x.shape[1:] != (len(matrices[1]),) or not set(functions) <= matrices.keys() or x.max() >= p:
+        return None
+    answers = [None] * len(ws)
+    for function in set(functions):  # not per run: fallback levels interleave functions
+        index = [i for i, f in enumerate(functions) if f == function]
+        rows = x.take(index, axis=0) if len(index) < len(ws) else x  # take: faster than x[index]
+        for i, row in zip(index, mat_vec_mul(matrices[function], rows, p).tolist()):
+            answers[i] = tuple(row)
+    return answers
 
 
 def marginal_fingerprint(server: Server) -> tuple[int, ...]:
@@ -177,8 +183,11 @@ def generate_inputs(m: int, l: int, p: int, rng: Rng) -> list[FieldVector]:
 # -- exchanges, and the simulated transport ------------------------------------
 
 
-def _check_exchange(servers, functions, xs, n: int) -> None:
-    """Refuse columns of unequal length, which slices would cut without a
+def _shares(servers, functions, xs, n: int) -> dict[int, tuple[list, list]]:
+    """Each server's share of an exchange, {server: (functions, xs)}, its
+    rows in row order, the servers in the order of their first rows.
+
+    Refuses first columns of unequal length, which zip would cut without a
     word, a server outside [1..n], whose index could reach another's view,
     and rows of more than one L, which no frame can carry."""
     if not len(servers) == len(functions) == len(xs):
@@ -187,6 +196,20 @@ def _check_exchange(servers, functions, xs, n: int) -> None:
         raise ValueError(f"servers {min(servers)}..{max(servers)} not all in [1..{n}]")
     if len(lengths := set(map(len, xs))) > 1:
         raise DimensionMismatch(f"rows of lengths {sorted(lengths)} in one exchange")
+    shares: dict[int, tuple[list, list]] = {}
+    for server, function, x in zip(servers, functions, xs):
+        if server in shares:  # one membership test a row, no call: this runs per row
+            fs, ws = shares[server]
+            fs.append(function)
+            ws.append(x)
+        else:
+            shares[server] = [function], [x]
+    return shares
+
+
+def _in_row_order(servers, answers: dict) -> list[FieldVector]:
+    """The exchange's answers in row order, from each server's share's answers."""
+    return list(map(next, map({s: iter(rows) for s, rows in answers.items()}.__getitem__, servers)))
 
 
 class SimTransport:
@@ -201,14 +224,9 @@ class SimTransport:
         servers[i] for F_functions[i] xs[i], in row order."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        _check_exchange(servers, functions, xs, len(self.servers))
-        answers: list[FieldVector] = []
-        start, end = 0, len(servers)
-        for stop in range(1, end + 1):
-            if stop == end or servers[stop] != servers[start]:  # the end of a run
-                answers += self.servers[servers[start] - 1].serve(functions[start:stop], xs[start:stop])
-                start = stop
-        return answers
+        shares = _shares(servers, functions, xs, len(self.servers))
+        return _in_row_order(servers, {server: self.servers[server - 1].serve(fs, ws)
+                                       for server, (fs, ws) in shares.items()})
 
     def close(self) -> None:
         self._closed = True
@@ -261,7 +279,7 @@ def _parse_frame(buf, magic: bytes, check):
 
 
 _RECV_CHUNK = 1 << 16
-_SOCKET_TIMEOUT_S = 10.0  # the most a client's connect, or one send or receive, may wait
+_SOCKET_TIMEOUT_S = 10.0  # the most a connect, or one send or receive at either end, may wait
 # Body bytes of a full query frame.  A server's rows in one exchange go as
 # frames of as many rows as fit, and at least one; the client keeps one
 # frame unanswered per connection, so a block of large rows cannot fill
@@ -280,12 +298,16 @@ class _Channel:
     in chunks of up to _RECV_CHUNK bytes) and the seq of its next row.
 
     Both ends set TCP_NODELAY, so that Nagle's algorithm never holds a
-    frame back until the peer's delayed ACK.
+    frame back until the peer's delayed ACK, and give each send and
+    receive the deadline _SOCKET_TIMEOUT_S on a blocking socket.
     """
 
     __slots__ = ("sock", "seq", "_magic", "_buf")
 
     def __init__(self, sock: socket.socket, magic: bytes):
+        timeval = struct.pack("ll", *divmod(round(_SOCKET_TIMEOUT_S * 1e6), 10**6))
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.sock = sock
         self.seq = 0
@@ -392,14 +414,11 @@ class TcpTransport:
 
     def __init__(self, addresses: list[tuple[str, int]]):
         self._channels: list[_Channel] = []
-        timeval = struct.pack("ll", *divmod(round(_SOCKET_TIMEOUT_S * 1e6), 10**6))
         try:
             for host, port in addresses:
                 sock = socket.create_connection((host, port), timeout=_SOCKET_TIMEOUT_S)
-                self._channels.append(_Channel(sock, ANSWER_MAGIC))
                 sock.settimeout(None)  # blocking: the kernel keeps the deadline, with no poll
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
-                sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
+                self._channels.append(_Channel(sock, ANSWER_MAGIC))
         except OSError as exc:
             self.close()
             raise ChannelClosed(f"cannot connect: {exc}") from exc
@@ -409,35 +428,29 @@ class TcpTransport:
         """Answers to an exchange given as columns, as SimTransport.query."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        _check_exchange(servers, functions, xs, len(self._channels))
+        shares = _shares(servers, functions, xs, len(self._channels))
         l = len(xs[0]) if xs else 0
-        shares: dict[int, list] = {}
-        for index, server in enumerate(servers):
-            shares.setdefault(server, []).append(index)
-        answers: list = [None] * len(xs)
         size = _rows_per_frame(l)
-        frames = [(server, [indices[i:i + size] for i in range(0, len(indices), size)])
-                  for server, indices in shares.items()]
+        answers: dict[int, list] = {server: [] for server in shares}
         try:
-            for server, chunks in frames:
-                self._send(server, functions, xs, chunks[0], l)
-            for server, chunks in frames:
-                for at, chunk in enumerate(chunks):
+            for server, (fs, ws) in shares.items():
+                self._send(server, fs[:size], ws[:size], l)
+            for server, (fs, ws) in shares.items():
+                for at in range(0, len(ws), size):
                     if at:
-                        self._send(server, functions, xs, chunk, l)
-                    self._receive(server, chunk, l, answers)
+                        self._send(server, fs[at:at + size], ws[at:at + size], l)
+                    answers[server] += self._receive(server, min(size, len(ws) - at), l)
         except BaseException as exc:
             self.close()  # a connection may be out of step: its late answers must reach no call
             if isinstance(exc, OSError):
                 raise ChannelClosed(f"server {server} connection failed: {exc}") from exc
             raise
-        return answers
+        return _in_row_order(servers, answers)
 
-    def _send(self, server: int, functions, xs, chunk: list, l: int) -> None:
-        """Send the rows at indices `chunk` to `server` as one query frame; a
-        row no frame can hold raises the typed error a server would."""
+    def _send(self, server: int, functions, xs, l: int) -> None:
+        """Send these rows to `server` as one query frame; a row no frame
+        can hold raises the typed error a server would."""
         channel = self._channels[server - 1]
-        functions, xs = [functions[i] for i in chunk], [xs[i] for i in chunk]
         try:
             frame = encode_message(QUERY_MAGIC, channel.seq, l, functions, xs)
         except struct.error:
@@ -450,18 +463,18 @@ class TcpTransport:
             raise
         channel.sock.sendall(frame)
 
-    def _receive(self, server: int, chunk: list, l: int, answers: list) -> None:
-        """Read the answer frame to `chunk`'s query frame into `answers`."""
+    def _receive(self, server: int, count: int, l: int) -> list[FieldVector]:
+        """The answers of the frame answering `server`'s last query frame, of `count` rows."""
         channel = self._channels[server - 1]
-        expected = (channel.seq, len(chunk), l)
+        expected = (channel.seq, count, l)
 
         def check(*head: int) -> None:
             if head != expected:
                 raise MalformedFrame(f"answer header {head} from server {server}, not {expected}")
 
-        for index, answer in zip(chunk, channel.read(check)[2]):
-            answers[index] = answer
-        channel.seq += len(chunk)
+        rows = channel.read(check)[2]
+        channel.seq += count
+        return rows
 
     def close(self) -> None:
         self._closed = True

@@ -114,9 +114,10 @@ def test_refused_batch_records_nothing(last, error):
 
 
 BATCHES = settings(derandomize=True, max_examples=60, deadline=None, database=None)
-BATCH_PRIMES = (2, 3, 2**31 - 1, 2**61 - 1)
-# Both sides of KERNEL_MIN_DIM, and past the 16-bit limbs' L = 64.
-BATCH_DIMS = (1, KERNEL_MIN_DIM - 1, KERNEL_MIN_DIM, 64, 65, 100)
+BATCH_PRIMES = (2, 3, 2**31 - 1, 2**32 - 5, 2**61 - 1)
+# Both sides of KERNEL_MIN_DIM, the L of the small-L workloads (2 and 3),
+# and past the 16-bit limbs' L = 64.
+BATCH_DIMS = (1, 2, 3, KERNEL_MIN_DIM - 1, KERNEL_MIN_DIM, 64, 65, 100)
 
 
 def _uniform_functions(k, l, p, seed):
@@ -153,7 +154,7 @@ def _columns(batch):
 def test_served_batch_equals_row_by_row_products(data, p, l, k, seed):
     functions = _uniform_functions(k, l, p, seed)
     server = Server(1, functions, p)
-    assert isinstance(server._prepared[0], np.ndarray) == (l >= KERNEL_MIN_DIM and p < 2**31)
+    assert isinstance(server._matrices[1], np.ndarray) == (l >= KERNEL_MIN_DIM and p < 2**31)
     assert server.serve([], []) == [] and len(server.marginal) == 0
     batch = data.draw(_batches(k, l, p, max_size=12))
     answers = server.serve(*_columns(batch))
@@ -180,7 +181,7 @@ def test_refused_batch_raises_its_typed_error(data, p, l, k, fault):
     batch = data.draw(_batches(k, l, p, max_size=6))
     function, w = data.draw(st.integers(1, k)), data.draw(_vectors(l, p))
     if fault == "function":
-        function, error = data.draw(st.sampled_from([0, k + 1, 2**16 - 1])), UnknownFunction
+        function, error = data.draw(st.sampled_from([0, -1, k + 1, 2**16 - 1])), UnknownFunction
     elif fault == "length":
         w, error = w + (0,) if l == 1 or data.draw(st.booleans()) else w[1:], DimensionMismatch
     else:
@@ -205,15 +206,33 @@ class _CallLog(Server):
         return super().serve(functions, ws)
 
 
-def test_sim_transport_serves_each_run_in_one_call():
+def test_sim_transport_serves_each_share_in_one_call():
+    # Server 1's rows come in two runs around server 2's, and it answers
+    # all three in one call, as the TCP host answers one frame.
     _, functions = _servers(k=2, n=2, l=1, p=5)
     servers = [_CallLog(i + 1, functions, 5) for i in range(2)]
     for server in servers:
         server.calls = []
     fs, xs = [1, 2, 1, 1], [(1,), (2,), (3,), (4,)]
     answers = SimTransport(servers).query([1, 1, 2, 1], fs, xs)
-    assert [s.calls for s in servers] == [[2, 1], [1]]
+    assert [s.calls for s in servers] == [[3], [1]]
     assert answers == [mat_vec_mul(functions[f - 1], x, 5) for f, x in zip(fs, xs)]
+    assert servers[0].marginal.entries == [(1, (1,)), (2, (2,)), (1, (4,))]
+
+
+@pytest.mark.parametrize("l", range(1, KERNEL_MIN_DIM))
+def test_small_l_servers_share_one_kernel_per_l(l):
+    # The kernel is compiled once per L: servers with different matrices
+    # hold the same function object, and it answers like mat_vec_mul.
+    p = 2**61 - 1
+    one, two = (Server(1, _uniform_functions(3, l, p, seed), p) for seed in (1, 2))
+    assert one._product is two._product
+    assert one._product is not Server(1, _uniform_functions(1, l + 1, p, 3), p)._product
+    rng = Rng(4)
+    fs = [rng.randrange(3) + 1 for _ in range(7)]
+    ws = [sample_uniform_vector(l, p, rng) for _ in fs]
+    for server in (one, two):
+        assert server.serve(fs, ws) == [mat_vec_mul(server._matrices[f], w, p) for f, w in zip(fs, ws)]
 
 
 @pytest.mark.parametrize("m, l, p", [(1, 1, 2), (5, 2, 3), (8001, 2, 2**61 - 1), (3, 64, DEFAULT_MODULUS)])
@@ -649,6 +668,24 @@ def test_tcp_client_times_out_on_a_silent_host(monkeypatch):
             conn.close()
 
 
+def test_tcp_host_times_out_on_a_stalled_client(monkeypatch):
+    # The client sends half a header and stalls: the host's blocking
+    # receive gives up at the socket deadline, and its thread exits.
+    monkeypatch.setattr(runtime, "_SOCKET_TIMEOUT_S", 0.2)
+    servers, _ = _servers(k=1, n=1, l=1, p=5)
+    host = TcpServerHost(servers)
+    raw = socket.create_connection(host.addresses[0], timeout=5)
+    try:
+        raw.sendall(b"PSFQ" + struct.pack("<I", 0))
+        host._threads[0].join(timeout=2.0)
+        assert not host._threads[0].is_alive()
+        assert raw.recv(64) == b""  # the host closed the connection
+    finally:
+        raw.close()
+        host.close()
+    assert len(servers[0].marginal) == 0
+
+
 def test_tcp_host_rejects_garbage_frame():
     servers, _ = _servers(k=1, n=1, l=1, p=5)
     host = TcpServerHost(servers)
@@ -805,7 +842,7 @@ def test_both_transports_answer_any_exchange_row_by_row(l, p, data, n, k, seed):
         exchanges.append(([1, 2, 1], [1, k, 1], [(0,) * l, (1,) * l, (p - 1,) * l]))
     sim_servers = [Server(i + 1, functions, p) for i in range(n)]
     tcp_servers = [Server(i + 1, functions, p) for i in range(n)]
-    assert sim_servers[0]._stacked == (l >= KERNEL_MIN_DIM and p < 2**31)
+    assert (sim_servers[0]._product is runtime._serve_stacked) == (l >= KERNEL_MIN_DIM and p < 2**31)
     host = TcpServerHost(tcp_servers)
     sim, tcp = SimTransport(sim_servers), TcpTransport(host.addresses)
     try:
