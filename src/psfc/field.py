@@ -122,10 +122,10 @@ def is_prime(n: int) -> bool:
 
 
 def ff_inv(a: int, p: int) -> int:
-    """Multiplicative inverse via Fermat: a^(p-2) mod p, p prime."""
+    """Multiplicative inverse of a mod a prime p, by pow(a, -1, p)."""
     if a % p == 0:
         raise InversionOfZero(f"0 has no inverse in GF({p})")
-    return pow(a, p - 2, p)
+    return pow(a, -1, p)
 
 
 # -- vector / matrix operations ----------------------------------------------

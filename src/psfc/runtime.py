@@ -10,11 +10,11 @@ per-connection sequence number, its row count, L, and each row's
 Two interchangeable transports execute a run.  A transport call carries
 one exchange of the plan (a block, or one level of a request's chains)
 as three columns, `query(servers, functions, xs)`, and answers its rows
-in order.  Both split it by `_shares`, after refusing unequal columns, a
-server outside [1..N] or rows of more than one L: each server's share,
-in plan order, is one `serve(functions, ws)` call, all or nothing, by the
-routine the server picked from (L, p): a compiled row kernel, the float64
-kernel, or a checked loop over the rows.
+in order.  Both split it by `_shares`, worked out once per (server column,
+N), after refusing unequal columns, a server outside [1..N] or rows of
+more than one L: each server's share, in plan order, is one `serve(functions,
+ws)` call, all or nothing, by the routine the server picked from (L, p): a
+compiled row kernel, the float64 kernel, or a checked loop over the rows.
 
 * SimTransport: in-process, synchronous; the default for tests and audits.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
@@ -38,7 +38,9 @@ from __future__ import annotations
 import socket
 import struct
 import threading
+from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 
 from .field import (
     KERNEL_MIN_DIM,
@@ -183,33 +185,40 @@ def generate_inputs(m: int, l: int, p: int, rng: Rng) -> list[FieldVector]:
 # -- exchanges, and the simulated transport ------------------------------------
 
 
-def _shares(servers, functions, xs, n: int) -> dict[int, tuple[list, list]]:
-    """Each server's share of an exchange, {server: (functions, xs)}, its
-    rows in row order, the servers in the order of their first rows.
-
-    Refuses first columns of unequal length, which zip would cut without a
-    word, a server outside [1..n], whose index could reach another's view,
-    and rows of more than one L, which no frame can carry."""
-    if not len(servers) == len(functions) == len(xs):
-        raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
+@lru_cache(maxsize=256)
+def _split(servers: tuple, n: int):
+    """How `_shares` splits a server column, worked out once per (column, n):
+    ((server, pick), ...), `pick` taking the server's rows in row order (one
+    slice when consecutive), and the `merge` back to row order of the shares'
+    answers laid end to end (None when they are in it)."""
     if servers and not (0 < min(servers) and max(servers) <= n):
         raise ValueError(f"servers {min(servers)}..{max(servers)} not all in [1..{n}]")
+    rows: dict[int, list[int]] = {}
+    for i, server in enumerate(servers):
+        rows.setdefault(server, []).append(i)
+    order = [*chain.from_iterable(rows.values())]
+    merge = None if order == sorted(order) else itemgetter(*sorted(range(len(order)), key=order.__getitem__))
+    return tuple((server, itemgetter(slice(index[0], index[-1] + 1)) if index[-1] - index[0] == len(index) - 1
+                  else itemgetter(*index)) for server, index in rows.items()), merge
+
+
+def _shares(servers, functions, xs, n: int):
+    """Each server's share of an exchange, [(server, functions, xs)], and the
+    `merge` of `_split`.  Refuses first columns of unequal length, which zip
+    would cut without a word, a server outside [1..n], whose index could
+    reach another's view, and rows of more than one L, which no frame can carry."""
+    if not len(servers) == len(functions) == len(xs):
+        raise ValueError(f"columns of {len(servers)}, {len(functions)} and {len(xs)} rows")
+    picks, merge = _split(tuple(servers), n)
     if len(lengths := set(map(len, xs))) > 1:
         raise DimensionMismatch(f"rows of lengths {sorted(lengths)} in one exchange")
-    shares: dict[int, tuple[list, list]] = {}
-    for server, function, x in zip(servers, functions, xs):
-        if server in shares:  # one membership test a row, no call: this runs per row
-            fs, ws = shares[server]
-            fs.append(function)
-            ws.append(x)
-        else:
-            shares[server] = [function], [x]
-    return shares
+    return [(server, pick(functions), pick(xs)) for server, pick in picks], merge
 
 
-def _in_row_order(servers, answers: dict) -> list[FieldVector]:
-    """The exchange's answers in row order, from each server's share's answers."""
-    return list(map(next, map({s: iter(rows) for s, rows in answers.items()}.__getitem__, servers)))
+def _in_row_order(answers: list, merge) -> list[FieldVector]:
+    """The exchange's answers in row order, from its shares' answers in share order."""
+    rows = answers[0] if len(answers) == 1 else [*chain.from_iterable(answers)]
+    return rows if merge is None else list(merge(rows))
 
 
 class SimTransport:
@@ -224,9 +233,8 @@ class SimTransport:
         servers[i] for F_functions[i] xs[i], in row order."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        shares = _shares(servers, functions, xs, len(self.servers))
-        return _in_row_order(servers, {server: self.servers[server - 1].serve(fs, ws)
-                                       for server, (fs, ws) in shares.items()})
+        shares, merge = _shares(servers, functions, xs, len(self.servers))
+        return _in_row_order([self.servers[server - 1].serve(fs, ws) for server, fs, ws in shares], merge)
 
     def close(self) -> None:
         self._closed = True
@@ -428,24 +436,24 @@ class TcpTransport:
         """Answers to an exchange given as columns, as SimTransport.query."""
         if self._closed:
             raise ChannelClosed("transport is closed")
-        shares = _shares(servers, functions, xs, len(self._channels))
+        shares, merge = _shares(servers, functions, xs, len(self._channels))
         l = len(xs[0]) if xs else 0
         size = _rows_per_frame(l)
-        answers: dict[int, list] = {server: [] for server in shares}
+        answers: list[list] = [[] for _ in shares]
         try:
-            for server, (fs, ws) in shares.items():
+            for server, fs, ws in shares:
                 self._send(server, fs[:size], ws[:size], l)
-            for server, (fs, ws) in shares.items():
+            for (server, fs, ws), rows in zip(shares, answers):
                 for at in range(0, len(ws), size):
                     if at:
                         self._send(server, fs[at:at + size], ws[at:at + size], l)
-                    answers[server] += self._receive(server, min(size, len(ws) - at), l)
+                    rows += self._receive(server, min(size, len(ws) - at), l)
         except BaseException as exc:
             self.close()  # a connection may be out of step: its late answers must reach no call
             if isinstance(exc, OSError):
                 raise ChannelClosed(f"server {server} connection failed: {exc}") from exc
             raise
-        return _in_row_order(servers, answers)
+        return _in_row_order(answers, merge)
 
     def _send(self, server: int, functions, xs, l: int) -> None:
         """Send these rows to `server` as one query frame; a row no frame

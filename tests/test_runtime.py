@@ -860,6 +860,51 @@ def test_both_transports_answer_any_exchange_row_by_row(l, p, data, n, k, seed):
         assert tcp_servers[server - 1].marginal.entries == rows
 
 
+def test_a_server_column_accepted_at_one_n_is_refused_at_a_smaller_one():
+    # The split of a column is cached per (column, N): [1, 3] at N = 3 must
+    # not let [1, 3] through at N = 2 in the same process.
+    _, functions = _servers(k=1, n=1, l=2, p=7)
+    three = [Server(i + 1, functions, 7) for i in range(3)]
+    exchange = [1, 3], [1, 1], [(1, 0), (0, 1)]
+    assert SimTransport(three).query(*exchange) == [tuple(row[j] for row in functions[0]) for j in (0, 1)]
+    two = three[:2]
+    before = [list(server.marginal.entries) for server in two]
+    with pytest.raises(ValueError, match=r"not all in \[1\.\.2\]"):
+        SimTransport(two).query(*exchange)
+    assert [server.marginal.entries for server in two] == before
+
+
+# Each example starts a TCP host: 10 examples take about 0.2 s.
+@settings(derandomize=True, max_examples=10, deadline=None, database=None)
+@given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 3), l=st.integers(1, 3),
+       p=st.sampled_from((3, 2**61 - 1)), seed=st.integers(0, 2**32))
+def test_exchanges_on_repeated_columns_equal_serving_row_by_row(data, n, k, l, p, seed):
+    # A few server columns, each sent again with new functions and inputs,
+    # so most exchanges reuse a cached split.
+    functions = _uniform_functions(k, l, p, seed)
+    columns = data.draw(st.lists(st.lists(st.integers(1, n), min_size=1, max_size=8),
+                                 min_size=1, max_size=3))
+    exchanges = []
+    for column in data.draw(st.lists(st.sampled_from(columns), min_size=1, max_size=6)):
+        fs = data.draw(st.lists(st.integers(1, k), min_size=len(column), max_size=len(column)))
+        exchanges.append((column, fs, [data.draw(_vectors(l, p)) for _ in column]))
+    reference = [Server(i + 1, functions, p) for i in range(n)]
+    sim_servers = [Server(i + 1, functions, p) for i in range(n)]
+    tcp_servers = [Server(i + 1, functions, p) for i in range(n)]
+    host = TcpServerHost(tcp_servers)
+    sim, tcp = SimTransport(sim_servers), TcpTransport(host.addresses)
+    try:
+        for servers, fs, xs in exchanges:
+            expected = [reference[s - 1].serve([f], [x])[0] for s, f, x in zip(servers, fs, xs)]
+            assert sim.query(servers, fs, xs) == expected
+            assert tcp.query(servers, fs, xs) == expected
+    finally:
+        tcp.close()
+        host.close()
+    for views in (sim_servers, tcp_servers):
+        assert [s.marginal.entries for s in views] == [s.marginal.entries for s in reference]
+
+
 # -- the float64 kernel behind both transports -------------------------------------------
 
 
