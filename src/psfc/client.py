@@ -4,9 +4,9 @@ The client is deliberately blind: it never holds the function matrices
 and never multiplies by them.  It hands `scheduler.run_plan` four field
 operations (draw a pad, add it, cancel a pad image, ask a server) and
 records what it sent; storage, pad bookkeeping and output decoding are
-the interpreter's; below L = KERNEL_MIN_DIM the first three are compiled
-once per L (`field_ops`).  This module must not import any matrix
-operation; a test enforces that structurally.
+the interpreter's.  The first three are `field.vec_ops(L)`, compiled once
+per L.  This module must not import any matrix operation; a test
+enforces that structurally.
 
 Execution is a single logical thread that sends the plan's exchanges
 one at a time, each in one transport call, and uses every answer before
@@ -20,10 +20,9 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
 from itertools import chain, compress, count
 
-from .field import KERNEL_MIN_DIM, DimensionMismatch, FieldVector, vec_add, vec_sub
+from .field import DimensionMismatch, FieldVector, vec_ops, vec_sub
 from .protocol import Permutation, RunConfig, json_array
 from .rand import Rng
 from .runtime import NonCanonicalElement
@@ -31,7 +30,6 @@ from .scheduler import build_plan, run_plan
 
 __all__ = [
     "RunReport",
-    "field_ops",
     "unmask",
     "run_protocol",
     "outputs_to_bytes",
@@ -44,25 +42,6 @@ def unmask(masked_answer: FieldVector, mask_image: FieldVector, p: int) -> Field
     For a linear F this recovers F(x) from F(x + z) and F(z).
     """
     return vec_sub(masked_answer, mask_image, p)
-
-
-@lru_cache(maxsize=KERNEL_MIN_DIM)  # run_protocol compiles them for L < KERNEL_MIN_DIM only
-def field_ops(l: int):
-    """`ops(p, randrange)`: a run's (draw, add, unmask) at this L, one unrolled
-    expression each.  A pad is L randrange(p) draws, left to right; operands
-    of another length raise DimensionMismatch.  Its source depends on L alone."""
-    x, z = (", ".join(f"{v}{j}" for j in range(l)) + "," for v in "xz")
-    namespace = {"DimensionMismatch": DimensionMismatch}
-    exec("def ops(p, randrange):" + "".join(f"""
-    def {name}(x, z):
-        try:
-            ({x}), ({z}) = x, z
-        except ValueError:
-            raise DimensionMismatch(f"operands of lengths {{len(x)}} and {{len(z)}}, not {l}") from None
-        return ({"".join(f"(x{j} {op} z{j}) % p, " for j in range(l))})"""
-        for name, op in (("add", "+"), ("unmask", "-"))) + f"""
-    return (lambda _mid: ({"randrange(p), " * l})), add, unmask""", namespace)
-    return namespace["ops"]
 
 
 @dataclass
@@ -144,11 +123,7 @@ def run_protocol(
     plan = build_plan(k, n, m, sigma)
     randrange = Rng(config.seed).child("client").randrange
     inputs: list[FieldVector] = []  # in send order
-    if l < KERNEL_MIN_DIM:
-        draw, add, sub = field_ops(l)(p, randrange)
-    else:
-        draw = lambda _mid, l_range=range(l): tuple([randrange(p) for _ in l_range])  # noqa: E731
-        add, sub = partial(vec_add, p=p), partial(unmask, p=p)
+    draw, add, sub = vec_ops(l)(p, randrange)
 
     def query(servers, functions, xs):
         inputs.extend(xs)

@@ -16,6 +16,9 @@ whole-row sums (delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS
 so every partial sum is an integer a double holds exactly, whatever
 order the BLAS sums in.  Larger L at p >= 2^31 keep tuples.
 
+The client's pad draw, pad add and unmask are `vec_ops(L)`, unrolled
+expressions compiled once per L.
+
 `echelon` is the one row reduction; `rank` is its basis's length.  It
 works on int64 arrays (products of residues stay below 2^62) when
 p < 2^31 and the input has at least KERNEL_MIN_DIM^2 entries, as every
@@ -141,6 +144,26 @@ def vec_sub(u: FieldVector, v: FieldVector, p: int) -> FieldVector:
     if len(u) != len(v):
         raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
     return tuple([(a - b) % p for a, b in zip(u, v)])
+
+
+@lru_cache(maxsize=64)
+def vec_ops(l: int):
+    """`ops(p, randrange)`: (draw, add, sub) on GF(p)^L, one unrolled expression
+    each.  `draw(_)` is L randrange(p) draws, left to right; `add` and `sub` are
+    `vec_add` and `vec_sub`, and operands of another length raise
+    DimensionMismatch.  Its source depends on L alone."""
+    x, z = (", ".join(f"{v}{j}" for j in range(l)) + "," for v in "xz")
+    namespace = {"DimensionMismatch": DimensionMismatch}
+    exec("def ops(p, randrange):" + "".join(f"""
+    def {name}(x, z):
+        try:
+            ({x}), ({z}) = x, z
+        except ValueError:
+            raise DimensionMismatch(f"operands of lengths {{len(x)}} and {{len(z)}}, not {l}") from None
+        return ({"".join(f"(x{j} {op} z{j}) % p, " for j in range(l))})"""
+        for name, op in (("add", "+"), ("sub", "-"))) + f"""
+    return (lambda _: ({"randrange(p), " * l})), add, sub""", namespace)
+    return namespace["ops"]
 
 
 def _limb_split(l: int, p: int) -> tuple[int, int]:

@@ -37,6 +37,7 @@ from psfc.field import (
     sample_invertible_matrix,
     sample_uniform_vector,
     vec_add,
+    vec_ops,
     vec_sub,
 )
 from psfc.protocol import RunConfig
@@ -142,6 +143,30 @@ def test_vec_add_sub_roundtrip():
         assert vec_sub(vec_add(u, v, p), v, p) == u
     with pytest.raises(DimensionMismatch):
         vec_add((1, 2), (1, 2, 3), 5)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(
+    data=st.data(),
+    l=st.integers(1, 9) | st.just(64),
+    p=st.sampled_from((2, 3, 2**31 - 1, 2**32 - 5, 2**61 - 1)),
+    seed=st.integers(0, 2**32),
+)
+def test_vec_ops_equal_the_generic_vector_operations(data, l, p, seed):
+    vector = st.lists(st.integers(0, p - 1), min_size=l, max_size=l).map(tuple)
+    x, z = data.draw(vector), data.draw(vector)
+    draw, add, sub = vec_ops(l)(p, Rng(seed).randrange)
+    assert add(x, z) == vec_add(x, z, p)
+    assert sub(x, z) == vec_sub(x, z, p)
+    # A draw is L draws from the stream it was given, left to right.
+    reference = Rng(seed).randrange
+    assert [draw(None), draw(0)] == [tuple(reference(p) for _ in range(l)) for _ in range(2)]
+    wrong = data.draw(st.sampled_from([(), x[:-1], x + (0,)]))
+    for op in (add, sub):
+        with pytest.raises(DimensionMismatch):
+            op(wrong, z)
+        with pytest.raises(DimensionMismatch):
+            op(x, wrong)
 
 
 # -- rank: independent minor-expansion oracle --------------------------------------
