@@ -12,12 +12,11 @@ from .field import (
     DEFAULT_MODULUS,
     DimensionMismatch,
     InversionOfZero,
+    NonCanonicalElement,
     mat_vec_mul,
     rank,
     sample_invertible_matrix,
     sample_uniform_vector,
-    vec_add,
-    vec_sub,
 )
 from .protocol import (
     InvalidPermutation,
@@ -43,7 +42,6 @@ from .scheduler import (
 from .runtime import (
     ChannelClosed,
     MalformedFrame,
-    NonCanonicalElement,
     Server,
     SimTransport,
     TcpServerHost,
@@ -58,7 +56,6 @@ from .client import (
     RunReport,
     outputs_to_bytes,
     run_protocol,
-    unmask,
 )
 from .audit import (
     AttackCampaignResult,

@@ -22,26 +22,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count
 
-from .field import DimensionMismatch, FieldVector, vec_ops, vec_sub
+from .field import DimensionMismatch, FieldVector, NonCanonicalElement, vec_ops
 from .protocol import Permutation, RunConfig, json_array
 from .rand import Rng
-from .runtime import NonCanonicalElement
 from .scheduler import build_plan, run_plan
 
 __all__ = [
     "RunReport",
-    "unmask",
     "run_protocol",
     "outputs_to_bytes",
 ]
-
-
-def unmask(masked_answer: FieldVector, mask_image: FieldVector, p: int) -> FieldVector:
-    """Cancel a pad image: returns masked_answer - mask_image mod p.
-
-    For a linear F this recovers F(x) from F(x + z) and F(z).
-    """
-    return vec_sub(masked_answer, mask_image, p)
 
 
 @dataclass

@@ -5,16 +5,18 @@ operation boundary), vectors are tuples of ints and matrices tuples of
 row tuples: overflow-free for any supported modulus, and safe to share
 across threads.
 
-Servers multiply through one of two kernels.  Below L = KERNEL_MIN_DIM,
-`row_kernel(L)` answers a batch in one loop of L unrolled sums a row,
-compiled once per L.  When p < 2^31 and L >= KERNEL_MIN_DIM,
-`prepare_matrix` makes a float64 array of the transposed matrix's b-bit
-limbs, and `mat_vec_mul` multiplies a vector, or a stack of them, by
-every limb in one BLAS product, then reduces mod p once per limb, after
-whole-row sums (delayed reduction: Dumas, Giorgi and Pernet, ACM TOMS
-35(3), 2008).  b is the widest limb with L (2^31 - 1)(2^b - 1) < 2^53,
-so every partial sum is an integer a double holds exactly, whatever
-order the BLAS sums in.  Larger L at p >= 2^31 keep tuples.
+Servers multiply through one of two kernels, and `prepare_matrix` is the
+one place that picks between them from (L, p).  When p < 2^31 and
+L >= KERNEL_MIN_DIM it makes a float64 array of the transposed matrix's
+b-bit limbs, and `mat_vec_mul` multiplies a vector, or a stack of them,
+by every limb in one BLAS product, then reduces mod p once per limb,
+after whole-row sums (delayed reduction: Dumas, Giorgi and Pernet, ACM
+TOMS 35(3), 2008).  b is the widest limb with L (2^31 - 1)(2^b - 1)
+< 2^53, so every partial sum is an integer a double holds exactly,
+whatever order the BLAS sums in.  Everywhere else the matrix stays a
+tuple, and `row_kernel(L)` answers a batch in one loop of L unrolled
+sums a row, compiled once per L.  Either way `prepare_matrix` first
+refuses a matrix that is not square or has an entry outside [0, p).
 
 The client's pad draw, pad add and unmask are `vec_ops(L)`, unrolled
 expressions compiled once per L.
@@ -42,11 +44,10 @@ __all__ = [
     "MAX_MODULUS",
     "InversionOfZero",
     "DimensionMismatch",
+    "NonCanonicalElement",
     "SamplingExhausted",
     "is_prime",
     "ff_inv",
-    "vec_add",
-    "vec_sub",
     "prepare_matrix",
     "mat_vec_mul",
     "row_kernel",
@@ -83,6 +84,10 @@ class InversionOfZero(ZeroDivisionError):
 
 class DimensionMismatch(ValueError):
     """Operands do not have compatible dimensions."""
+
+
+class NonCanonicalElement(ValueError):
+    """A vector or matrix holds an element outside [0, p)."""
 
 
 class SamplingExhausted(RuntimeError):
@@ -134,24 +139,12 @@ def ff_inv(a: int, p: int) -> int:
 # -- vector / matrix operations ----------------------------------------------
 
 
-def vec_add(u: FieldVector, v: FieldVector, p: int) -> FieldVector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple([(a + b) % p for a, b in zip(u, v)])
-
-
-def vec_sub(u: FieldVector, v: FieldVector, p: int) -> FieldVector:
-    if len(u) != len(v):
-        raise DimensionMismatch(f"vector lengths differ: {len(u)} vs {len(v)}")
-    return tuple([(a - b) % p for a, b in zip(u, v)])
-
-
 @lru_cache(maxsize=64)
 def vec_ops(l: int):
     """`ops(p, randrange)`: (draw, add, sub) on GF(p)^L, one unrolled expression
     each.  `draw(_)` is L randrange(p) draws, left to right; `add` and `sub` are
-    `vec_add` and `vec_sub`, and operands of another length raise
-    DimensionMismatch.  Its source depends on L alone."""
+    (x_j + z_j) mod p and (x_j - z_j) mod p for each j, and operands of another
+    length raise DimensionMismatch.  Its source depends on L alone."""
     x, z = (", ".join(f"{v}{j}" for j in range(l)) + "," for v in "xz")
     namespace = {"DimensionMismatch": DimensionMismatch}
     exec("def ops(p, randrange):" + "".join(f"""
@@ -173,17 +166,29 @@ def _limb_split(l: int, p: int) -> tuple[int, int]:
 
 
 def prepare_matrix(a: FieldMatrix, p: int) -> PreparedMatrix:
-    """`a` in the form `mat_vec_mul` multiplies fastest by.
+    """`a` in the form a server multiplies it by: where the float64 kernel
+    applies, an (L x nL) float64 array whose j-th L columns are limb j of
+    `a`'s transpose, most significant first; else `a`, for `row_kernel(L)`.
 
-    Where the exact kernel applies, an (L x nL) float64 array whose j-th L
-    columns are limb j of `a`'s transpose, most significant first.
+    Refuses a matrix that is not L x L for some L >= 1 (DimensionMismatch)
+    or has an entry outside [0, p) (NonCanonicalElement).
     """
-    if p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= len(a) < KERNEL_MAX_DIM:
+    l = len(a)
+    if not l or set(map(len, a)) != {l}:
+        raise DimensionMismatch(f"matrix of {l} rows of lengths {sorted(set(map(len, a)))} is not square")
+    if p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= l < KERNEL_MAX_DIM:
         import numpy as np
-        b, n = _limb_split(len(a), p)
-        t = np.array(a, dtype=np.int64).T
+        try:  # numpy refuses an entry below 0 or from 2^64 on
+            t = np.array(a, dtype=np.uint64).T
+        except OverflowError:
+            t = None
+        if t is None or t.max() >= p:
+            raise NonCanonicalElement(f"matrix entry outside [0, {p})")
+        b, n = _limb_split(l, p)
         limbs = [(t >> (b * j)) & ((1 << b) - 1) for j in reversed(range(n))]
         return np.concatenate(limbs, axis=1).astype(np.float64)
+    if not (0 <= min(map(min, a)) and max(map(max, a)) < p):
+        raise NonCanonicalElement(f"matrix entry outside [0, {p})")
     return a
 
 
@@ -213,7 +218,7 @@ def mat_vec_mul(a: PreparedMatrix, w, p: int) -> FieldVector | np.ndarray:
     return tuple(out)
 
 
-@lru_cache(maxsize=KERNEL_MIN_DIM)  # servers build it for L < KERNEL_MIN_DIM only
+@lru_cache(maxsize=64)
 def row_kernel(l: int):
     """`kernel(matrices, functions, ws, p)`: [matrices[f] w mod p for each row
     (f, w)] in one loop with no call a row, or None at a row with an unknown f,

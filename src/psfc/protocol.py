@@ -72,10 +72,6 @@ class Permutation:
         return cls(tuple(reversed(tuple(values))))
 
     @classmethod
-    def identity(cls, k: int) -> "Permutation":
-        return cls(tuple(range(1, k + 1)))
-
-    @classmethod
     def parse(cls, text: str) -> "Permutation":
         """Parse a comma-separated display-order string, e.g. "4,3,2,1"."""
         try:

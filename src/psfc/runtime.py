@@ -13,8 +13,9 @@ as three columns, `query(servers, functions, xs)`, and answers its rows
 in order.  Both split it by `_shares`, worked out once per (server column,
 N), after refusing unequal columns, a server outside [1..N] or rows of
 more than one L: each server's share, in plan order, is one `serve(functions,
-ws)` call, all or nothing, by the routine the server picked from (L, p): a
-compiled row kernel, the float64 kernel, or a checked loop over the rows.
+ws)` call, all or nothing, by one batch routine: the float64 kernel where
+`field.prepare_matrix` made arrays of the server's matrices, else the
+compiled row kernel of its L.
 
 * SimTransport: in-process, synchronous; the default for tests and audits.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
@@ -43,10 +44,10 @@ from itertools import chain
 from operator import itemgetter
 
 from .field import (
-    KERNEL_MIN_DIM,
     DimensionMismatch,
     FieldMatrix,
     FieldVector,
+    NonCanonicalElement,
     mat_vec_mul,
     prepare_matrix,
     row_kernel,
@@ -58,7 +59,6 @@ from .rand import Rng
 
 __all__ = [
     "UnknownFunction",
-    "NonCanonicalElement",
     "ChannelClosed",
     "MalformedFrame",
     "Server",
@@ -77,10 +77,6 @@ class UnknownFunction(ValueError):
     """Query asked for a function index outside [1..K]."""
 
 
-class NonCanonicalElement(ValueError):
-    """Query input holds an element outside [0, p)."""
-
-
 class ChannelClosed(ConnectionError):
     """Transport used after close, or the peer went away."""
 
@@ -90,7 +86,10 @@ class MalformedFrame(ValueError):
 
 
 class Server:
-    """One honest-but-curious server: computes F_k w and records its view."""
+    """One honest-but-curious server: computes F_k w and records its view.
+
+    Refuses, when built, functions that are not all L x L matrices over
+    [0, p) (DimensionMismatch, NonCanonicalElement)."""
 
     __slots__ = ("id", "p", "l", "marginal", "_matrices", "_product")
 
@@ -98,34 +97,35 @@ class Server:
         self.id = server_id
         self.p = p
         self.l = len(functions[0])
+        if set(map(len, functions)) != {self.l}:
+            raise DimensionMismatch(f"matrices of {sorted(set(map(len, functions)))} rows in one server")
         self._matrices = {f: prepare_matrix(a, p) for f, a in enumerate(functions, 1)}
-        # The row kernel, the float64 kernel on arrays, or none: tuples at p >= 2^31.
-        self._product = (row_kernel(self.l) if self.l < KERNEL_MIN_DIM
-                         else _serve_stacked if self._matrices[1] is not functions[0] else None)
+        # prepare_matrix makes float64 arrays where the float64 kernel applies.
+        self._product = _serve_stacked if hasattr(self._matrices[1], "dtype") else row_kernel(self.l)
         self.marginal = MarginalQueryList(server=server_id)
 
     def serve(self, functions, ws) -> list[FieldVector]:
         """Answer F_functions[i] ws[i] for each row i of two columns, in order.
 
-        All of it is checked before any is recorded or returned.  The batch
-        routine admits and answers it whole, or returns None; then the rows
-        are checked and multiplied in turn, and a bad one raises its typed error.
+        The server's batch routine checks and answers the whole batch in one
+        call, or refuses it; then nothing is recorded, and the first bad row
+        raises its typed error: an unknown function, then another length,
+        then an element outside [0, p).
         """
         if len(functions) != len(ws):  # zip would drop the extra rows without a word
             raise ValueError(f"{len(functions)} functions for {len(ws)} inputs")
         p, matrices = self.p, self._matrices
-        answers = self._product and self._product(matrices, functions, ws, p)
+        answers = self._product(matrices, functions, ws, p) if ws else []
         if answers is None:
-            answers = []
             for function, w in zip(functions, ws):
-                if (matrix := matrices.get(function)) is None:  # 0 and -1 too, not the last ones
+                if function not in matrices:  # 0 and -1 too, not the last ones
                     raise UnknownFunction(f"function {function} not in [1..{len(matrices)}]")
                 if len(w) != self.l:
                     raise DimensionMismatch(f"input has length {len(w)}, expected {self.l}")
                 for x in w:
                     if not 0 <= x < p:
                         raise NonCanonicalElement(f"input element {x} outside [0, {p})")
-                answers.append(mat_vec_mul(matrix, w, p))
+            raise RuntimeError("batch refused with no bad row")  # an internal bug; record nothing
         self.marginal.functions += functions
         self.marginal.inputs += ws
         return answers

@@ -25,6 +25,11 @@ from psfc.rand import Rng
 from psfc.runtime import Server, SimTransport, TcpServerHost, TcpTransport, generate_functions, generate_inputs
 from psfc.scheduler import query_count
 
+
+def _identity(k):
+    """The order that applies F_1 first and F_K last."""
+    return Permutation(tuple(range(1, k + 1)))
+
 P31 = DEFAULT_MODULUS  # 2^31 - 1
 
 
@@ -96,14 +101,14 @@ def test_criterion_2_query_count_reproduction():
     """Exact query counts: 9M'+27 at (4,3), KM for chains, block formula."""
     checks = []
     for m_prime in (1, 5, 100):
-        _, _, report = _run_once(4, 3, 2 * m_prime, 1, 3, 7, Permutation.identity(4))
+        _, _, report = _run_once(4, 3, 2 * m_prime, 1, 3, 7, _identity(4))
         checks.append(report.d == 9 * m_prime + 27)
     for k, n, m in ((2, 2, 7), (3, 5, 4), (5, 5, 6), (1, 1, 3)):
-        _, _, report = _run_once(k, n, m, 1, 3, 7, Permutation.identity(k))
+        _, _, report = _run_once(k, n, m, 1, 3, 7, _identity(k))
         checks.append(report.d == k * m)
     for k, n, m in ((3, 2, 5), (5, 3, 6), (4, 2, 6)):
         m_prime = m // (n - 1)
-        _, _, report = _run_once(k, n, m, 1, 3, 7, Permutation.identity(k))
+        _, _, report = _run_once(k, n, m, 1, 3, 7, _identity(k))
         checks.append(report.d == (m_prime + k - 1) * n * (k - 1))
     _verdict("criterion 2", all(checks), f"query counts exact: {sum(checks)}/{len(checks)} checks")
 
@@ -113,7 +118,7 @@ def test_criterion_3_rate_convergence():
     checks = []
     details = []
     for m_prime in (1, 30, 3000):
-        _, _, report = _run_once(4, 3, 2 * m_prime, 1, 3, 8, Permutation.identity(4))
+        _, _, report = _run_once(4, 3, 2 * m_prime, 1, 3, 8, _identity(4))
         rate = Fraction(*report.rate)
         checks.append(rate == Fraction(8 * m_prime, 9 * m_prime + 27))
         checks.append(rate <= 1)
@@ -121,7 +126,7 @@ def test_criterion_3_rate_convergence():
     checks.append(gap_43 < 1e-3)
     details.append(f"|R(4,3)@M'=3000 - 8/9| = {gap_43:.2e}")
 
-    _, _, report = _run_once(3, 2, 3000, 1, 3, 8, Permutation.identity(3))
+    _, _, report = _run_once(3, 2, 3000, 1, 3, 8, _identity(3))
     rate_32 = Fraction(*report.rate)
     gap_32 = abs(float(rate_32) - 3 / 4)
     checks.append(rate_32 <= 1)
@@ -129,7 +134,7 @@ def test_criterion_3_rate_convergence():
     details.append(f"|R(3,2)@M=3000 - 3/4| = {gap_32:.2e}")
 
     for k, n in ((2, 2), (3, 5), (5, 5)):
-        _, _, report = _run_once(k, n, 4, 1, 3, 8, Permutation.identity(k))
+        _, _, report = _run_once(k, n, 4, 1, 3, 8, _identity(k))
         checks.append(Fraction(*report.rate) == 1)
     _verdict("criterion 3", all(checks), f"rate convergence: {'; '.join(details)}")
 

@@ -39,6 +39,11 @@ from psfc.runtime import Server, SimTransport, generate_functions, generate_inpu
 from psfc.scheduler import build_plan, run_plan
 
 
+def _identity(k):
+    """The order that applies F_1 first and F_K last."""
+    return Permutation(tuple(range(1, k + 1)))
+
+
 # -- fingerprint invariance -----------------------------------------------------
 
 
@@ -68,7 +73,7 @@ def test_exchange_sizes_invariant_across_orders():
             for m in range(1, 6):
                 res = fingerprint_invariance(k, n, m, seed=k * n * m)
                 assert res.ok, (k, n, m, res.mismatches)
-                plan = build_plan(k, n, m, Permutation.identity(k))
+                plan = build_plan(k, n, m, _identity(k))
                 assert sum(map(sum, res.exchanges.values())) == len(plan)
 
 
@@ -86,7 +91,7 @@ def test_exchange_size_check_fires_on_order_dependent_exchanges(monkeypatch):
                     for a in self.inner.query(servers[i:i + 1], functions[i:i + 1], xs[i:i + 1])]
 
     def leaky_run(config, sigma, w, transport):
-        if sigma != Permutation.identity(config.k):
+        if sigma != _identity(config.k):
             transport = Split(transport)
         return run_protocol(config, sigma, w, transport)
 
@@ -554,7 +559,7 @@ def _report_for(k, n, m, seed=30, l=1, p=5):
     functions = generate_functions(k, l, p, Rng(seed).child("functions"))
     w = generate_inputs(m, l, p, Rng(seed).child("inputs"))
     servers = [Server(i + 1, functions, p) for i in range(n)]
-    _, report = run_protocol(config, Permutation.identity(k), w, SimTransport(servers))
+    _, report = run_protocol(config, _identity(k), w, SimTransport(servers))
     return report
 
 

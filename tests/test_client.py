@@ -14,14 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from psfc import client as client_module
-from psfc.client import outputs_to_bytes, run_protocol, unmask
+from psfc.client import outputs_to_bytes, run_protocol
 from psfc.field import (
     DEFAULT_MODULUS,
     DimensionMismatch,
     mat_vec_mul,
     sample_invertible_matrix,
     sample_uniform_vector,
-    vec_add,
     vec_ops,
 )
 from psfc.protocol import Permutation, RunConfig, compose_reference, enumerate_permutations
@@ -49,15 +48,25 @@ def _run(config, functions, w, sigma):
     return run_protocol(config, sigma, w, SimTransport(servers))
 
 
+def _identity(k):
+    """The order that applies F_1 first and F_K last."""
+    return Permutation(tuple(range(1, k + 1)))
+
+
 # -- unmask ------------------------------------------------------------------------
 
 
+def _unmask(masked_answer, mask_image, p):
+    """The client's unmask: `vec_ops(L)`'s sub, masked_answer - mask_image mod p."""
+    return vec_ops(len(masked_answer))(p, None)[2](masked_answer, mask_image)
+
+
 def test_unmask_zero_image_is_identity():
-    assert unmask((2, 3), (0, 0), 5) == (2, 3)
+    assert _unmask((2, 3), (0, 0), 5) == (2, 3)
 
 
 def test_unmask_scalar_example():
-    assert unmask((4,), (3,), 5) == (1,)
+    assert _unmask((4,), (3,), 5) == (1,)
 
 
 def test_unmask_cancels_linear_pad():
@@ -66,14 +75,15 @@ def test_unmask_cancels_linear_pad():
     f = sample_invertible_matrix(3, p, rng)
     x = sample_uniform_vector(3, p, rng)
     z = sample_uniform_vector(3, p, rng)
-    masked = mat_vec_mul(f, vec_add(x, z, p), p)
+    _, add, sub = vec_ops(3)(p, None)
+    masked = mat_vec_mul(f, add(x, z), p)
     image = mat_vec_mul(f, z, p)
-    assert unmask(masked, image, p) == mat_vec_mul(f, x, p)
+    assert sub(masked, image) == mat_vec_mul(f, x, p)
 
 
 def test_unmask_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        unmask((1, 2), (1,), 5)
+        _unmask((1, 2), (1,), 5)
 
 
 # -- the compiled field operations ---------------------------------------------------
@@ -162,20 +172,20 @@ def test_output_index_layout():
 
 def test_report_d_k_block_structure():
     config, functions, w = _instance(4, 3, 4, 1, 5, seed=14)  # M'=2, blocks=5
-    _, report = _run(config, functions, w, Permutation.identity(4))
+    _, report = _run(config, functions, w, _identity(4))
     assert report.d_k == [2 * 5, 2 * 5, 2 * 5, 3 * 5]
     assert sum(report.d_k) == report.d == query_count(4, 3, 4)
 
 
 def test_report_rate_exact_fraction():
     config, functions, w = _instance(4, 3, 2, 1, 5, seed=15)
-    _, report = _run(config, functions, w, Permutation.identity(4))
+    _, report = _run(config, functions, w, _identity(4))
     assert report.rate == (2, 9)  # 8/36 reduced
 
 
 def test_chain_d_k_is_m():
     config, functions, w = _instance(3, 4, 5, 1, 5, seed=16)
-    _, report = _run(config, functions, w, Permutation.identity(3))
+    _, report = _run(config, functions, w, _identity(3))
     assert report.d_k == [5, 5, 5]
 
 
@@ -307,9 +317,9 @@ def test_outputs_binary_format():
 def test_input_validation():
     config, functions, w = _instance(3, 2, 2, 1, 5, seed=20)
     with pytest.raises(ValueError):
-        _run(config, functions, w[:1], Permutation.identity(3))
+        _run(config, functions, w[:1], _identity(3))
     with pytest.raises(ValueError):
-        _run(config, functions, w, Permutation.identity(4))
+        _run(config, functions, w, _identity(4))
 
 
 @pytest.mark.parametrize(

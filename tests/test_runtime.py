@@ -15,6 +15,7 @@ from psfc.field import (
     KERNEL_MIN_DIM,
     DimensionMismatch,
     mat_vec_mul,
+    row_kernel,
     sample_uniform_vector,
 )
 from psfc.protocol import Permutation, RunConfig, compose_reference
@@ -111,6 +112,23 @@ def test_refused_batch_records_nothing(last, error):
     with pytest.raises(error):
         SimTransport([server]).query([1] * 3, functions, ws)
     assert server.marginal.entries == before
+
+
+@pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
+@pytest.mark.parametrize("l", [2, KERNEL_MIN_DIM])
+def test_server_refuses_a_function_it_would_serve_wrongly(l, p):
+    # Refused when the server is built: a function that is not L x L, which
+    # would be answered at another length, and one with an entry outside
+    # [0, p), which the float64 kernel's limb split would answer wrongly.
+    good = _uniform_functions(1, l, p, 5)[0]
+    taller, shorter = good + good[:1], good[1:]
+    ragged, wider = good[:-1] + (good[-1] + (0,),), tuple(row + (0,) for row in taller)
+    for shape in (taller, shorter, ragged, wider):
+        with pytest.raises(DimensionMismatch):
+            Server(1, [good, shape], p)
+    for entry in (-1, p, 2**64):
+        with pytest.raises(NonCanonicalElement):
+            Server(1, [good, ((entry,) + good[0][1:],) + good[1:]], p)
 
 
 BATCHES = settings(derandomize=True, max_examples=60, deadline=None, database=None)
@@ -220,13 +238,14 @@ def test_sim_transport_serves_each_share_in_one_call():
     assert servers[0].marginal.entries == [(1, (1,)), (2, (2,)), (1, (4,))]
 
 
-@pytest.mark.parametrize("l", range(1, KERNEL_MIN_DIM))
+@pytest.mark.parametrize("l", [*range(1, KERNEL_MIN_DIM), KERNEL_MIN_DIM, 16])
 def test_small_l_servers_share_one_kernel_per_l(l):
-    # The kernel is compiled once per L: servers with different matrices
-    # hold the same function object, and it answers like mat_vec_mul.
+    # The kernel is compiled once per L, at every L where the float64
+    # kernel does not apply: servers with different matrices hold the same
+    # function object, and it answers like mat_vec_mul.
     p = 2**61 - 1
     one, two = (Server(1, _uniform_functions(3, l, p, seed), p) for seed in (1, 2))
-    assert one._product is two._product
+    assert one._product is two._product is row_kernel(l)
     assert one._product is not Server(1, _uniform_functions(1, l + 1, p, 3), p)._product
     rng = Rng(4)
     fs = [rng.randrange(3) + 1 for _ in range(7)]
@@ -827,11 +846,11 @@ def _exchange(draw, n, k, l, p):
     return [s for s, _, _ in rows], [f for _, f, _ in rows], [x for _, _, x in rows]
 
 
-# Each example starts a TCP host and connects to it: 3 x 10 examples take
-# about 0.4 s on a 2-vCPU machine, within a 5 s budget for this test.
+# Each example starts a TCP host and connects to it: 4 x 10 examples take
+# about 0.5 s on a 2-vCPU machine, within a 5 s budget for this test.
 @pytest.mark.parametrize(
-    "l, p", [(1, 3), (2, 2**61 - 1), (KERNEL_MIN_DIM, DEFAULT_MODULUS)],
-    ids=["tuple-p3", "tuple-p61", "kernel"],
+    "l, p", [(1, 3), (2, 2**61 - 1), (KERNEL_MIN_DIM, DEFAULT_MODULUS), (KERNEL_MIN_DIM, 2**61 - 1)],
+    ids=["tuple-p3", "tuple-p61", "kernel", "tuple-p61-l9"],
 )
 @settings(derandomize=True, max_examples=10, deadline=None, database=None)
 @given(data=st.data(), n=st.integers(1, 4), k=st.integers(1, 4), seed=st.integers(0, 2**32))
@@ -842,7 +861,8 @@ def test_both_transports_answer_any_exchange_row_by_row(l, p, data, n, k, seed):
         exchanges.append(([1, 2, 1], [1, k, 1], [(0,) * l, (1,) * l, (p - 1,) * l]))
     sim_servers = [Server(i + 1, functions, p) for i in range(n)]
     tcp_servers = [Server(i + 1, functions, p) for i in range(n)]
-    assert (sim_servers[0]._product is runtime._serve_stacked) == (l >= KERNEL_MIN_DIM and p < 2**31)
+    float64 = l >= KERNEL_MIN_DIM and p < 2**31
+    assert sim_servers[0]._product is (runtime._serve_stacked if float64 else row_kernel(l))
     host = TcpServerHost(tcp_servers)
     sim, tcp = SimTransport(sim_servers), TcpTransport(host.addresses)
     try:

@@ -33,6 +33,11 @@ from psfc.scheduler import (
 )
 
 
+def _identity(k):
+    """The order that applies F_1 first and F_K last."""
+    return Permutation(tuple(range(1, k + 1)))
+
+
 def _mask_id(plan, block, slot):
     """Masks are numbered block by block, K - N to a block."""
     assert 1 <= block <= plan.n_blocks and 1 <= slot <= plan.k - plan.n
@@ -66,19 +71,19 @@ def test_block_columns_k3_n2():
 
 
 def test_block_count_example():
-    assert build_plan(4, 3, 10, Permutation.identity(4)).n_blocks == 8
+    assert build_plan(4, 3, 10, _identity(4)).n_blocks == 8
 
 
 def test_build_blocks_regime_errors():
     # Blocks need K > N, N >= 2 and a full batch of N - 1 requests; any
     # other shape runs as chains (K <= N) or wholly through the fallback.
     for k, n, m in ((2, 2, 1), (3, 1, 1), (4, 3, 1)):
-        plan = build_plan(k, n, m, Permutation.identity(k))
+        plan = build_plan(k, n, m, _identity(k))
         assert plan.n_blocks == plan.m_prime == plan.masks == 0
         assert _FRESH not in plan.source
         assert all(q.block == 0 for q in _rows(plan))
-    assert all(q.server == q.function for q in _rows(build_plan(2, 2, 1, Permutation.identity(2))))
-    assert all(q.server == 1 for q in _rows(build_plan(4, 3, 1, Permutation.identity(4))))
+    assert all(q.server == q.function for q in _rows(build_plan(2, 2, 1, _identity(2))))
+    assert all(q.server == 1 for q in _rows(build_plan(4, 3, 1, _identity(4))))
 
 
 # -- block plans against the worked K=4, N=3 tables ---------------------------
@@ -292,21 +297,21 @@ def test_chain_regime_guard():
     # An order of the wrong size is refused in every regime.
     for k, n in ((2, 3), (3, 2), (3, 1)):
         with pytest.raises(InvalidRegime):
-            build_plan(k, n, 1, Permutation.identity(k + 1))
+            build_plan(k, n, 1, _identity(k + 1))
 
 
 # -- fallback ---------------------------------------------------------------------
 
 
 def test_fallback_counts():
-    assert len(build_plan(2, 1, 1, Permutation.identity(2))) == 4
-    assert len(build_plan(3, 1, 1, Permutation.identity(3))) == 18
+    assert len(build_plan(2, 1, 1, _identity(2))) == 4
+    assert len(build_plan(3, 1, 1, _identity(3))) == 18
     # N - 1 = 2 divides M = 4: no leftover request, no fallback row.
-    assert all(q.block for q in _rows(build_plan(4, 3, 4, Permutation.identity(4))))
+    assert all(q.block for q in _rows(build_plan(4, 3, 4, _identity(4))))
 
 
 def test_fallback_all_to_server_one_lex_order():
-    queries = _rows(build_plan(2, 1, 1, Permutation.identity(2)))
+    queries = _rows(build_plan(2, 1, 1, _identity(2)))
     assert all(q.server == 1 for q in queries)
     # step 1 of the lexicographic chains (1,2) and (2,1), then step 2
     assert [q.function for q in queries] == [1, 2, 2, 1]
@@ -348,7 +353,7 @@ def test_query_count_worked_examples():
 
 def test_query_count_matches_plan_length():
     for k in range(1, 7):
-        sigma = Permutation.identity(k)
+        sigma = _identity(k)
         for n in range(1, 6):
             # K = 6 keeps M small: a leftover request is 720 chains.
             for m in range(1, 8 if k < 6 else 4):
@@ -359,7 +364,7 @@ def test_query_count_matches_plan_length():
 def test_fallback_beyond_the_enumeration_guard_raises():
     # The fallback lists all K! chains through the one K! enumeration.
     with pytest.raises(KTooLarge):
-        build_plan(9, 1, 1, Permutation.identity(9))
+        build_plan(9, 1, 1, _identity(9))
 
 
 # -- plan invariants -----------------------------------------------------------------
@@ -414,7 +419,7 @@ def test_feasibility_mechanical_check():
 
 def test_feasibility_check_rejects_same_block_reads():
     # A phase-1 output consumed in its own block must fail the check.
-    plan = build_plan(4, 3, 2, Permutation.identity(4))
+    plan = build_plan(4, 3, 2, _identity(4))
     rows = _rows(plan)
     i = next(i for i, q in enumerate(rows) if q.effect[0] == "out")
     source = list(plan.source)
@@ -461,7 +466,7 @@ def test_run_plan_rejects_a_read_within_a_fallback_level():
     # Row 1 of a request's first level now reads the link that row 0,
     # in the same level, writes.  run_plan builds the whole level's
     # inputs before it uses any answer, so the read is unresolved.
-    plan = build_plan(3, 1, 1, Permutation.identity(3))
+    plan = build_plan(3, 1, 1, _identity(3))
     source = list(plan.source)
     source[1] = plan.dest[0]
     broken = dataclasses.replace(plan, source=source)
@@ -471,7 +476,7 @@ def test_run_plan_rejects_a_read_within_a_fallback_level():
 
 
 def test_run_plan_rejects_unresolved_reference():
-    plan = build_plan(2, 2, 1, Permutation.identity(2))
+    plan = build_plan(2, 2, 1, _identity(2))
     # The chain's first query reads the link it is about to write.
     broken = dataclasses.replace(plan, source=[plan.dest[0]] + plan.source[1:])
     assert _rows(broken)[0].expr == ("prev", 0)
@@ -483,7 +488,7 @@ def test_run_plan_rejects_unresolved_reference():
 def test_run_plan_rejects_a_link_left_by_an_earlier_request(k, n):
     # Requests reuse the chain-link registers.  Request 2's first row now
     # reads link 0, which request 1 wrote: a K <= N chain and a fallback.
-    plan = build_plan(k, n, 2, Permutation.identity(k))
+    plan = build_plan(k, n, 2, _identity(k))
     first = len(plan) // 2
     source = list(plan.source)
     source[first] = plan.links
@@ -552,7 +557,7 @@ def test_task_completion_follows_block_diagonal():
 
 
 def test_blocks_strictly_sequential():
-    plan = build_plan(4, 3, 4, Permutation.identity(4))
+    plan = build_plan(4, 3, 4, _identity(4))
     blocks = [q.block for q in _rows(plan)]
     assert blocks == sorted(blocks)
 
@@ -567,7 +572,7 @@ def test_fallback_section_shared_and_sigma_free():
 
 def test_plan_freed_after_del():
     # Plans are built fresh per call and nothing retains them.
-    plan = build_plan(4, 3, 5, Permutation.identity(4))
+    plan = build_plan(4, 3, 5, _identity(4))
     ref = weakref.ref(plan)
     del plan
     gc.collect()
@@ -588,7 +593,7 @@ def test_task_outputs_written_exactly_once():
 
 def test_mixed_regime_with_leftovers():
     # K=4, N=3, M=5: M'=2 batches plus r=1 leftover through the fallback.
-    plan = build_plan(4, 3, 5, Permutation.identity(4))
+    plan = build_plan(4, 3, 5, _identity(4))
     assert plan.m_prime == 2
     assert len(plan.exchanges) == 5 + 4  # the blocks, then the leftover's K levels
     assert len(plan) == (2 + 3) * 9 + 1 * 4 * factorial(4)
