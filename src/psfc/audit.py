@@ -284,7 +284,7 @@ def _sample_invertible_batch(k: int, l: int, p: int, t: int, nprng) -> np.ndarra
 def _batch_eval(plan: QueryPlan, f_batch, w_batch, draw, p: int) -> list[list[np.ndarray]]:
     """The plan interpreter over a stack of trials, as numpy arrays.
 
-    Values are (trials x L) int64 arrays; `draw(mid)` returns a fresh
+    Values are (trials x L) int64 arrays; `draw(slot)` returns a fresh
     one.  `f_batch[k - 1]` is function k: one (L x L) matrix shared by
     every trial, or a (trials x L x L) stack.  Every value is reduced
     mod p by lookup in `_residues`.  Returns, per server, the list of

@@ -349,8 +349,7 @@ def _demo(k: int, n: int, m: int, sigma: Permutation) -> bool:
 
     outputs = run_plan(
         plan, [(name,) for name in names],
-        lambda mid: ("Z*",) if mid is None
-        else ("Z[{},{}]".format(*(v + 1 for v in divmod(mid, k - n))),),
+        lambda slot: ("Z*",) if slot is None else (f"Z[{calls + 1},{slot + 1}]",),
         lambda x, z: x + z, lambda a, b: tuple(t for t in a if t not in b), query,
     )
     expected = []

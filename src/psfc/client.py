@@ -108,6 +108,8 @@ def run_protocol(
         raise ValueError(f"expected {m} input vectors, got {len(w_vectors)}")
     if lengths := set(map(len, w_vectors)) - {l}:
         raise DimensionMismatch(f"inputs of lengths {sorted(lengths)}, expected {l}")
+    if kinds := {*map(type, chain.from_iterable(w_vectors))} - {int}:  # a bool too
+        raise NonCanonicalElement(f"input elements of types {sorted(t.__name__ for t in kinds)}, not int")
     if not 0 <= min(chain.from_iterable(w_vectors)) <= max(chain.from_iterable(w_vectors)) < p:
         raise NonCanonicalElement(f"input elements outside [0, {p})")
     plan = build_plan(k, n, m, sigma)

@@ -222,15 +222,15 @@ def mat_vec_mul(a: PreparedMatrix, w, p: int) -> FieldVector | np.ndarray:
 def row_kernel(l: int):
     """`kernel(matrices, functions, ws, p)`: [matrices[f] w mod p for each row
     (f, w)] in one loop with no call a row, or None at a row with an unknown f,
-    another length or an element outside [0, p); its source depends on L alone."""
+    another length or an element not an int in [0, p); its source depends on L alone."""
     w = [f"w{j}" for j in range(l)]
     a = [[f"a{i}_{j}" for j in range(l)] for i in range(l)]
     namespace: dict = {}
     exec(f"""def kernel(matrices, functions, ws, p):
-    out = []
+    out, type_, int_ = [], type, int
     try:  # a KeyError is an unknown function, a ValueError a row of another length
         for f, ({', '.join(w)},) in zip(functions, ws):
-            if not ({' and '.join(f'0 <= {x} < p' for x in w)}):
+            if not ({' and '.join(f'type_({x}) is int_ and 0 <= {x} < p' for x in w)}):
                 return None
             ({''.join(f"({', '.join(r)},), " for r in a)}) = matrices[f]
             out.append(({''.join(f"({' + '.join(map('{} * {}'.format, r, w))}) % p, " for r in a)}))

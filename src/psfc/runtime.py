@@ -110,7 +110,7 @@ class Server:
         The server's batch routine checks and answers the whole batch in one
         call, or refuses it; then nothing is recorded, and the first bad row
         raises its typed error: an unknown function, then another length,
-        then an element outside [0, p).
+        then an element that is not an int in [0, p) (a bool or float is refused).
         """
         if len(functions) != len(ws):  # zip would drop the extra rows without a word
             raise ValueError(f"{len(functions)} functions for {len(ws)} inputs")
@@ -123,8 +123,8 @@ class Server:
                 if len(w) != self.l:
                     raise DimensionMismatch(f"input has length {len(w)}, expected {self.l}")
                 for x in w:
-                    if not 0 <= x < p:
-                        raise NonCanonicalElement(f"input element {x} outside [0, {p})")
+                    if type(x) is not int or not 0 <= x < p:
+                        raise NonCanonicalElement(f"input element {x!r} is not an int in [0, {p})")
             raise RuntimeError("batch refused with no bad row")  # an internal bug; record nothing
         self.marginal.functions += functions
         self.marginal.inputs += ws
@@ -135,6 +135,8 @@ def _serve_stacked(matrices, functions, ws, p):
     """A batch on float64 arrays, admitted as one uint64 stack by one numpy
     reduction (None if refused), with one `mat_vec_mul` call per function."""
     import numpy as np
+    if {*map(type, chain.from_iterable(ws))} != {int}:  # numpy would cast a float, bool or str
+        return None
     try:  # numpy refuses an element below 0 or from 2^64 on, and rows of two lengths
         x = np.array(ws, dtype=np.uint64)
     except (OverflowError, ValueError):
@@ -466,8 +468,8 @@ class TcpTransport:
                 if not 0 <= function < 1 << 16:
                     raise UnknownFunction(f"function {function} does not fit a u16") from None
             for x in chain.from_iterable(xs):
-                if not 0 <= x < 1 << 64:
-                    raise NonCanonicalElement(f"input element {x} does not fit a u64") from None
+                if type(x) is not int or not 0 <= x < 1 << 64:
+                    raise NonCanonicalElement(f"input element {x!r} is not an int that fits a u64") from None
             raise
         channel.sock.sendall(frame)
 

@@ -84,11 +84,10 @@ class MissingValue(RuntimeError):
 
 # What a row sends: register `source` when source >= 0, a fresh uniform
 # placeholder when source is _FRESH, and the bare mask Z[pad] when source
-# is _MASK; a register or placeholder is padded with Z[pad] when pad >= 0.
-# What becomes of its answer: a row with dest >= 0 stores it in register
-# `dest`, once the image of Z[pad] is cancelled from it when padded; a
-# _MASK row's answer is the image of Z[pad]; any other answer is camouflage
-# and is dropped.
+# is _MASK; a register or placeholder is padded with Z[pad] when pad >= 0,
+# Z[pad] being its exchange's mask in slot pad.  A _MASK row's answer is
+# the image of Z[pad], and any other padded answer has it cancelled; an
+# answer is then stored in register `dest` if dest >= 0, else dropped.
 _FRESH, _MASK = -1, -2
 
 
@@ -104,7 +103,7 @@ class QueryPlan:
     writes straight into place.  Column i of every list describes query
     i: its server, its function, and the `source`, `pad` and `dest` that
     say what it is sent and where its answer goes (see _FRESH and _MASK
-    above).
+    above); `pad` is -1 or a slot in [0, K-N) of the row's own block.
     """
 
     k: int
@@ -114,7 +113,6 @@ class QueryPlan:
     n_blocks: int
     links: int  # the first chain-link register
     chains: int  # chains per request outside the blocks: K! with a fallback, else 1
-    masks: int  # block b's phase-2 slot i pads with mask (b-1)(K-N) + i-1
     exchanges: list[int]  # the end row of each exchange: a block each, then a chain level each
     server: list[int]
     function: list[int]
@@ -161,21 +159,19 @@ def _emit_blocks(cols, exchanges, sigma: Permutation, n: int, m: int, m_prime: i
     phase1 = [srv for srv in range(1, n + 1) for _ in range(width)]
     server += (phase1 + [srv for srv in range(1, n + 1) for _ in range(slots)]) * n_blocks
     function += (phase1 + list(range(n + 1, k + 1)) * n) * n_blocks
+    pad += ([-1] * len(phase1) + list(range(slots)) * n) * n_blocks
     pi = sigma.inverse().mapping
-    # A task slot is (step, comp, pad slot).  Phase 1: server n advances
-    # step pi_n of batch b - pi_n + 1.  Phase 2: function N+i advances
-    # step pi_{N+i} everywhere; servers below N get padded inputs, server
-    # N the bare mask.
-    tasks = [(step, comp, -1) for step in pi[:n] for comp in range(1, n)]
-    tasks += [(step, srv, i) for srv in range(1, n) for i, step in enumerate(pi[n:])]
+    # A task is (step, comp).  Phase 1: server n advances step pi_n of batch
+    # b - pi_n + 1.  Phase 2: function N+1+i advances step pi_{N+1+i} at the
+    # servers below N, on inputs padded with mask slot i; N gets the mask.
+    tasks = [(step, comp) for step in pi[:n] for comp in range(1, n)]
+    tasks += [(step, srv) for srv in range(1, n) for step in pi[n:]]
     # base[s] + (batch-1)(N-1) + comp-1 is the register of a task's
     # step-s output: s = 0 names the raw input, s = K the output.
     base = [m] + [2 * m + s * m_prime * width for s in range(k - 1)] + [0]
-    mid = 0
     for b in range(1, n_blocks + 1):
-        for step, comp, i in tasks:
+        for step, comp in tasks:
             batch = b - step + 1
-            pad.append(i if i < 0 else mid + i)
             if 1 <= batch <= m_prime:
                 at = (batch - 1) * width + comp - 1
                 source.append(base[step - 1] + at)
@@ -184,9 +180,7 @@ def _emit_blocks(cols, exchanges, sigma: Permutation, n: int, m: int, m_prime: i
                 source.append(_FRESH)
                 dest.append(-1)
         source += [_MASK] * slots
-        pad += range(mid, mid + slots)
         dest += [-1] * slots
-        mid += slots
         exchanges.append(len(source))
 
 
@@ -249,8 +243,7 @@ def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     _emit_blocks(cols, exchanges, sigma, n, m, m_prime, n_blocks)
     first = m - r if fallback else 0
     chains = _emit_chains(cols, exchanges, sigma, first, m, links, fallback) if first < m else 1
-    masks = (k - n) * n_blocks
-    return QueryPlan(k, n, m, m_prime, n_blocks, links, chains, masks, exchanges, *cols)
+    return QueryPlan(k, n, m, m_prime, n_blocks, links, chains, exchanges, *cols)
 
 
 def query_count(k: int, n: int, m: int) -> int:
@@ -295,8 +288,8 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
 
     The backend is five callables over its own value type:
       inputs[i]         raw input vector i (flat request index);
-      draw(mid)         a fresh uniform value: mask `mid`, or a
-                        placeholder when mid is None;
+      draw(slot)        a fresh uniform value: the exchange's mask in pad
+                        slot `slot`, or a placeholder when slot is None;
       add(x, z)         x padded with mask z;
       sub(a, b)         a with the pad image b cancelled;
       query(servers, functions, xs)  the answers F_f(x) to one exchange,
@@ -309,26 +302,24 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     does any read of a register not yet written.  A chain link lives for
     one exchange, the one after it is written: the links are cleared
     once an exchange's inputs are built, so a read of an older link,
-    such as an earlier request's, raises too.  Masks and placeholders
-    are drawn at first use, in plan order, a padded placeholder before
-    its mask, so a seeded backend sees one fixed sequence of draws.  An
-    answer goes where its row's `dest` says: into that register, or, from
-    a bare-mask row, to cancel the mask's image from the padded answers
-    waiting on it; a padded answer waits until its block returns that
-    image, which comes last in the block.  Any other answer is dropped.
-    The interpreter owns all plan state: the
-    registers, masks and pending unmasks.
+    such as an earlier request's, raises too.  Placeholders and the
+    exchange's masks are drawn at first use, in plan order, a padded
+    placeholder before its mask, so a seeded backend sees one fixed
+    sequence of draws.  A pad lives in its exchange: once the answers
+    are in, every padded one has its mask's image (a bare-mask row's
+    answer) cancelled, or raises DependencyViolation when there is none,
+    and then, like any answer, is stored in register `dest` if dest >= 0
+    and dropped otherwise.  So an exchange's (draw, add, sub) work is the
+    same under every order, and only the registers outlive an exchange.
     """
     m = plan.m
     regs: list = [None] * (plan.links + plan.chains)
     regs[m : 2 * m] = [inputs[i] for i in range(m)]
-    masks: list = [None] * plan.masks
-    pending: dict = {}  # mask id -> [(register, padded answer)]
 
-    def mask(mid):
-        z = masks[mid]
+    def mask(slot):
+        z = masks.get(slot)
         if z is None:
-            z = masks[mid] = draw(mid)
+            z = masks[slot] = draw(slot)
         return z
 
     servers, functions = plan.server, plan.function
@@ -336,6 +327,7 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
     links, unset = plan.links, [None] * plan.chains
     for start, stop in zip([0, *plan.exchanges], plan.exchanges):
         group = range(start, stop)
+        masks: dict = {}  # pad slot -> this exchange's mask
         xs = []
         for i in group:
             source, pad = sources[i], pads[i]
@@ -351,16 +343,22 @@ def run_plan(plan: QueryPlan, inputs, draw, add, sub, query) -> list:
             xs.append(x)
 
         regs[links:] = unset
+        images, padded = {}, []
         for i, ans in zip(group, query(servers[start:stop], functions[start:stop], xs), strict=True):
             dest, pad = dests[i], pads[i]
-            if dest >= 0:
-                if pad < 0:
+            if pad < 0:
+                if dest >= 0:
                     regs[dest] = ans
-                else:  # a padded image: stored once its mask's image is back
-                    pending.setdefault(pad, []).append((dest, ans))
             elif sources[i] == _MASK:
-                for reg, masked in pending.pop(pad, ()):
-                    regs[reg] = sub(masked, ans)
+                images[pad] = ans
+            else:
+                padded.append((dest, pad, ans))
+        for dest, pad, ans in padded:
+            if pad not in images:
+                raise DependencyViolation(f"no image of mask slot {pad} in exchange [{start}, {stop})")
+            ans = sub(ans, images[pad])
+            if dest >= 0:
+                regs[dest] = ans
 
     outputs = regs[:m]
     missing = [i for i, value in enumerate(outputs) if value is None]

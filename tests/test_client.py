@@ -325,7 +325,8 @@ def test_input_validation():
 @pytest.mark.parametrize(
     "w, error",
     [((8, 1), NonCanonicalElement), ((-1, 0), NonCanonicalElement),
-     ((1,), DimensionMismatch), ((1, 0, 0), DimensionMismatch)],
+     ((1,), DimensionMismatch), ((1, 0, 0), DimensionMismatch),
+     ((1.5, 1.5), NonCanonicalElement), ((True, 0), NonCanonicalElement)],
 )
 def test_a_bad_input_is_refused_before_any_query_whatever_the_order(w, error):
     # Unchecked, (8, 1) went through under some orders, reduced mod p by

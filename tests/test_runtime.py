@@ -94,6 +94,21 @@ def test_serve_rejects_noncanonical_elements(l):
     assert len(server.marginal) == 0
 
 
+@pytest.mark.parametrize("l", [2, KERNEL_MIN_DIM])  # the row kernel and the float64 kernel
+@pytest.mark.parametrize("bad", [1.5, 1.0, True, "1"])
+def test_serve_refuses_elements_that_are_not_ints(l, bad):
+    # Unrefused, 1.5 was answered in floats by the row kernel and read as 1
+    # by the float64 kernel's uint64 stack, and True was recorded in the view.
+    p = DEFAULT_MODULUS
+    server = Server(1, generate_functions(1, l, p, Rng(1)), p)
+    w = (1,) * (l - 1) + (bad,)
+    with pytest.raises(NonCanonicalElement):
+        server.serve([1, 1], [(1,) * l, w])
+    with pytest.raises(NonCanonicalElement):
+        SimTransport([server]).query([1], [1], [w])
+    assert len(server.marginal) == 0
+
+
 @pytest.mark.parametrize(
     "last, error",
     [((1, (7,)), NonCanonicalElement), ((9, (1,)), UnknownFunction)],
@@ -794,8 +809,9 @@ def test_rows_of_two_lengths_are_refused(entry):
     "exchange, error",
     [(([1], [1], [(-1, 0)]), NonCanonicalElement),
      (([1], [1], [(2**64, 0)]), NonCanonicalElement),
-     (([1], [70000], [(1, 0)]), UnknownFunction)],
-    ids=["negative", "past-u64", "past-u16"],
+     (([1], [70000], [(1, 0)]), UnknownFunction),
+     (([1], [1], [(1.5, 0)]), NonCanonicalElement)],
+    ids=["negative", "past-u64", "past-u16", "float"],
 )
 def test_rows_no_frame_can_hold_raise_the_typed_error(entry, exchange, error):
     # TCP cannot encode these rows; it raises what a sim server raises.
