@@ -5,8 +5,8 @@ and never multiplies by them.  It hands `scheduler.run_plan` four field
 operations (draw a pad, add it, cancel a pad image, ask a server) and
 records what it sent; storage, pad bookkeeping and output decoding are
 the interpreter's.  The first three are `field.vec_ops(L)`, compiled once
-per L.  This module must not import any matrix operation; a test
-enforces that structurally.
+per L; the inputs are admitted first by `field.check_vectors`, the servers'
+rule.  This module must not import any matrix operation; a test enforces that.
 
 Execution is a single logical thread that sends the plan's exchanges
 one at a time, each in one transport call, and uses every answer before
@@ -20,9 +20,9 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, count
+from itertools import compress, count
 
-from .field import DimensionMismatch, FieldVector, NonCanonicalElement, vec_ops
+from .field import FieldVector, check_vectors, vec_ops
 from .protocol import Permutation, RunConfig, json_array
 from .rand import Rng
 from .scheduler import build_plan, run_plan
@@ -106,12 +106,7 @@ def run_protocol(
     k, n, m, l, p = config.k, config.n, config.m, config.l, config.p
     if len(w_vectors) != m:
         raise ValueError(f"expected {m} input vectors, got {len(w_vectors)}")
-    if lengths := set(map(len, w_vectors)) - {l}:
-        raise DimensionMismatch(f"inputs of lengths {sorted(lengths)}, expected {l}")
-    if kinds := {*map(type, chain.from_iterable(w_vectors))} - {int}:  # a bool too
-        raise NonCanonicalElement(f"input elements of types {sorted(t.__name__ for t in kinds)}, not int")
-    if not 0 <= min(chain.from_iterable(w_vectors)) <= max(chain.from_iterable(w_vectors)) < p:
-        raise NonCanonicalElement(f"input elements outside [0, {p})")
+    check_vectors(w_vectors, l, p)
     plan = build_plan(k, n, m, sigma)
     randrange = Rng(config.seed).child("client").randrange
     inputs: list[FieldVector] = []  # in send order

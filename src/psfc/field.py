@@ -3,7 +3,8 @@
 Values are Python ints in canonical form (reduced into [0, p) at every
 operation boundary), vectors are tuples of ints and matrices tuples of
 row tuples: overflow-free for any supported modulus, and safe to share
-across threads.
+across threads.  `check_vectors` is the one rule for a vector taken in:
+length L, and elements that are ints (not bools or floats) in [0, p).
 
 Servers multiply through one of two kernels, and `prepare_matrix` is the
 one place that picks between them from (L, p).  When p < 2^31 and
@@ -15,8 +16,8 @@ TOMS 35(3), 2008).  b is the widest limb with L (2^31 - 1)(2^b - 1)
 < 2^53, so every partial sum is an integer a double holds exactly,
 whatever order the BLAS sums in.  Everywhere else the matrix stays a
 tuple, and `row_kernel(L)` answers a batch in one loop of L unrolled
-sums a row, compiled once per L.  Either way `prepare_matrix` first
-refuses a matrix that is not square or has an entry outside [0, p).
+sums a row, compiled once per L, which admits just what `check_vectors`
+admits.  Either way `prepare_matrix` refuses, by it, a bad matrix.
 
 The client's pad draw, pad add and unmask are `vec_ops(L)`, unrolled
 expressions compiled once per L.
@@ -48,6 +49,7 @@ __all__ = [
     "SamplingExhausted",
     "is_prime",
     "ff_inv",
+    "check_vectors",
     "prepare_matrix",
     "mat_vec_mul",
     "row_kernel",
@@ -165,30 +167,36 @@ def _limb_split(l: int, p: int) -> tuple[int, int]:
     return b, -(-(p - 1).bit_length() // b)
 
 
+def check_vectors(vectors, l: int, p: int) -> None:
+    """The one admission rule for field values: every vector has length `l`
+    (else DimensionMismatch), and every element is an int, not a bool or a
+    float, in [0, p) (else NonCanonicalElement).  The first bad vector raises."""
+    for w in vectors:
+        if len(w) != l:
+            raise DimensionMismatch(f"vector of length {len(w)}, expected {l}")
+        for x in w:
+            if type(x) is not int or not 0 <= x < p:
+                raise NonCanonicalElement(f"element {x!r} is not an int in [0, {p})")
+
+
 def prepare_matrix(a: FieldMatrix, p: int) -> PreparedMatrix:
     """`a` in the form a server multiplies it by: where the float64 kernel
     applies, an (L x nL) float64 array whose j-th L columns are limb j of
     `a`'s transpose, most significant first; else `a`, for `row_kernel(L)`.
 
-    Refuses a matrix that is not L x L for some L >= 1 (DimensionMismatch)
-    or has an entry outside [0, p) (NonCanonicalElement).
+    Refuses a matrix that is not L x L for some L >= 1 (DimensionMismatch) or
+    has an entry that is not an int in [0, p) (NonCanonicalElement).
     """
     l = len(a)
-    if not l or set(map(len, a)) != {l}:
-        raise DimensionMismatch(f"matrix of {l} rows of lengths {sorted(set(map(len, a)))} is not square")
+    if not l:
+        raise DimensionMismatch("matrix of no rows")
+    check_vectors(a, l, p)  # its rows, each of length L: square
     if p < KERNEL_MAX_MODULUS and KERNEL_MIN_DIM <= l < KERNEL_MAX_DIM:
         import numpy as np
-        try:  # numpy refuses an entry below 0 or from 2^64 on
-            t = np.array(a, dtype=np.uint64).T
-        except OverflowError:
-            t = None
-        if t is None or t.max() >= p:
-            raise NonCanonicalElement(f"matrix entry outside [0, {p})")
+        t = np.array(a, dtype=np.uint64).T
         b, n = _limb_split(l, p)
         limbs = [(t >> (b * j)) & ((1 << b) - 1) for j in reversed(range(n))]
         return np.concatenate(limbs, axis=1).astype(np.float64)
-    if not (0 <= min(map(min, a)) and max(map(max, a)) < p):
-        raise NonCanonicalElement(f"matrix entry outside [0, {p})")
     return a
 
 
@@ -221,8 +229,8 @@ def mat_vec_mul(a: PreparedMatrix, w, p: int) -> FieldVector | np.ndarray:
 @lru_cache(maxsize=64)
 def row_kernel(l: int):
     """`kernel(matrices, functions, ws, p)`: [matrices[f] w mod p for each row
-    (f, w)] in one loop with no call a row, or None at a row with an unknown f,
-    another length or an element not an int in [0, p); its source depends on L alone."""
+    (f, w)] in one loop with no call a row, or None at a row whose f is not an
+    int key of `matrices` or that `check_vectors` refuses; its source depends on L alone."""
     w = [f"w{j}" for j in range(l)]
     a = [[f"a{i}_{j}" for j in range(l)] for i in range(l)]
     namespace: dict = {}
@@ -230,7 +238,7 @@ def row_kernel(l: int):
     out, type_, int_ = [], type, int
     try:  # a KeyError is an unknown function, a ValueError a row of another length
         for f, ({', '.join(w)},) in zip(functions, ws):
-            if not ({' and '.join(f'type_({x}) is int_ and 0 <= {x} < p' for x in w)}):
+            if not (type_(f) is int_ and {' and '.join(f'type_({x}) is int_ and 0 <= {x} < p' for x in w)}):
                 return None
             ({''.join(f"({', '.join(r)},), " for r in a)}) = matrices[f]
             out.append(({''.join(f"({' + '.join(map('{} * {}'.format, r, w))}) % p, " for r in a)}))

@@ -157,9 +157,10 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.k < 1 or self.n < 1 or self.m < 1 or self.l < 1:
-            raise ValueError("k, n, m, l must all be >= 1")
-        if not isinstance(self.p, int) or not (2 <= self.p < MAX_MODULUS):
+        values = (self.k, self.n, self.m, self.l, self.p, self.seed)
+        if {*map(type, values)} != {int} or min(values[:4]) < 1:
+            raise ValueError(f"k, n, m, l, p and seed must be ints, and k, n, m, l >= 1: got {values!r}")
+        if not 2 <= self.p < MAX_MODULUS:
             raise ValueError(f"modulus must be an integer in [2, 2^61): got {self.p!r}")
         if not is_prime(self.p):
             raise ValueError(f"modulus must be prime: got {self.p}")

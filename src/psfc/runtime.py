@@ -13,17 +13,17 @@ as three columns, `query(servers, functions, xs)`, and answers its rows
 in order.  Both split it by `_shares`, worked out once per (server column,
 N), after refusing unequal columns, a server outside [1..N] or rows of
 more than one L: each server's share, in plan order, is one `serve(functions,
-ws)` call, all or nothing, by one batch routine: the float64 kernel where
-`field.prepare_matrix` made arrays of the server's matrices, else the
-compiled row kernel of its L.
+ws)` call, all or nothing, by one batch routine (the float64 kernel where
+`field.prepare_matrix` made arrays, else the compiled row kernel of its L)
+that admits what `field.check_vectors` and an int function in [1..K] admit.
 
 * SimTransport: in-process, synchronous; the default for tests and audits.
 * TcpTransport / TcpServerHost: one persistent localhost TCP connection
   per server.  A share goes as one query frame and comes back as one
   answer frame (more only past _WINDOW_BYTES of body).  A row no frame
-  can hold raises a server's typed error; an exchange that fails
-  part-way closes the transport.  Byte-for-byte the same RunReport as
-  the simulated path for the same (config, order, seed).
+  can hold, or one holding a bool, raises a server's typed error; an
+  exchange that fails part-way closes the transport.  Byte-for-byte the
+  same RunReport as the simulated path for the same (config, order, seed).
 
 A frame is a header (magic, the per-connection seq of its first row, its
 row count, L), then for queries one function index per row, then the
@@ -48,6 +48,7 @@ from .field import (
     FieldMatrix,
     FieldVector,
     NonCanonicalElement,
+    check_vectors,
     mat_vec_mul,
     prepare_matrix,
     row_kernel,
@@ -88,8 +89,8 @@ class MalformedFrame(ValueError):
 class Server:
     """One honest-but-curious server: computes F_k w and records its view.
 
-    Refuses, when built, functions that are not all L x L matrices over
-    [0, p) (DimensionMismatch, NonCanonicalElement)."""
+    Refuses, when built, functions that are not all L x L matrices of ints
+    in [0, p) (DimensionMismatch, NonCanonicalElement)."""
 
     __slots__ = ("id", "p", "l", "marginal", "_matrices", "_product")
 
@@ -109,8 +110,8 @@ class Server:
 
         The server's batch routine checks and answers the whole batch in one
         call, or refuses it; then nothing is recorded, and the first bad row
-        raises its typed error: an unknown function, then another length,
-        then an element that is not an int in [0, p) (a bool or float is refused).
+        raises its typed error: a function that is not an int in [1..K] (a
+        bool or float is refused), then what `field.check_vectors` refuses.
         """
         if len(functions) != len(ws):  # zip would drop the extra rows without a word
             raise ValueError(f"{len(functions)} functions for {len(ws)} inputs")
@@ -118,13 +119,9 @@ class Server:
         answers = self._product(matrices, functions, ws, p) if ws else []
         if answers is None:
             for function, w in zip(functions, ws):
-                if function not in matrices:  # 0 and -1 too, not the last ones
-                    raise UnknownFunction(f"function {function} not in [1..{len(matrices)}]")
-                if len(w) != self.l:
-                    raise DimensionMismatch(f"input has length {len(w)}, expected {self.l}")
-                for x in w:
-                    if type(x) is not int or not 0 <= x < p:
-                        raise NonCanonicalElement(f"input element {x!r} is not an int in [0, {p})")
+                if type(function) is not int or function not in matrices:  # 0 and -1 too
+                    raise UnknownFunction(f"function {function!r} not in [1..{len(matrices)}]")
+                check_vectors((w,), self.l, p)
             raise RuntimeError("batch refused with no bad row")  # an internal bug; record nothing
         self.marginal.functions += functions
         self.marginal.inputs += ws
@@ -135,7 +132,8 @@ def _serve_stacked(matrices, functions, ws, p):
     """A batch on float64 arrays, admitted as one uint64 stack by one numpy
     reduction (None if refused), with one `mat_vec_mul` call per function."""
     import numpy as np
-    if {*map(type, chain.from_iterable(ws))} != {int}:  # numpy would cast a float, bool or str
+    # numpy would cast a bool, float or str, and a function True or 1.0 is the key 1
+    if {*map(type, functions), *map(type, chain.from_iterable(ws))} != {int}:
         return None
     try:  # numpy refuses an element below 0 or from 2^64 on, and rows of two lengths
         x = np.array(ws, dtype=np.uint64)
@@ -458,18 +456,18 @@ class TcpTransport:
         return _in_row_order(answers, merge)
 
     def _send(self, server: int, functions, xs, l: int) -> None:
-        """Send these rows to `server` as one query frame; a row no frame
-        can hold raises the typed error a server would."""
+        """Send these rows to `server` as one query frame; a row no frame can
+        hold, or with a value that is not an int, raises a server's typed error."""
         channel = self._channels[server - 1]
-        try:
+        try:  # struct packs a bool, or anything with __index__, as an int
+            if {*map(type, chain(functions, *xs))} != {int}:
+                raise struct.error("a function or element that is not an int")
             frame = encode_message(QUERY_MAGIC, channel.seq, l, functions, xs)
         except struct.error:
             for function in functions:
-                if not 0 <= function < 1 << 16:
-                    raise UnknownFunction(f"function {function} does not fit a u16") from None
-            for x in chain.from_iterable(xs):
-                if type(x) is not int or not 0 <= x < 1 << 64:
-                    raise NonCanonicalElement(f"input element {x!r} is not an int that fits a u64") from None
+                if type(function) is not int or not 0 <= function < 1 << 16:
+                    raise UnknownFunction(f"function {function!r} is not an int that fits a u16") from None
+            check_vectors(xs, l, 1 << 64)
             raise
         channel.sock.sendall(frame)
 

@@ -169,19 +169,16 @@ def _emit_blocks(cols, exchanges, sigma: Permutation, n: int, m: int, m_prime: i
     # base[s] + (batch-1)(N-1) + comp-1 is the register of a task's
     # step-s output: s = 0 names the raw input, s = K the output.
     base = [m] + [2 * m + s * m_prime * width for s in range(k - 1)] + [0]
-    for b in range(1, n_blocks + 1):
-        for step, comp in tasks:
-            batch = b - step + 1
-            if 1 <= batch <= m_prime:
-                at = (batch - 1) * width + comp - 1
-                source.append(base[step - 1] + at)
-                dest.append(base[step] + at)
-            else:
-                source.append(_FRESH)
-                dest.append(-1)
-        source += [_MASK] * slots
-        dest += [-1] * slots
-        exchanges.append(len(source))
+    size = len(tasks) + slots  # rows a block
+    source += ([_FRESH] * len(tasks) + [_MASK] * slots) * n_blocks
+    dest += [-1] * (size * n_blocks)
+    # Row r of a task (step, comp) holds batch b - step + 1 in blocks b = step
+    # to step + M' - 1, so its registers there step by N-1 from block to block.
+    for r, (step, comp) in enumerate(tasks):
+        rows = slice((step - 1) * size + r, (step - 1 + m_prime) * size, size)
+        source[rows] = range(base[step - 1] + comp - 1, base[step - 1] + comp - 1 + m_prime * width, width)
+        dest[rows] = range(base[step] + comp - 1, base[step] + comp - 1 + m_prime * width, width)
+    exchanges += range(size, size * n_blocks + 1, size)
 
 
 def _emit_chains(cols, exchanges, sigma: Permutation, first: int, m: int, links: int,
@@ -240,7 +237,8 @@ def build_plan(k: int, n: int, m: int, sigma: Permutation) -> QueryPlan:
     links = 2 * m + (k - 1) * m_prime * (n - 1)
     cols: tuple[list[int], ...] = ([], [], [], [], [])
     exchanges: list[int] = []
-    _emit_blocks(cols, exchanges, sigma, n, m, m_prime, n_blocks)
+    if n_blocks:
+        _emit_blocks(cols, exchanges, sigma, n, m, m_prime, n_blocks)
     first = m - r if fallback else 0
     chains = _emit_chains(cols, exchanges, sigma, first, m, links, fallback) if first < m else 1
     return QueryPlan(k, n, m, m_prime, n_blocks, links, chains, exchanges, *cols)

@@ -175,11 +175,19 @@ def test_compose_reference_stays_pure_python(monkeypatch):
 
 
 def test_run_config_validation():
-    RunConfig(k=2, n=2, m=1, l=1, p=5, seed=0)
+    good = dict(k=2, n=2, m=1, l=1, p=5, seed=0)
+    RunConfig(**good)
     with pytest.raises(ValueError):
         RunConfig(k=0, n=2, m=1, l=1, p=5)
     with pytest.raises(ValueError):
         RunConfig(k=2, n=2, m=1, l=1, p=6)
+    # A bool or float equal to a good value is refused too: unrefused,
+    # m=True was written into the report JSON as the non-JSON token True,
+    # and seed=1.5 was reported as 1.5 while the pads came from seed 1.
+    for field, value in good.items():
+        for bad in (bool(value), float(value)):
+            with pytest.raises(ValueError, match="must be ints"):
+                RunConfig(**{**good, field: bad})
 
 
 def test_run_config_rejects_bad_moduli_after_a_prime_is_cached():

@@ -111,37 +111,43 @@ def test_serve_refuses_elements_that_are_not_ints(l, bad):
 
 @pytest.mark.parametrize(
     "last, error",
-    [((1, (7,)), NonCanonicalElement), ((9, (1,)), UnknownFunction)],
-    ids=["noncanonical", "unknown-function"],
+    [((1, 7), NonCanonicalElement), ((9, 1), UnknownFunction),
+     ((True, 1), UnknownFunction), ((1.0, 1), UnknownFunction)],
+    ids=["noncanonical", "unknown-function", "bool-function", "float-function"],
 )
 def test_refused_batch_records_nothing(last, error):
     # The whole batch is checked before any of it is recorded or
     # answered, so rows ahead of the bad last row leave no trace either.
-    servers, _ = _servers(k=2, n=1, l=1, p=5)
-    server = servers[0]
-    server.serve([2], [(4,)])
-    before = list(server.marginal.entries)
-    functions, ws = [1, 2, last[0]], [(1,), (3,), last[1]]
-    with pytest.raises(error):
-        server.serve(functions, ws)
-    with pytest.raises(error):
-        SimTransport([server]).query([1] * 3, functions, ws)
-    assert server.marginal.entries == before
+    # A function index True or 1.0 equals 1 as a dict key: unrefused, it
+    # was answered as function 1 and recorded as True or 1.0.
+    for l in (1, KERNEL_MIN_DIM):  # the row kernel and the float64 kernel
+        servers, _ = _servers(k=2, n=1, l=l, p=5)
+        server = servers[0]
+        server.serve([2], [(4,) * l])
+        before = list(server.marginal.entries)
+        functions, ws = [1, 2, last[0]], [(1,) * l, (3,) * l, (1,) * (l - 1) + (last[1],)]
+        with pytest.raises(error):
+            server.serve(functions, ws)
+        with pytest.raises(error):
+            SimTransport([server]).query([1] * 3, functions, ws)
+        assert server.marginal.entries == before
 
 
 @pytest.mark.parametrize("p", [2**31 - 1, 2**61 - 1])
 @pytest.mark.parametrize("l", [2, KERNEL_MIN_DIM])
 def test_server_refuses_a_function_it_would_serve_wrongly(l, p):
     # Refused when the server is built: a function that is not L x L, which
-    # would be answered at another length, and one with an entry outside
-    # [0, p), which the float64 kernel's limb split would answer wrongly.
+    # would be answered at another length, one with an entry outside
+    # [0, p), which the float64 kernel's limb split would answer wrongly,
+    # and one with an entry that is not an int: 1.5 was answered in floats
+    # by the row kernel and read as 1 by the float64 kernel.
     good = _uniform_functions(1, l, p, 5)[0]
     taller, shorter = good + good[:1], good[1:]
     ragged, wider = good[:-1] + (good[-1] + (0,),), tuple(row + (0,) for row in taller)
     for shape in (taller, shorter, ragged, wider):
         with pytest.raises(DimensionMismatch):
             Server(1, [good, shape], p)
-    for entry in (-1, p, 2**64):
+    for entry in (-1, p, 2**64, 1.5, 1.0, True, "1"):
         with pytest.raises(NonCanonicalElement):
             Server(1, [good, ((entry,) + good[0][1:],) + good[1:]], p)
 
@@ -202,11 +208,12 @@ def test_served_batch_equals_row_by_row_products(data, p, l, k, seed):
     p=st.sampled_from(BATCH_PRIMES),
     l=st.sampled_from(BATCH_DIMS),
     k=st.integers(1, 4),
-    fault=st.sampled_from(["function", "length", -1, "p", 2**63, 2**64]),
+    fault=st.sampled_from(["function", True, 1.0, "length", -1, "p", 2**63, 2**64]),
 )
 def test_refused_batch_raises_its_typed_error(data, p, l, k, fault):
     # One bad row anywhere in a batch: the typed error, never one from
     # numpy, through serve and through the sim transport, and no trace.
+    # The function index True or 1.0 is refused although it equals 1.
     functions = _uniform_functions(k, l, p, 7)
     server = Server(1, functions, p)
     server.serve([1], [(0,) * l])
@@ -215,6 +222,8 @@ def test_refused_batch_raises_its_typed_error(data, p, l, k, fault):
     function, w = data.draw(st.integers(1, k)), data.draw(_vectors(l, p))
     if fault == "function":
         function, error = data.draw(st.sampled_from([0, -1, k + 1, 2**16 - 1])), UnknownFunction
+    elif type(fault) in (bool, float):
+        function, error = fault, UnknownFunction
     elif fault == "length":
         w, error = w + (0,) if l == 1 or data.draw(st.booleans()) else w[1:], DimensionMismatch
     else:
@@ -810,11 +819,14 @@ def test_rows_of_two_lengths_are_refused(entry):
     [(([1], [1], [(-1, 0)]), NonCanonicalElement),
      (([1], [1], [(2**64, 0)]), NonCanonicalElement),
      (([1], [70000], [(1, 0)]), UnknownFunction),
-     (([1], [1], [(1.5, 0)]), NonCanonicalElement)],
-    ids=["negative", "past-u64", "past-u16", "float"],
+     (([1], [1], [(1.5, 0)]), NonCanonicalElement),
+     (([1], [1], [(True, 0)]), NonCanonicalElement),
+     (([1], [True], [(1, 0)]), UnknownFunction)],
+    ids=["negative", "past-u64", "past-u16", "float", "bool", "bool-function"],
 )
 def test_rows_no_frame_can_hold_raise_the_typed_error(entry, exchange, error):
-    # TCP cannot encode these rows; it raises what a sim server raises.
+    # TCP cannot encode these rows, or would encode a bool as the int it
+    # equals and have it answered; it raises what a sim server raises.
     servers, _ = _servers(k=1, n=1, l=2, p=7)
     host = TcpServerHost(servers) if entry == "tcp" else None
     transport = TcpTransport(host.addresses) if host else SimTransport(servers)
